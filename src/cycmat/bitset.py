@@ -8,7 +8,7 @@ larger ground set without a separate code path.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -98,3 +98,12 @@ def dependence_table(n: int, generators: Iterable[int]) -> bytearray:
             if m & bit and table[m ^ bit]:
                 table[m] = 1
     return table
+
+
+def containment_test(n: int, members: Sequence[int]) -> Callable[[int], bool]:
+    """Predicate: does a mask over n elements contain some member?  A
+    `dependence_table` lookup up to n = 18, a scan over the members above."""
+    if n <= 18:
+        table = dependence_table(n, members)
+        return lambda mask: bool(table[mask])
+    return lambda mask: any(is_subset(m, mask) for m in members)

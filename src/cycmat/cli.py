@@ -118,7 +118,6 @@ def _add_construction_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write output here instead of stdout")
-    parser.add_argument("--format", choices=("json",), default="json")
 
 
 def _write(args, text: str) -> None:

@@ -13,7 +13,7 @@ import os
 import random
 import threading
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,13 +27,14 @@ class CapExceeded(ValueError):
     """Raised when an exhaustive sweep would exceed the configured cap."""
 
 
-def enum_cap() -> int:
-    value = os.environ.get(ENUM_CAP_ENV)
+def env_cap(name: str, default: int) -> int:
+    """Positive integer cap read from environment variable `name`."""
+    value = os.environ.get(name)
     if value is None:
-        return DEFAULT_ENUM_CAP
+        return default
     cap = int(value)
     if cap < 1:
-        raise ValueError(f"{ENUM_CAP_ENV} must be positive, got {value}")
+        raise ValueError(f"{name} must be positive, got {value}")
     return cap
 
 
@@ -43,6 +44,7 @@ class GroundSet:
 
     n: int
     labels: tuple[str, ...] = ()
+    full: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -51,10 +53,7 @@ class GroundSet:
         if len(labels) != self.n or len(set(labels)) != self.n:
             raise ValueError("labels must be distinct and match the element count")
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def full(self) -> int:
-        return bitset.full_mask(self.n)
+        object.__setattr__(self, "full", bitset.full_mask(self.n))
 
     def mask(self, elements: Iterable[int]) -> int:
         m = bitset.mask_of(elements)
@@ -115,8 +114,8 @@ class MatroidOracle:
 
     Instances are immutable after construction: the predicate must be pure,
     and all derived state (memoised independence calls, enumerated circuit
-    families) is filled behind a lock, so oracles can be shared freely
-    across threads.
+    families, ordering certificates) is filled behind a lock, so oracles can
+    be shared freely across threads, and is freed with the oracle.
     """
 
     def __init__(self, ground: GroundSet, indep: Callable[[int], bool], name: str = ""):
@@ -128,6 +127,8 @@ class MatroidOracle:
         self._circuits: CircuitFamily | None = None
         self._cocircuits: CircuitFamily | None = None
         self._rank_full: int | None = None
+        # ordering certificates by (order, params); see cyclic.certify
+        self._certificates: dict = {}
 
     # -- predicate and rank ---------------------------------------------------
 
@@ -205,7 +206,7 @@ class MatroidOracle:
             return self._cocircuits
 
     def _enumerate_circuits(self, cap: int | None) -> CircuitFamily:
-        limit = cap if cap is not None else enum_cap()
+        limit = cap if cap is not None else env_cap(ENUM_CAP_ENV, DEFAULT_ENUM_CAP)
         n = self.n
         if n > limit:
             raise CapExceeded(
@@ -273,23 +274,12 @@ def oracle_from_circuits(
         report = validate_circuit_axioms(family, ground.n)
         if not report.ok:
             raise ValueError(f"circuit family fails the axioms: {report.violations[0]}")
-    if ground.n <= 18:
-        table = bitset.dependence_table(ground.n, family.members)
-        indep = lambda mask: not table[mask]
-    else:
-        members = family.members
-        indep = lambda mask: all(c & ~mask for c in members)
-    oracle = MatroidOracle(ground, indep, name=name or "from-circuits")
+    contains_circuit = bitset.containment_test(ground.n, family.members)
+    oracle = MatroidOracle(
+        ground, lambda mask: not contains_circuit(mask), name=name or "from-circuits"
+    )
     oracle._circuits = family
     return oracle
-
-
-def rank(oracle: MatroidOracle, mask: int) -> int:
-    return oracle.rank(mask)
-
-
-def closure(oracle: MatroidOracle, mask: int) -> int:
-    return oracle.closure(mask)
 
 
 def orthogonality_check(circuit: int, cocircuit: int) -> bool:
@@ -314,11 +304,7 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ax
     for a, b in itertools.combinations(members, 2):
         if bitset.is_subset(a, b) or bitset.is_subset(b, a):
             violations.append(("antichain", (bitset.indices(a), bitset.indices(b))))
-    if n <= 18:
-        table = bitset.dependence_table(n, members)
-        contains_member = lambda mask: bool(table[mask])
-    else:
-        contains_member = lambda mask: any(bitset.is_subset(c, mask) for c in members)
+    contains_member = bitset.containment_test(n, members)
     for a, b in itertools.combinations(members, 2):
         common = a & b
         if not common:

@@ -96,11 +96,6 @@ class TwoBlockSpec:
         return self.mask | bit
 
 
-def two_block_set(spec: TwoBlockSpec) -> tuple[int, int, tuple[int, ...]]:
-    """The two-block mask, the admissible gap, and the excluded elements."""
-    return spec.mask, spec.gap, spec.exclusions
-
-
 def iter_specs(n: int, s: int):
     for i in range(1, n + 1, 2):
         for k in range(2, s):

@@ -12,12 +12,10 @@ nearly-to-fully upgrade at the proven size bounds).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import bitset
-from .core import CapExceeded, MatroidOracle, VerificationReport
+from .core import CapExceeded, MatroidOracle, VerificationReport, env_cap
 
 NEITHER = "neither"
 NEARLY = "nearly"
@@ -25,11 +23,6 @@ FULL = "full"
 
 DEFAULT_SEARCH_CAP = 12
 SEARCH_CAP_ENV = "CYCMAT_SEARCH_CAP"
-
-
-def search_cap() -> int:
-    value = os.environ.get(SEARCH_CAP_ENV)
-    return DEFAULT_SEARCH_CAP if value is None else int(value)
 
 
 @dataclass(frozen=True)
@@ -115,10 +108,6 @@ def natural_ordering(n: int) -> CyclicOrdering:
     return CyclicOrdering(tuple(range(1, n + 1)))
 
 
-def interval(ordering: CyclicOrdering, i: int, j: int) -> int:
-    return ordering.interval(i, j)
-
-
 @dataclass(frozen=True)
 class OrderingCertificate:
     """Outcome of certifying one ordering against (s, t) window structure.
@@ -155,11 +144,9 @@ def _phase(starts: tuple[int, ...]) -> int | None:
     return None
 
 
-@lru_cache(maxsize=2048)
-def _certify(oracle: MatroidOracle, order: tuple[int, ...], params: STParams) -> OrderingCertificate:
-    # keyed on the raw order: rotations are distinct here even though
-    # CyclicOrdering compares equal across its equivalence class
-    ordering = CyclicOrdering(order)
+def _build_certificate(
+    oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams
+) -> OrderingCertificate:
     n, s, t = oracle.n, params.s, params.t
     if ordering.n != n:
         raise ValueError("ordering length must match the ground set")
@@ -223,15 +210,17 @@ def _certify(oracle: MatroidOracle, order: tuple[int, ...], params: STParams) ->
 
 
 def certify(oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams) -> OrderingCertificate:
-    return _certify(oracle, ordering.order, params)
-
-
-def is_nearly_cyclic(oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams) -> OrderingCertificate:
-    return certify(oracle, ordering, params)
-
-
-def is_fully_cyclic(oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams) -> OrderingCertificate:
-    return certify(oracle, ordering, params)
+    """Certificate of `ordering`, memoised on the oracle under the raw order
+    (rotations are distinct keys though CyclicOrdering compares them equal).
+    It is built outside the oracle's lock, which is not re-entrant."""
+    key = (ordering.order, params)
+    with oracle._lock:
+        cert = oracle._certificates.get(key)
+    if cert is None:
+        cert = _build_certificate(oracle, ordering, params)
+        with oracle._lock:
+            cert = oracle._certificates.setdefault(key, cert)
+    return cert
 
 
 @dataclass(frozen=True)
@@ -281,7 +270,7 @@ def find_orderings(
     if mode not in (NEARLY, FULL):
         raise ValueError(f"mode must be '{NEARLY}' or '{FULL}'")
     n = oracle.n
-    limit_n = cap if cap is not None else search_cap()
+    limit_n = cap if cap is not None else env_cap(SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP)
     if n > limit_n:
         raise CapExceeded(
             f"ordering search needs n <= {limit_n}, got n={n}; "
@@ -320,7 +309,9 @@ def find_orderings(
             if n > 2 and prefix[1] > prefix[-1]:
                 return False  # reflection twin; its mirror was emitted already
             ordering = CyclicOrdering(tuple(prefix))
-            cert = certify(oracle, ordering, params)
+            # each leaf is visited once, so memoising it would only grow the
+            # oracle's certificate table by up to (n-1)!/2 entries
+            cert = _build_certificate(oracle, ordering, params)
             if cert.nearly if mode == NEARLY else cert.full:
                 results.append(ordering)
             return limit is not None and len(results) >= limit

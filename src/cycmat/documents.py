@@ -76,10 +76,15 @@ def parse(text: str) -> dict:
     return doc
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; booleans are ints to Python but not to a document."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate(doc: Any) -> None:
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
+    if not _is_int(doc.get("schema")) or doc["schema"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc.get('schema')!r}")
     if set(doc) - {"schema", "labels", "matroid"}:
         raise ValueError("document carries unknown top-level fields")
@@ -125,7 +130,7 @@ def _expect_int_fields(payload: Any, *names: str) -> None:
     if not isinstance(payload, dict):
         raise ValueError("representation payload must be a JSON object")
     for name in names:
-        if not isinstance(payload.get(name), int):
+        if not _is_int(payload.get(name)):
             raise ValueError(f"representation field {name!r} must be an integer")
 
 
@@ -134,7 +139,7 @@ def _expect_index_lists(value: Any, n: int) -> None:
         raise ValueError("expected a list of index lists")
     for entry in value:
         if not isinstance(entry, list) or not all(
-            isinstance(i, int) and 1 <= i <= n for i in entry
+            _is_int(i) and 1 <= i <= n for i in entry
         ):
             raise ValueError("set lists must hold 1-based element indices within the ground set")
 
@@ -193,7 +198,7 @@ def parse_ordering(text: str, n: int) -> tuple[int, ...]:
         raise ValueError(f"ordering is not valid JSON: {exc}") from exc
     if (
         not isinstance(data, list)
-        or not all(isinstance(i, int) for i in data)
+        or not all(_is_int(i) for i in data)
         or sorted(data) != list(range(1, n + 1))
     ):
         raise ValueError("ordering must be a JSON array forming a permutation of 1..n")

@@ -152,15 +152,20 @@ def transversal_matroid(pres: BipartitePresentation) -> MatroidOracle:
     return MatroidOracle(pres.ground, indep, name=f"transversal(m={pres.m})")
 
 
-def dual_transversal(pres: BipartitePresentation) -> MatroidOracle:
-    """X independent iff [m] matches completely into E - X."""
+def _dual_indep(pres: BipartitePresentation):
+    """Predicate: [m] matches completely into E - X."""
     m = pres.m
 
     def indep(mask: int) -> bool:
         adjacency = [nbr & ~mask for nbr in pres.neighborhoods]
         return len(_matching(adjacency)) == m
 
-    return MatroidOracle(pres.ground, indep, name=f"dual-transversal(m={m})")
+    return indep
+
+
+def dual_transversal(pres: BipartitePresentation) -> MatroidOracle:
+    """X independent iff [m] matches completely into E - X."""
+    return MatroidOracle(pres.ground, _dual_indep(pres), name=f"dual-transversal(m={pres.m})")
 
 
 @dataclass(frozen=True)
@@ -248,9 +253,7 @@ def interval_presentation(n: int, s: int) -> MultiPathPresentation:
 def psi(n: int, s: int) -> MatroidOracle:
     """Dual of the interval-presented transversal matroid; rank n/2."""
     pres = interval_presentation(n, s)
-    oracle = dual_transversal(pres.base)
-    oracle.name = f"psi({n},{s})"
-    return oracle
+    return MatroidOracle(pres.base.ground, _dual_indep(pres.base), name=f"psi({n},{s})")
 
 
 def psi_basis_test(n: int, s: int, mask: int) -> bool:

@@ -2,18 +2,20 @@ import pytest
 
 from cycmat import free_spike, psi, uniform, wheel, whirl
 from cycmat.constructions import truncate
-
-PSI_GRID = ((8, 3), (10, 3), (12, 3), (8, 4), (12, 4), (12, 5))
+from cycmat.suite import PSI_GRID
 
 
 @pytest.fixture(scope="session")
 def psi_oracles():
-    """Shared psi oracles so independence memoisation carries across tests."""
-    return {key: psi(*key) for key in PSI_GRID}
+    """Shared psi oracles so independence memoisation carries across tests.
+
+    Only the n <= 12 part of the grid: tests sweep all 2^n masks of these.
+    """
+    return {(n, s): psi(n, s) for n, s in PSI_GRID if n <= 12}
 
 
 @pytest.fixture(scope="session")
-def small_fixtures():
+def small_fixtures(psi_oracles):
     """Every constructed family at enumeration scale (n <= 12)."""
     out = {
         "U(2,4)": uniform(2, 4),
@@ -32,8 +34,8 @@ def small_fixtures():
         "spike(5)": free_spike(5)[0],
         "spike(6)": free_spike(6)[0],
     }
-    for n, s in PSI_GRID:
-        out[f"psi({n},{s})"] = psi(n, s)
+    for (n, s), oracle in psi_oracles.items():
+        out[f"psi({n},{s})"] = oracle
     out["T1(psi(10,3))"] = truncate(psi(10, 3), 1)
     out["T1(psi(12,3))"] = truncate(psi(12, 3), 1)
     out["T1(psi(12,4))"] = truncate(psi(12, 4), 1)

@@ -4,6 +4,7 @@ All comparisons are exact (the properties are structural); run with -s to
 see the per-criterion lines.
 """
 
+import hashlib
 import random
 
 from cycmat import bitset
@@ -26,7 +27,7 @@ from cycmat.cyclic import (
     upgrade_from_nearly,
     window_rank_prediction,
 )
-from cycmat.suite import DEFAULT_SEED, random_transversal
+from cycmat.suite import DEFAULT_SEED, PSI_GRID, TRUNCATION_GRID, random_transversal
 from cycmat.transversal import (
     classify_circuit,
     interval_presentation,
@@ -37,9 +38,9 @@ from cycmat.transversal import (
 )
 from cycmat.weakmap import weak_image_of_truncated_psi
 
-PSI_GRID = ((8, 3), (10, 3), (12, 3), (8, 4), (12, 4), (12, 5))
-WINDOW_GRID = PSI_GRID + ((14, 3), (14, 4))
-TRUNCATION_GRID = ((10, 3, 5), (12, 3, 5), (12, 4, 6), (14, 3, 5), (14, 3, 7))
+# sha256 prefix of the default-seed, max-n 12 suite report; refactors must
+# leave the report byte-identical
+SUITE_12_HASH_PREFIX = "62e5623172f68587"
 
 
 def _ok(number: int, name: str) -> None:
@@ -53,10 +54,9 @@ def test_criterion_1_psi_rank(psi_oracles):
 
 
 def test_criterion_2_dual_oracle_equivalence(psi_oracles):
-    for n, s in PSI_GRID:
+    for (n, s), direct in psi_oracles.items():
         assert n <= 12
         pres = interval_presentation(n, s)
-        direct = psi_oracles[(n, s)]
         generic = transversal_matroid(pres.base).dual()
         half = n // 2
         for mask in range(1 << n):
@@ -68,8 +68,7 @@ def test_criterion_2_dual_oracle_equivalence(psi_oracles):
 
 
 def test_criterion_3_self_duality(psi_oracles):
-    for n, s in PSI_GRID:
-        oracle = psi_oracles[(n, s)]
+    for (n, s), oracle in psi_oracles.items():
         perm = self_duality_map(n, s)
         mapped = {bitset.permute(c, perm) for c in oracle.circuits()}
         assert mapped == set(oracle.cocircuits().members), (n, s)
@@ -77,9 +76,8 @@ def test_criterion_3_self_duality(psi_oracles):
 
 
 def test_criterion_4_circuit_classification(psi_oracles):
-    for n, s in PSI_GRID:
+    for (n, s), oracle in psi_oracles.items():
         pres = interval_presentation(n, s)
-        oracle = psi_oracles[(n, s)]
         total = spanning = 0
         for circuit in oracle.circuits():
             outcome = classify_circuit(pres, circuit)
@@ -93,7 +91,7 @@ def test_criterion_4_circuit_classification(psi_oracles):
 
 
 def _window_fixtures():
-    for n, s in WINDOW_GRID:
+    for n, s in PSI_GRID:
         yield psi(n, s), STParams(s, s), f"psi({n},{s})"
     for n, s, t in TRUNCATION_GRID:
         yield truncate(psi(n, s), (t - s) // 2), STParams(s, t), f"T({n},{s},{t})"
@@ -194,4 +192,7 @@ def test_criterion_10_suite_determinism(tmp_path, capsys):
     assert cli_main(argv + ["--out", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+    for path in (first, second):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest.startswith(SUITE_12_HASH_PREFIX), digest[:16]
     _ok(10, "suite-determinism")

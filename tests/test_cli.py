@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cycmat import documents
 from cycmat.cli import main
 
@@ -41,6 +43,19 @@ def test_rank_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "rank", str(doc), "--set", "1,2,3")
     assert code == 0
     assert json.loads(out) == {"rank": 3, "set": [1, 2, 3]}
+
+
+@pytest.mark.parametrize("text", [
+    '{"schema": true, "matroid": {"uniform": {"r": 1, "n": 4}}}',
+    '{"schema": 1, "matroid": {"uniform": {"r": true, "n": 4}}}',
+    '{"schema": 1, "matroid": {"circuits": {"n": 3, "circuits": [[true, 2]]}}}',
+])
+def test_rank_rejects_boolean_integers(capsys, tmp_path, text):
+    doc = tmp_path / "m.json"
+    doc.write_text(text)
+    code, out, err = run_cli(capsys, "rank", str(doc))
+    assert code == 2 and out == ""
+    assert "error:" in err
 
 
 def test_circuits_command(capsys, tmp_path):
@@ -100,6 +115,15 @@ def test_find_orderings_cap(capsys, tmp_path):
     doc.write_text(documents.emit(documents.doc_uniform(6, 13)))
     code, _, err = run_cli(capsys, "find-orderings", str(doc), "--s", "3", "--t", "3")
     assert code == 2
+
+
+def test_find_orderings_rejects_nonpositive_search_cap(capsys, tmp_path, monkeypatch):
+    doc = tmp_path / "m.json"
+    doc.write_text(documents.emit(documents.doc_uniform(2, 4)))
+    monkeypatch.setenv("CYCMAT_SEARCH_CAP", "-3")
+    code, out, err = run_cli(capsys, "find-orderings", str(doc), "--s", "3", "--t", "3")
+    assert code == 2 and out == ""
+    assert "CYCMAT_SEARCH_CAP must be positive" in err
 
 
 def test_weakmap_command(capsys, tmp_path):

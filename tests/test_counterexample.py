@@ -8,32 +8,28 @@ from cycmat.counterexample import (
     iter_specs,
     psi_two_block_circuits,
     rank_bound_contradiction,
-    two_block_set,
 )
 
 
 def test_two_block_base_example():
     spec = TwoBlockSpec(1, 2, 2, 5, 12)
-    mask, gap, exclusions = two_block_set(spec)
-    assert bitset.indices(mask) == (1, 2, 4, 5)
-    assert bitset.indices(gap) == (3,)
-    assert exclusions == ()
+    assert bitset.indices(spec.mask) == (1, 2, 4, 5)
+    assert bitset.indices(spec.gap) == (3,)
+    assert spec.exclusions == ()
     # k + l = s - 1: the augmented set is one full window
     assert spec.with_x(3) == bitset.cyclic_interval(12, 1, 5)
 
 
 def test_two_block_literal_formula():
     spec = TwoBlockSpec(1, 3, 2, 5, 12)
-    mask, gap, _ = two_block_set(spec)
-    assert bitset.indices(mask) == (1, 2, 3, 6, 7)
-    assert bitset.indices(gap) == (4, 5)
+    assert bitset.indices(spec.mask) == (1, 2, 3, 6, 7)
+    assert bitset.indices(spec.gap) == (4, 5)
 
 
 def test_two_block_upper_bound_parameters():
     spec = TwoBlockSpec(1, 2, 2, 4, 8)
-    mask, gap, _ = two_block_set(spec)
-    assert bitset.indices(mask) == (1, 2, 5, 6)
-    assert bitset.size(gap) == 2  # gap length k + l - (s - 2)
+    assert bitset.indices(spec.mask) == (1, 2, 5, 6)
+    assert bitset.size(spec.gap) == 2  # gap length k + l - (s - 2)
 
 
 def test_two_block_exclusions_at_extremes():

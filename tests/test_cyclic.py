@@ -17,7 +17,6 @@ from cycmat.cyclic import (
     check_window_structure,
     find_orderings,
     full_from_odd_circuits,
-    interval,
     natural_ordering,
     size_bounds,
     unique_window_circuits,
@@ -42,9 +41,9 @@ def test_ordering_must_be_permutation():
 
 def test_interval_positions():
     o = natural_ordering(8)
-    assert interval(o, 7, 2) == bitset.mask_of([7, 8, 1, 2])
-    assert interval(o, 3, 3) == bitset.mask_of([3])
-    assert interval(natural_ordering(12), 1, 5) == bitset.mask_of([1, 2, 3, 4, 5])
+    assert o.interval(7, 2) == bitset.mask_of([7, 8, 1, 2])
+    assert o.interval(3, 3) == bitset.mask_of([3])
+    assert natural_ordering(12).interval(1, 5) == bitset.mask_of([1, 2, 3, 4, 5])
 
 
 def test_interval_respects_permutation():
@@ -163,6 +162,31 @@ def test_find_orderings_spike_pairs_consecutive():
     assert qualifying
     for o in found:
         assert certify(M, o, STParams(4, 4)).nearly
+
+
+def test_certificate_memoised_on_its_oracle():
+    M = psi(8, 3)
+    first = certify(M, natural_ordering(8), ST33)
+    assert certify(M, natural_ordering(8), ST33) is first
+    assert certify(psi(8, 3), natural_ordering(8), ST33) is not first
+
+
+def test_certified_oracle_is_freed():
+    import gc
+    import weakref
+
+    M = psi(12, 4)
+    assert certify(M, natural_ordering(12), STParams(4, 4)).full
+    ref = weakref.ref(M)
+    del M
+    gc.collect()
+    assert ref() is None
+
+
+def test_find_orderings_leaves_no_certificates():
+    M = wheel(4)
+    assert find_orderings(M, ST33, mode=NEARLY)
+    assert M._certificates == {}
 
 
 def test_find_orderings_respects_limit_and_cap():

@@ -81,6 +81,6 @@ def test_labels_field():
 
 def test_parse_ordering():
     assert documents.parse_ordering("[2, 1, 3]", 3) == (2, 1, 3)
-    for text in ("[1, 1, 2]", "[1, 2]", '"x"', "[0, 1, 2]"):
+    for text in ("[1, 1, 2]", "[1, 2]", '"x"', "[0, 1, 2]", "[true, 2, 3]"):
         with pytest.raises(ValueError):
             documents.parse_ordering(text, 3)
