@@ -15,11 +15,7 @@ import time
 from . import bitset, documents
 from .core import CapExceeded
 from .cyclic import FULL, NEARLY, CyclicOrdering, STParams, certify, find_orderings
-from .counterexample import (
-    forced_dependents,
-    psi_two_block_circuits,
-    rank_bound_contradiction,
-)
+from .counterexample import psi_two_block_circuits, rank_bound_contradiction
 from .documents import canonical_json
 from .suite import DEFAULT_MAX_N, DEFAULT_SEED, FAMILY_NAMES, run_suite
 from .weakmap import ElementBijection, is_quotient, is_weak_map
@@ -269,8 +265,8 @@ def _cmd_suite(args) -> int:
 def _cmd_counterexample(args) -> int:
     n, s = args.n, args.s
     circuits_report = psi_two_block_circuits(n, s)
-    ledger = forced_dependents(n, s)
     contradiction = rank_bound_contradiction(n, s)
+    ledger = contradiction.ledger
     payload = {
         "n": n,
         "s": s,

@@ -14,6 +14,7 @@ import random
 import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,11 @@ class CircuitFamily:
 
     def __contains__(self, mask: int) -> bool:
         return mask in set(self.members)
+
+    @cached_property
+    def contains_member(self) -> Callable[[int], bool]:
+        """Predicate: does a mask contain some member?  Built once per family."""
+        return bitset.containment_test(self.n, self.members)
 
     def of_size(self, k: int) -> tuple[int, ...]:
         return tuple(m for m in self.members if m.bit_count() == k)
@@ -274,7 +280,7 @@ def oracle_from_circuits(
         report = validate_circuit_axioms(family, ground.n)
         if not report.ok:
             raise ValueError(f"circuit family fails the axioms: {report.violations[0]}")
-    contains_circuit = bitset.containment_test(ground.n, family.members)
+    contains_circuit = family.contains_member
     oracle = MatroidOracle(
         ground, lambda mask: not contains_circuit(mask), name=name or "from-circuits"
     )
@@ -292,19 +298,26 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ax
 
     Weak elimination: for distinct members C1, C2 and e in their
     intersection, some member lies inside (C1 | C2) - e.  Failures are
-    collected, not raised.
+    collected, not raised; a member outside the ground set leaves elimination
+    undefined, so it is not tested then.
     """
     members = tuple(family.members if isinstance(family, CircuitFamily) else family)
     violations: list[tuple[str, tuple]] = []
+    full = bitset.full_mask(n)
     for c in members:
         if c == 0:
             violations.append(("empty-circuit", ()))
-        if c & ~bitset.full_mask(n):
+        if c & ~full:
             violations.append(("out-of-range", (bitset.indices(c),)))
     for a, b in itertools.combinations(members, 2):
         if bitset.is_subset(a, b) or bitset.is_subset(b, a):
             violations.append(("antichain", (bitset.indices(a), bitset.indices(b))))
-    contains_member = bitset.containment_test(n, members)
+    if any(kind == "out-of-range" for kind, _ in violations):
+        return AxiomReport(ok=False, violations=tuple(violations))
+    if isinstance(family, CircuitFamily) and family.n == n:
+        contains_member = family.contains_member
+    else:
+        contains_member = bitset.containment_test(n, members)
     for a, b in itertools.combinations(members, 2):
         common = a & b
         if not common:

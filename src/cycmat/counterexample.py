@@ -28,6 +28,15 @@ def _bit(n: int, i: int) -> int:
     return 1 << (_idx(n, i) - 1)
 
 
+def _require_params(n: int, s: int) -> None:
+    """Two-block sets, the forced-set induction and the rank bound all need
+    s >= 4 and an even n >= 4s - 8."""
+    if s < 4:
+        raise ValueError(f"two-block sets need s >= 4, got s={s}")
+    if n % 2 or n < 4 * s - 8:
+        raise ValueError(f"two-block sets need even n >= 4s - 8, got n={n}, s={s}")
+
+
 @dataclass(frozen=True)
 class TwoBlockSpec:
     """Parameters (i, k, l) of a two-block set inside the n-cycle.
@@ -45,10 +54,7 @@ class TwoBlockSpec:
 
     def __post_init__(self) -> None:
         s, n = self.s, self.n
-        if s < 4:
-            raise ValueError(f"two-block sets need s >= 4, got s={s}")
-        if n % 2 or n < 4 * s - 8:
-            raise ValueError(f"two-block sets need even n >= 4s - 8, got n={n}, s={s}")
+        _require_params(n, s)
         if self.i != _idx(n, self.i) or self.i % 2 == 0:
             raise ValueError(f"start index must be odd and in [n], got i={self.i}")
         if not (2 <= self.k <= s - 1 and 2 <= self.ell <= s - 1):
@@ -106,18 +112,15 @@ def iter_specs(n: int, s: int):
 
 def psi_two_block_circuits(n: int, s: int) -> VerificationReport:
     """Every admissible augmented two-block set is a circuit of psi(n, s),
-    checked against the enumerated circuit family."""
-    if s < 4:
-        raise ValueError(f"this check needs s >= 4, got s={s}")
-    if n % 2 or n < 4 * s - 8:
-        raise ValueError(f"this check needs even n >= 4s - 8, got n={n}")
-    circuit_set = set(psi(n, s).circuits().members)
+    each tested directly, so no circuit enumeration caps n."""
+    _require_params(n, s)
+    oracle = psi(n, s)
     checked = 0
     witnesses = []
     for spec in iter_specs(n, s):
         for x in spec.admissible():
             checked += 1
-            if spec.with_x(x) not in circuit_set:
+            if not oracle.is_circuit(spec.with_x(x)):
                 witnesses.append((spec.i, spec.k, spec.ell, x))
     return VerificationReport("two-block-circuits", not witnesses, checked, tuple(witnesses))
 
@@ -141,16 +144,12 @@ class ForcedEntry:
 
 @dataclass
 class ForcedLedger:
-    """All forced dependent sets for parameters (n, s), in derivation order."""
+    """All forced dependent sets for parameters (n, s), keyed in derivation
+    order; `derive` replays the elimination induction into it."""
 
     n: int
     s: int
     entries: dict = field(default_factory=dict)
-    order: list = field(default_factory=list)
-
-    def add(self, entry: ForcedEntry) -> None:
-        self.entries[entry.key] = entry
-        self.order.append(entry.key)
 
     def __contains__(self, key: tuple) -> bool:
         return key in self.entries
@@ -170,30 +169,25 @@ class ForcedLedger:
             "forced-sets-dependent", not witnesses, len(self.entries), witnesses
         )
 
+    def _add(self, entry: ForcedEntry) -> tuple:
+        self.entries[entry.key] = entry
+        return entry.key
 
-class _Derivation:
-    def __init__(self, n: int, s: int):
-        self.n = n
-        self.s = s
-        self.ledger = ForcedLedger(n, s)
-
-    def axiom(self, i: int) -> tuple:
+    def _axiom(self, i: int) -> tuple:
         n, s = self.n, self.s
         i = _idx(n, i)
         if i % 2 == 0:
             raise RuntimeError(f"axiom windows start at odd positions, got {i}")
         key = (AXIOM, i)
-        if key not in self.ledger:
-            self.ledger.add(
-                ForcedEntry(key, bitset.cyclic_interval(n, i, i + s - 1), AXIOM)
-            )
+        if key not in self.entries:
+            self._add(ForcedEntry(key, bitset.cyclic_interval(n, i, i + s - 1), AXIOM))
         return key
 
-    def eliminate(self, key: tuple, target: int, rule: str, pa: tuple, pb: tuple, elem: int) -> tuple:
+    def _eliminate(self, key: tuple, target: int, rule: str, pa: tuple, pb: tuple, elem: int) -> tuple:
         """Record target = (parent_a | parent_b) - elem; the set algebra must
         close exactly or the transcription of the derivation is wrong."""
-        a = self.ledger.entries[pa].target
-        b = self.ledger.entries[pb].target
+        a = self.entries[pa].target
+        b = self.entries[pb].target
         bit = _bit(self.n, elem)
         if not (a & bit and b & bit):
             raise RuntimeError(f"eliminated element {elem} is not shared by the parents")
@@ -203,70 +197,68 @@ class _Derivation:
                 f"derivation for {key} produced {bitset.indices(derived)} "
                 f"instead of {bitset.indices(target)}"
             )
-        self.ledger.add(ForcedEntry(key, target, rule, (pa, pb), _idx(self.n, elem)))
-        return key
+        return self._add(ForcedEntry(key, target, rule, (pa, pb), _idx(self.n, elem)))
 
     def derive(self, i: int, k: int, ell: int, x: int) -> tuple:
         n, s = self.n, self.s
         i, x = _idx(n, i), _idx(n, x)
         key = (i, k, ell, x)
-        if key in self.ledger:
+        if key in self.entries:
             return key
         spec = TwoBlockSpec(i, k, ell, s, n)
         target = spec.with_x(x)
         if k + ell == s - 1:
             # the augmented set is exactly the odd window starting at i
-            akey = self.axiom(i)
-            if self.ledger.entries[akey].target != target:
+            akey = self._axiom(i)
+            if self.entries[akey].target != target:
                 raise RuntimeError("base two-block set does not close the window")
-            self.ledger.add(ForcedEntry(key, target, "window", (akey,)))
-            return key
+            return self._add(ForcedEntry(key, target, "window", (akey,)))
         if k + ell == s:
             gap = (_idx(n, i + k), _idx(n, i + k + 1))
             other = gap[1] if x == gap[0] else gap[0]
-            return self.eliminate(
+            return self._eliminate(
                 key, target, "splice",
-                self.axiom(i), self.axiom(i + 2), other,
+                self._axiom(i), self._axiom(i + 2), other,
             )
         if k == s - 1:
-            return self.eliminate(
+            return self._eliminate(
                 key, target, "shrink-front",
-                self.derive(i + 2, k - 1, ell, x), self.axiom(i), i + s - 1,
+                self.derive(i + 2, k - 1, ell, x), self._axiom(i), i + s - 1,
             )
         if ell == s - 1:
-            return self.eliminate(
+            return self._eliminate(
                 key, target, "shrink-back",
-                self.derive(i, k, ell - 1, x), self.axiom(i + 2 * k), i + 2 * k,
+                self.derive(i, k, ell - 1, x), self._axiom(i + 2 * k), i + 2 * k,
             )
         if k == 3 and ell == 3:
             if s != 5:
                 raise RuntimeError("the 3+3 case only arises for s = 5")
             if x == _idx(n, i + 3):
-                return self.eliminate(
+                return self._eliminate(
                     key, target, "centre-left",
-                    self.derive(i + 2, 2, 3, i + 4), self.axiom(i), i + 4,
+                    self.derive(i + 2, 2, 3, i + 4), self._axiom(i), i + 4,
                 )
             other = i + 5 if x == _idx(n, i + 4) else i + 4
-            return self.eliminate(
+            return self._eliminate(
                 key, target, "centre-right",
-                self.derive(i, 3, 2, i + 4), self.axiom(i + 4), other,
+                self.derive(i, 3, 2, i + 4), self._axiom(i + 4), other,
             )
         gap_start = _idx(n, i + k)
         gap_end = _idx(n, i + 2 * k + ell - s + 1)
         if k >= 4:
             if x != gap_end:
                 if ell == s - 2 and x == _idx(n, i + 2 * k + ell - s):
-                    return self.eliminate(
+                    return self._eliminate(
                         key, target, "front-axiom",
                         self.derive(i, k, ell - 1, x),
-                        self.axiom(i + 2 * k + ell - s), gap_end,
+                        self._axiom(i + 2 * k + ell - s), gap_end,
                     )
-                return self.eliminate(
+                return self._eliminate(
                     key, target, "front-pair",
                     self.derive(i, k, ell - 1, x),
                     self.derive(i + 2, k - 2, ell + 1, x), gap_end,
                 )
-            return self.eliminate(
+            return self._eliminate(
                 key, target, "front-swap",
                 self.derive(i, k, ell - 1, gap_start),
                 self.derive(i + 2, k - 2, ell + 1, gap_start), gap_start,
@@ -276,12 +268,12 @@ class _Derivation:
         if ell < 4:
             raise RuntimeError(f"unhandled two-block case k={k}, l={ell}, s={s}")
         if x != gap_start:
-            return self.eliminate(
+            return self._eliminate(
                 key, target, "back-pair",
                 self.derive(i + 2, k - 1, ell, x),
                 self.derive(i, k + 1, ell - 2, x), gap_start,
             )
-        return self.eliminate(
+        return self._eliminate(
             key, target, "back-swap",
             self.derive(i + 2, k - 1, ell, gap_end),
             self.derive(i, k + 1, ell - 2, gap_end), gap_end,
@@ -291,15 +283,12 @@ class _Derivation:
 def forced_dependents(n: int, s: int) -> ForcedLedger:
     """Replay the elimination induction: derive every admissible augmented
     two-block set as dependent in any matroid whose odd s-windows are circuits."""
-    if s < 4:
-        raise ValueError(f"the forced-set induction needs s >= 4, got s={s}")
-    if n % 2 or n < 4 * s - 8:
-        raise ValueError(f"the forced-set induction needs even n >= 4s - 8, got n={n}")
-    derivation = _Derivation(n, s)
+    _require_params(n, s)
+    ledger = ForcedLedger(n, s)
     for spec in iter_specs(n, s):
         for x in spec.admissible():
-            derivation.derive(spec.i, spec.k, spec.ell, x)
-    return derivation.ledger
+            ledger.derive(spec.i, spec.k, spec.ell, x)
+    return ledger
 
 
 @dataclass(frozen=True)
@@ -316,7 +305,8 @@ class ContradictionReport:
 
     The chain bounds r({e_1..e_m}) one element at a time; the spanning step
     then pulls every remaining element into the closure through a verified
-    circuit, ending with n/2 < n/2 + 1.
+    circuit, ending with n/2 < n/2 + 1.  `ledger` is the forced-set ledger
+    the spanning step read.
     """
 
     n: int
@@ -325,16 +315,12 @@ class ContradictionReport:
     spanning: tuple[tuple[int, int], ...]
     rank_bound: int
     claimed_rank: int
-    ledger_size: int
+    ledger: ForcedLedger = field(compare=False, repr=False)
     ok: bool
 
 
 def rank_bound_contradiction(n: int, s: int) -> ContradictionReport:
-    if s < 4:
-        raise ValueError(f"the rank bound needs s >= 4, got s={s}")
-    if n % 2 or n < 4 * s - 8:
-        raise ValueError(f"the rank bound needs even n >= 4s - 8, got n={n}")
-    ledger = forced_dependents(n, s)
+    ledger = forced_dependents(n, s)  # checks the parameters first
     oracle = psi(n, s)
     prefix = bitset.cyclic_interval(n, 1, s)
     chain = [ChainStep(s, s - 1, "axiom-circuit", prefix)]
@@ -369,5 +355,5 @@ def rank_bound_contradiction(n: int, s: int) -> ContradictionReport:
     return ContradictionReport(
         n, s, tuple(chain), tuple(spanning),
         rank_bound=n // 2, claimed_rank=n // 2 + 1,
-        ledger_size=len(ledger), ok=ok,
+        ledger=ledger, ok=ok,
     )

@@ -136,12 +136,28 @@ class OrderingCertificate:
     def full(self) -> bool:
         return self.kind == FULL
 
+    def circuit_at(self, start: int) -> bool:
+        """Is the s-window at cyclic position `start` a circuit?"""
+        return (start - 1) % self.n + 1 in self.circuit_starts
+
+    def cocircuit_at(self, start: int) -> bool:
+        """Is the t-window at cyclic position `start` a cocircuit?"""
+        return (start - 1) % self.n + 1 in self.cocircuit_starts
+
 
 def _phase(starts: tuple[int, ...]) -> int | None:
     parities = {i % 2 for i in starts}
     if len(parities) == 1:
         return parities.pop()
     return None
+
+
+def _extensions(oracle: MatroidOracle, window: int, cocircuit: bool = False):
+    """The one-element extensions of `window` that are circuits (cocircuits)."""
+    test = oracle.is_cocircuit if cocircuit else oracle.is_circuit
+    for bit in bitset.singletons(oracle.ground.full & ~window):
+        if test(window | bit):
+            yield window | bit
 
 
 def _build_certificate(
@@ -154,7 +170,6 @@ def _build_certificate(
         raise ValueError(
             f"an (s,t)-structured matroid needs at least max(s,t)-1 elements, got n={n}"
         )
-    full_set = oracle.ground.full
     failures: list[tuple[str, int]] = []
 
     # a window that wraps onto itself (n < length) has fewer than `length`
@@ -171,15 +186,9 @@ def _build_certificate(
     )
 
     for i in range(1, n + 1):
-        w = ordering.window(i, s - 1)
-        if not any(
-            oracle.is_circuit(w | bit) for bit in bitset.singletons(full_set & ~w)
-        ):
+        if not any(_extensions(oracle, ordering.window(i, s - 1))):
             failures.append(("window-not-in-circuit", i))
-        w = ordering.window(i, t - 1)
-        if not any(
-            oracle.is_cocircuit(w | bit) for bit in bitset.singletons(full_set & ~w)
-        ):
+        if not any(_extensions(oracle, ordering.window(i, t - 1), cocircuit=True)):
             failures.append(("window-not-in-cocircuit", i))
     nearly_ok = not failures
 
@@ -276,30 +285,15 @@ def find_orderings(
             f"ordering search needs n <= {limit_n}, got n={n}; "
             f"raise the cap explicitly (or via {SEARCH_CAP_ENV}) to proceed"
         )
-    s, t = params.s, params.t
-    full_set = oracle.ground.full
     results: list[CyclicOrdering] = []
 
-    def window_extends(window: int, want_circuit: bool) -> bool:
-        test = oracle.is_circuit if want_circuit else oracle.is_cocircuit
-        return any(test(window | bit) for bit in bitset.singletons(full_set & ~window))
-
     def prefix_ok(prefix: list[int]) -> bool:
-        p = len(prefix)
-        start = p - s + 2
-        if start >= 1:
-            window = 0
-            for q in range(start - 1, p):
-                window |= 1 << (prefix[q] - 1)
-            if not window_extends(window, True):
-                return False
-        start = p - t + 2
-        if start >= 1:
-            window = 0
-            for q in range(start - 1, p):
-                window |= 1 << (prefix[q] - 1)
-            if not window_extends(window, False):
-                return False
+        # the (s-1)- and (t-1)-windows the last element completes
+        for size, cocircuit in ((params.s, False), (params.t, True)):
+            if len(prefix) >= size - 1:
+                window = bitset.mask_of(prefix[len(prefix) - size + 1:])
+                if not any(_extensions(oracle, window, cocircuit)):
+                    return False
         return True
 
     def extend(prefix: list[int], used: int) -> bool:
@@ -350,12 +344,12 @@ def check_adjacent_windows(
     for i in cert.circuit_starts:
         for start in (i - t, i + s):
             checked += 1
-            if not oracle.is_cocircuit(ordering.window((start - 1) % n + 1, t)):
+            if not cert.cocircuit_at(start):
                 witnesses.append(("missing-flank-cocircuit", i, start))
     for i in cert.cocircuit_starts:
         for start in (i - s, i + t):
             checked += 1
-            if not oracle.is_circuit(ordering.window((start - 1) % n + 1, s)):
+            if not cert.circuit_at(start):
                 witnesses.append(("missing-flank-circuit", i, start))
     return VerificationReport("adjacent-windows", not witnesses, checked, tuple(witnesses))
 
@@ -378,11 +372,11 @@ def check_window_structure(
         cocirc_start = i if even else i + 1
         coindep_start = i + 1 if even else i
         checked += 3
-        if not oracle.is_cocircuit(ordering.window((cocirc_start - 1) % n + 1, t)):
+        if not cert.cocircuit_at(cocirc_start):
             witnesses.append(("expected-cocircuit", i, cocirc_start))
-        if not oracle.indep(ordering.window(i % n + 1, s)):
+        if not oracle.indep(ordering.window(i + 1, s)):
             witnesses.append(("expected-independent", i, i + 1))
-        if not oracle.is_coindependent(ordering.window((coindep_start - 1) % n + 1, t)):
+        if not oracle.is_coindependent(ordering.window(coindep_start, t)):
             witnesses.append(("expected-coindependent", i, coindep_start))
     return VerificationReport("window-structure", not witnesses, checked, tuple(witnesses))
 
@@ -403,14 +397,8 @@ def check_window_closure(
     _require(n > s + t - 2, f"closure check needs n > s + t - 2, got n={n}")
     _require(s - 1 <= k <= n - t, f"closure check needs s-1 <= k <= n-t, got k={k}")
     window = ordering.window(i, k)
-    next_elem = ordering.element_at(i + k)
-    ahead = oracle.in_closure(next_elem, window) == oracle.is_circuit(
-        ordering.window((i + k - s) % n + 1, s)
-    )
-    prev_elem = ordering.element_at(i - 1)
-    behind = oracle.in_closure(prev_elem, window) == oracle.is_circuit(
-        ordering.window((i - 2) % n + 1, s)
-    )
+    ahead = oracle.in_closure(ordering.element_at(i + k), window) == cert.circuit_at(i + k - s + 1)
+    behind = oracle.in_closure(ordering.element_at(i - 1), window) == cert.circuit_at(i - 1)
     return ahead, behind
 
 
@@ -434,7 +422,7 @@ def window_rank_prediction(
     _require(1 <= k <= n - t + 1, f"window-rank check needs 1 <= k <= n-t+1, got k={k}")
     if k < s:
         predicted = k
-    elif i in cert.circuit_starts:
+    elif cert.circuit_at(i):
         predicted = (s + k - 1) // 2
     else:
         predicted = (s + k) // 2
@@ -475,14 +463,8 @@ def unique_window_circuits(
     _require(cert.nearly, "uniqueness check needs a nearly structured ordering")
     _require(n >= s + 2 * t - 4, f"uniqueness check needs n >= s + 2t - 4, got n={n}")
     witnesses = []
-    full_set = oracle.ground.full
     for i in range(1, n + 1):
-        window = ordering.window(i, s - 1)
-        count = sum(
-            1
-            for bit in bitset.singletons(full_set & ~window)
-            if oracle.is_circuit(window | bit)
-        )
+        count = sum(1 for _ in _extensions(oracle, ordering.window(i, s - 1)))
         if count != 1:
             witnesses.append(("window-circuit-count", i, count))
     return VerificationReport("unique-window-circuit", not witnesses, n, tuple(witnesses))

@@ -260,12 +260,19 @@ def _orthogonality_entry(fx: Fixture) -> tuple[bool, Any]:
     return True, None
 
 
-def _dual_involution_entry(fx: Fixture) -> tuple[bool, Any]:
-    double = fx.oracle.dual().dual()
-    for mask in range(1 << fx.oracle.n):
-        if fx.oracle.indep(mask) != double.indep(mask):
+def _first_disagreement(
+    n: int, left: Callable[[int], bool], right: Callable[[int], bool]
+) -> tuple[bool, Any]:
+    """Entry comparing two predicates on every mask over n elements; the
+    witness is the first mask on which they differ."""
+    for mask in range(1 << n):
+        if left(mask) != right(mask):
             return False, list(bitset.indices(mask))
     return True, None
+
+
+def _dual_involution_entry(fx: Fixture) -> tuple[bool, Any]:
+    return _first_disagreement(fx.oracle.n, fx.oracle.indep, fx.oracle.dual().dual().indep)
 
 
 def _transversal_checks(fixtures: FixtureSet, record) -> None:
@@ -291,20 +298,15 @@ def _transversal_checks(fixtures: FixtureSet, record) -> None:
 def _dual_equivalence_entry(n: int, pres) -> tuple[bool, Any]:
     direct = dual_transversal(pres.base)
     generic = transversal_matroid(pres.base).dual()
-    for mask in range(1 << n):
-        if direct.indep(mask) != generic.indep(mask):
-            return False, list(bitset.indices(mask))
-    return True, None
+    return _first_disagreement(n, direct.indep, generic.indep)
 
 
 def _basis_entry(n: int, s: int, oracle: MatroidOracle) -> tuple[bool, Any]:
-    half = n // 2
-    for mask in range(1 << n):
-        by_counts = psi_basis_test(n, s, mask)
-        by_matching = mask.bit_count() == half and oracle.indep(mask)
-        if by_counts != by_matching:
-            return False, list(bitset.indices(mask))
-    return True, None
+    return _first_disagreement(
+        n,
+        lambda mask: psi_basis_test(n, s, mask),
+        lambda mask: mask.bit_count() == n // 2 and oracle.indep(mask),
+    )
 
 
 def _self_duality_entry(n: int, s: int, oracle: MatroidOracle) -> tuple[bool, Any]:

@@ -165,6 +165,16 @@ def test_counterexample_command(capsys):
     assert payload["two_block_circuits"]["ok"]
 
 
+def test_counterexample_beyond_enumeration_cap(capsys, monkeypatch):
+    # n = 24 is above the default circuit-enumeration cap of 20
+    monkeypatch.delenv("CYCMAT_MAX_N", raising=False)
+    code, out, _ = run_cli(capsys, "counterexample", "24", "6")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["conclusion"]["contradiction"] is True
+    assert payload["two_block_circuits"] == {"ok": True, "checked": 336}
+
+
 def test_counterexample_rejects_small_n(capsys):
     code, _, err = run_cli(capsys, "counterexample", "10", "5")
     assert code == 2

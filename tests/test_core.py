@@ -14,7 +14,7 @@ from cycmat import (
     verify_matroid_axioms,
 )
 from cycmat import bitset
-from cycmat.constructions import free_spike
+from cycmat.constructions import free_spike, whirl
 
 
 def brute_rank(oracle, mask):
@@ -196,6 +196,18 @@ def test_validate_circuit_axioms_rejects_broken_elimination():
     assert any(v[0] == "elimination" for v in report.violations)
 
 
+def test_validate_circuit_axioms_reports_out_of_range():
+    report = validate_circuit_axioms([0b10011], 4)
+    assert not report.ok
+    assert report.violations == (("out-of-range", ((1, 2, 5),)),)
+    # with a pair to eliminate, on the dependence-table path and the scan path
+    for n in (4, 19):
+        fam = [bitset.mask_of([1, 2, n + 1]), bitset.mask_of([1, 3])]
+        report = validate_circuit_axioms(fam, n)
+        assert not report.ok
+        assert report.violations[0] == ("out-of-range", ((1, 2, n + 1),))
+
+
 def test_validate_circuit_axioms_spike():
     M, _ = free_spike(4)
     assert validate_circuit_axioms(M.circuits(), M.n).ok
@@ -267,3 +279,17 @@ def test_oracle_shared_across_threads():
     assert len({r[0] for r in results}) == 1
     for _, _, duals in results:
         assert duals == expected
+
+
+def test_oracle_from_circuits_builds_one_table(monkeypatch):
+    # validation and the independence predicate share one dependence table
+    sizes = []
+    original = bitset.dependence_table
+
+    def counting(n, generators):
+        sizes.append(n)
+        return original(n, generators)
+
+    monkeypatch.setattr(bitset, "dependence_table", counting)
+    whirl(6)
+    assert sizes == [12]

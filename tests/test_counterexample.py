@@ -62,6 +62,11 @@ def test_augmented_sets_are_circuits():
     for n, s in ((8, 4), (12, 4), (12, 5)):
         report = psi_two_block_circuits(n, s)
         assert report.ok and report.checked > 0
+        # reference route: membership in the enumerated circuit family
+        circuits = set(psi(n, s).circuits().members)
+        augmented = [spec.with_x(x) for spec in iter_specs(n, s) for x in spec.admissible()]
+        assert len(augmented) == report.checked
+        assert all(mask in circuits for mask in augmented)
 
 
 def test_psi_two_block_rejects_parameters():
@@ -135,6 +140,13 @@ def test_rank_bound_contradiction_certificates():
         assert report.chain[-1].prefix_size == n - s + 2
         assert report.chain[-1].bound == n // 2
         assert len(report.spanning) == s - 2
+
+
+def test_rank_bound_report_carries_its_ledger():
+    report = rank_bound_contradiction(12, 5)
+    ledger = forced_dependents(12, 5)
+    assert len(report.ledger) == len(ledger)
+    assert report.ledger.instance_count() == ledger.instance_count()
 
 
 def test_rank_bound_chain_structure():
