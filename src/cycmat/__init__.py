@@ -16,6 +16,7 @@ from .core import (
     VerificationReport,
     oracle_from_circuits,
     orthogonality_check,
+    orthogonality_violations,
     validate_circuit_axioms,
     verify_matroid_axioms,
 )

@@ -3,12 +3,23 @@
 Element ``i`` (1-based, matching the ``e_1..e_n`` labelling convention used
 throughout) occupies bit ``i - 1``.  Python integers are arbitrary precision,
 so the same representation covers both the machine-word fast path and any
-larger ground set without a separate code path.
+larger ground set without a separate code path.  Array operations over many
+masks hold them in a numpy array (`mask_array`): int64 while every mask fits
+in 62 bits, Python ints above, under the same numpy expressions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+
+import numpy as np
+
+# largest n whose containment test is a dependence table (2^18 bytes)
+TABLE_MAX_N = 18
+# widest mask held in an int64 array; wider masks use Python ints
+WORD_BITS = 62
+# cells per temporary in the blocked pairwise array operations (128 KB at int64)
+BLOCK_CELLS = 1 << 14
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -86,24 +97,67 @@ def permute(mask: int, perm: tuple[int, ...]) -> int:
 def dependence_table(n: int, generators: Iterable[int]) -> bytearray:
     """Table ``t`` with ``t[mask] = 1`` iff mask contains some generator.
 
-    Superset closure over the subset lattice; costs O(n * 2^n), so callers
-    must keep n small (the library caps this at enumeration scale).
+    The superset closure over the subset lattice, computed as a zeta
+    transform (Yates' algorithm): set the generators, then for each bit OR
+    every mask without it into the same mask with it.  That is O(n * 2^n)
+    byte operations, one numpy slice per bit, so callers keep n small (the
+    library builds tables up to n = TABLE_MAX_N).  The table is a
+    ``bytearray`` of 2^n bytes, so a single lookup is a plain int;
+    ``np.frombuffer(t, np.uint8)`` views it as an array without a copy.
     """
     table = bytearray(1 << n)
-    for g in generators:
-        table[g] = 1
+    cells = np.frombuffer(table, dtype=np.uint8)
+    cells[np.fromiter(generators, dtype=np.int64)] = 1
     for b in range(n):
-        bit = 1 << b
-        for m in range(1 << n):
-            if m & bit and table[m ^ bit]:
-                table[m] = 1
+        halves = cells.reshape(-1, 2, 1 << b)
+        halves[:, 1] |= halves[:, 0]
     return table
 
 
-def containment_test(n: int, members: Sequence[int]) -> Callable[[int], bool]:
-    """Predicate: does a mask over n elements contain some member?  A
-    `dependence_table` lookup up to n = 18, a scan over the members above."""
-    if n <= 18:
-        table = dependence_table(n, members)
-        return lambda mask: bool(table[mask])
-    return lambda mask: any(is_subset(m, mask) for m in members)
+def mask_array(masks: Sequence[int]) -> np.ndarray:
+    """Masks as a numpy array: int64 when all fit in 62 bits, else Python ints
+    (dtype object).  ``& | ^ - == !=`` give the same results on both."""
+    wide = max(masks, default=0).bit_length() > WORD_BITS
+    return np.array(masks, dtype=object if wide else np.int64)
+
+
+def row_blocks(rows: int, cols: int) -> Iterator[tuple[int, int]]:
+    """Row ranges ``[lo, hi)`` of a rows x cols pairwise array, each of at most
+    BLOCK_CELLS cells (one row at least), so each temporary stays bounded."""
+    step = max(1, BLOCK_CELLS // max(cols, 1))
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
+
+
+class ContainmentTest:
+    """Does a mask over n elements contain some member?
+
+    A `dependence_table` lookup up to n = TABLE_MAX_N, a scan over the
+    members above.
+    Call it on one mask, or use `each` on an array of masks (as built by
+    `mask_array`).
+    """
+
+    def __init__(self, n: int, members: Sequence[int]) -> None:
+        self._members = tuple(members)
+        self._table = dependence_table(n, self._members) if n <= TABLE_MAX_N else None
+        if self._table is not None:
+            self._cells = np.frombuffer(self._table, dtype=np.uint8)
+        else:
+            self._array = mask_array(self._members)
+
+    def __call__(self, mask: int) -> bool:
+        if self._table is not None:
+            return bool(self._table[mask])
+        return any(is_subset(m, mask) for m in self._members)
+
+    def each(self, masks: np.ndarray) -> np.ndarray:
+        """Boolean array: which of `masks` contain some member."""
+        if self._table is not None:
+            return self._cells[masks] != 0
+        out = np.empty(len(masks), dtype=bool)
+        members = self._array[None, :]
+        for lo, hi in row_blocks(len(masks), len(self._array)):
+            block = masks[lo:hi, None]
+            out[lo:hi] = ((members & block) == members).any(axis=1)
+        return out

@@ -12,7 +12,7 @@ import itertools
 import os
 import random
 import threading
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -87,9 +87,9 @@ class CircuitFamily:
         return mask in set(self.members)
 
     @cached_property
-    def contains_member(self) -> Callable[[int], bool]:
-        """Predicate: does a mask contain some member?  Built once per family."""
-        return bitset.containment_test(self.n, self.members)
+    def contains_member(self) -> bitset.ContainmentTest:
+        """Does a mask contain some member?  Built once per family."""
+        return bitset.ContainmentTest(self.n, self.members)
 
     def of_size(self, k: int) -> tuple[int, ...]:
         return tuple(m for m in self.members if m.bit_count() == k)
@@ -293,47 +293,91 @@ def orthogonality_check(circuit: int, cocircuit: int) -> bool:
     return (circuit & cocircuit).bit_count() != 1
 
 
+def orthogonality_violations(
+    circuits: Iterable[int], cocircuits: Iterable[int]
+) -> Iterator[tuple[int, int]]:
+    """Circuit-cocircuit pairs that meet in exactly one element, in nested-loop
+    order (every cocircuit against the first circuit, then the next circuit).
+
+    `orthogonality_check` on each pair, as array operations over a block of
+    circuits at a time: ``x = C & D`` is one element iff x != 0 and
+    ``x & (x - 1) == 0``.
+    """
+    circuits, cocircuits = tuple(circuits), tuple(cocircuits)
+    cs, ds = bitset.mask_array(circuits), bitset.mask_array(cocircuits)
+    for lo, hi in bitset.row_blocks(len(cs), len(ds)):
+        meet = cs[lo:hi, None] & ds[None, :]
+        single = (meet != 0) & ((meet & (meet - 1)) == 0)
+        for i, j in zip(*np.nonzero(single)):
+            yield circuits[lo + int(i)], cocircuits[int(j)]
+
+
 def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> AxiomReport:
     """Check antichain, non-emptiness and weak elimination for a family.
 
     Weak elimination: for distinct members C1, C2 and e in their
     intersection, some member lies inside (C1 | C2) - e.  Failures are
-    collected, not raised; a member outside the ground set leaves elimination
-    undefined, so it is not tested then.
+    collected, not raised: first per member, then antichain failures, then
+    elimination failures, each by pair in `itertools.combinations` order and
+    e ascending.  A member outside the ground set leaves elimination
+    undefined, so it is not tested then.  The pairs are tested as numpy
+    arrays, a block of rows of the upper triangle at a time.
     """
     members = tuple(family.members if isinstance(family, CircuitFamily) else family)
     violations: list[tuple[str, tuple]] = []
     full = bitset.full_mask(n)
+    support = 0
     for c in members:
         if c == 0:
             violations.append(("empty-circuit", ()))
         if c & ~full:
             violations.append(("out-of-range", (bitset.indices(c),)))
-    for a, b in itertools.combinations(members, 2):
-        if bitset.is_subset(a, b) or bitset.is_subset(b, a):
-            violations.append(("antichain", (bitset.indices(a), bitset.indices(b))))
+        support |= c
     if any(kind == "out-of-range" for kind, _ in violations):
-        return AxiomReport(ok=False, violations=tuple(violations))
-    if isinstance(family, CircuitFamily) and family.n == n:
+        contains_member = None
+    elif isinstance(family, CircuitFamily) and family.n == n:
         contains_member = family.contains_member
     else:
-        contains_member = bitset.containment_test(n, members)
-    for a, b in itertools.combinations(members, 2):
+        contains_member = bitset.ContainmentTest(n, members)
+    antichain: list[tuple[str, tuple]] = []
+    elimination: list[tuple[str, tuple]] = []
+    for i, j, a, b in _member_pairs(bitset.mask_array(members)):
         common = a & b
-        if not common:
+        for p in np.flatnonzero((common == a) | (common == b)):
+            antichain.append(
+                ("antichain", (bitset.indices(members[i[p]]), bitset.indices(members[j[p]])))
+            )
+        if contains_member is None:
             continue
-        union = a | b
-        for bit in bitset.singletons(common):
-            if not contains_member(union ^ bit):
-                violations.append(
-                    ("elimination", (bitset.indices(a), bitset.indices(b), bit.bit_length()))
-                )
+        meet = np.flatnonzero(common != 0)
+        i, j, common, union = i[meet], j[meet], common[meet], (a | b)[meet]
+        failures: list[tuple[int, int]] = []  # (pair, element), gathered per element
+        for bit in bitset.singletons(support):
+            has = np.flatnonzero((common & bit) != 0)
+            failed = has[~contains_member.each(union[has] ^ bit)]
+            failures.extend((int(p), bit.bit_length()) for p in failed)
+        for p, e in sorted(failures):
+            elimination.append(
+                ("elimination", (bitset.indices(members[i[p]]), bitset.indices(members[j[p]]), e))
+            )
+    violations += antichain + elimination
     return AxiomReport(ok=not violations, violations=tuple(violations))
+
+
+def _member_pairs(arr: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Pairs i < j of an array in `itertools.combinations` order, one block of
+    rows at a time, as flat arrays (i, j, arr[i], arr[j])."""
+    k = len(arr)
+    columns = np.arange(k)
+    for lo, hi in bitset.row_blocks(k, k):
+        i, j = np.nonzero(np.arange(lo, hi)[:, None] < columns[None, :])
+        i += lo
+        yield i, j, arr[i], arr[j]
 
 
 def verify_matroid_axioms(
     oracle: MatroidOracle,
-    exhaustive_limit: int = 12,
+    exhaustive_limit: int = 14,
     samples: int = 4000,
     seed: int = 0,
 ) -> VerificationReport:
@@ -367,26 +411,25 @@ def _exhaustive_axiom_sweep(oracle: MatroidOracle) -> VerificationReport:
     # of elements whose addition keeps Y independent.
     avail = {}
     for sy, ys in by_size.items():
-        avail[sy] = np.array(
-            [_extension_mask(oracle, y) & ~y for y in ys], dtype=np.int64
-        )
+        avail[sy] = bitset.mask_array([_extension_mask(oracle, y) & ~y for y in ys])
     sizes = sorted(by_size)
     for sy in sizes:
         ys_arr = avail[sy]
         for sx in sizes:
             if sx <= sy:
                 continue
-            xs_arr = np.array(by_size[sx], dtype=np.int64)
+            xs_arr = bitset.mask_array(by_size[sx])
             checked += len(ys_arr) * len(xs_arr)
-            hits = (ys_arr[:, None] & xs_arr[None, :]) == 0
-            if hits.any():
-                yi, xi = np.argwhere(hits)[0]
-                return VerificationReport(
-                    "matroid-axioms", False, checked,
-                    (("exchange",
-                      bitset.indices(by_size[sx][int(xi)]),
-                      bitset.indices(by_size[sy][int(yi)])),),
-                )
+            for lo, hi in bitset.row_blocks(len(ys_arr), len(xs_arr)):
+                hits = (ys_arr[lo:hi, None] & xs_arr[None, :]) == 0
+                if hits.any():
+                    yi, xi = np.argwhere(hits)[0]
+                    return VerificationReport(
+                        "matroid-axioms", False, checked,
+                        (("exchange",
+                          bitset.indices(by_size[sx][int(xi)]),
+                          bitset.indices(by_size[sy][lo + int(yi)])),),
+                    )
     return VerificationReport("matroid-axioms", True, checked)
 
 

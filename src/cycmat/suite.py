@@ -18,7 +18,7 @@ from .constructions import free_spike, truncate, truncation_circuits, uniform, w
 from .core import (
     GroundSet,
     MatroidOracle,
-    orthogonality_check,
+    orthogonality_violations,
     validate_circuit_axioms,
     verify_matroid_axioms,
 )
@@ -251,13 +251,10 @@ def _exchange_entry(fx: Fixture) -> tuple[bool, Any]:
 
 
 def _orthogonality_entry(fx: Fixture) -> tuple[bool, Any]:
-    circuits = fx.oracle.circuits()
-    cocircuits = fx.oracle.cocircuits()
-    for c in circuits:
-        for d in cocircuits:
-            if not orthogonality_check(c, d):
-                return False, _mask_list((c, d))
-    return True, None
+    pair = next(orthogonality_violations(fx.oracle.circuits(), fx.oracle.cocircuits()), None)
+    if pair is None:
+        return True, None
+    return False, _mask_list(pair)
 
 
 def _first_disagreement(

@@ -1,4 +1,4 @@
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cycmat import bitset
@@ -49,9 +49,19 @@ def test_permute_rotation():
     assert bitset.permute(bitset.mask_of([1, 2, 8]), perm) == bitset.mask_of([2, 3, 1])
 
 
-def test_dependence_table_matches_direct_scan():
-    gens = [0b0011, 0b1100]
-    table = bitset.dependence_table(4, gens)
-    for mask in range(16):
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    gens = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=8))
+    return n, gens
+
+
+@given(generator_sets())
+@example((4, [0b0011, 0b1100]))
+def test_dependence_table_matches_direct_scan(case):
+    n, gens = case
+    table = bitset.dependence_table(n, gens)
+    assert isinstance(table, bytearray) and len(table) == 1 << n
+    for mask in range(1 << n):
         direct = any(g & ~mask == 0 for g in gens)
         assert bool(table[mask]) == direct

@@ -257,7 +257,7 @@ def test_enum_cap_env_override(monkeypatch):
 
 
 def test_sampled_sweep_above_exhaustive_limit():
-    report = verify_matroid_axioms(uniform(3, 14), samples=300)
+    report = verify_matroid_axioms(uniform(3, 15), samples=300)
     assert report.ok and report.note == "sampled"
 
 
