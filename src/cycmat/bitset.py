@@ -52,10 +52,6 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def complement(mask: int, n: int) -> int:
-    return full_mask(n) & ~mask
-
-
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 
@@ -80,10 +76,6 @@ def cyclic_interval(n: int, i: int, j: int) -> int:
     if i <= j:
         return (full_mask(j - i + 1)) << i
     return (full_mask(n) ^ (full_mask(i - j - 1) << (j + 1)))
-
-
-def interval_length(n: int, i: int, j: int) -> int:
-    return (j - i) % n + 1
 
 
 def permute(mask: int, perm: tuple[int, ...]) -> int:

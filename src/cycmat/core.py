@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import random
 import threading
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -22,6 +21,9 @@ from . import bitset
 
 DEFAULT_ENUM_CAP = 20
 ENUM_CAP_ENV = "CYCMAT_MAX_N"
+# largest ground set the exchange sweep covers; it tests every pair of
+# independent sets of different sizes
+EXHAUSTIVE_LIMIT = 14
 
 
 class CapExceeded(ValueError):
@@ -91,9 +93,6 @@ class CircuitFamily:
         """Does a mask contain some member?  Built once per family."""
         return bitset.ContainmentTest(self.n, self.members)
 
-    def of_size(self, k: int) -> tuple[int, ...]:
-        return tuple(m for m in self.members if m.bit_count() == k)
-
     def as_indices(self) -> list[list[int]]:
         return [list(bitset.indices(m)) for m in self.members]
 
@@ -151,9 +150,6 @@ class MatroidOracle:
             self._memo[mask] = cached
         return cached
 
-    def dep(self, mask: int) -> bool:
-        return not self.indep(mask)
-
     def rank(self, mask: int | None = None) -> int:
         """Size of a maximal independent subset, built greedily.
 
@@ -199,25 +195,25 @@ class MatroidOracle:
             return False
         return all(self.is_coindependent(mask ^ bit) for bit in bitset.singletons(mask))
 
-    def circuits(self, cap: int | None = None) -> CircuitFamily:
+    def circuits(self) -> CircuitFamily:
         with self._lock:
             if self._circuits is None:
-                self._circuits = self._enumerate_circuits(cap)
+                self._circuits = self._enumerate_circuits()
             return self._circuits
 
-    def cocircuits(self, cap: int | None = None) -> CircuitFamily:
+    def cocircuits(self) -> CircuitFamily:
         with self._lock:
             if self._cocircuits is None:
-                self._cocircuits = self.dual()._enumerate_circuits(cap)
+                self._cocircuits = self.dual()._enumerate_circuits()
             return self._cocircuits
 
-    def _enumerate_circuits(self, cap: int | None) -> CircuitFamily:
-        limit = cap if cap is not None else env_cap(ENUM_CAP_ENV, DEFAULT_ENUM_CAP)
+    def _enumerate_circuits(self) -> CircuitFamily:
+        limit = env_cap(ENUM_CAP_ENV, DEFAULT_ENUM_CAP)
         n = self.n
         if n > limit:
             raise CapExceeded(
                 f"circuit enumeration needs n <= {limit}, got n={n}; "
-                f"raise the cap explicitly (or via {ENUM_CAP_ENV}) to proceed"
+                f"raise the cap via {ENUM_CAP_ENV} to proceed"
             )
         found: list[int] = []
         # A dependent k-set with every (k-1)-deletion independent is minimal;
@@ -375,26 +371,17 @@ def _member_pairs(arr: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
         yield i, j, arr[i], arr[j]
 
 
-def verify_matroid_axioms(
-    oracle: MatroidOracle,
-    exhaustive_limit: int = 14,
-    samples: int = 4000,
-    seed: int = 0,
-) -> VerificationReport:
+def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
     """Sweep the independence axioms: empty set, downward closure, exchange.
 
-    Exhaustive up to `exhaustive_limit` elements, seeded random spot checks
-    above that (a full sweep is exponential).
+    Exhaustive over every subset; a ground set above EXHAUSTIVE_LIMIT
+    elements raises `CapExceeded` (the sweep is exponential).
     """
+    n = oracle.n
+    if n > EXHAUSTIVE_LIMIT:
+        raise CapExceeded(f"the exchange sweep needs n <= {EXHAUSTIVE_LIMIT}, got n={n}")
     if not oracle.indep(0):
         return VerificationReport("matroid-axioms", False, 1, (("empty-set",),))
-    if oracle.n <= exhaustive_limit:
-        return _exhaustive_axiom_sweep(oracle)
-    return _sampled_axiom_sweep(oracle, samples, seed)
-
-
-def _exhaustive_axiom_sweep(oracle: MatroidOracle) -> VerificationReport:
-    n = oracle.n
     independents: list[int] = [m for m in range(1 << n) if oracle.indep(m)]
     checked = 1 << n
     for m in independents:
@@ -439,44 +426,3 @@ def _extension_mask(oracle: MatroidOracle, y: int) -> int:
         if oracle.indep(y | bit):
             out |= bit
     return out
-
-
-def _sampled_axiom_sweep(oracle: MatroidOracle, samples: int, seed: int) -> VerificationReport:
-    rng = random.Random(seed)
-    n = oracle.n
-    elements = list(range(n))
-    checked = 0
-    for _ in range(samples):
-        order = elements[:]
-        rng.shuffle(order)
-        x = 0
-        target = rng.randint(0, n)
-        for i in order:
-            if x.bit_count() >= target:
-                break
-            if oracle.indep(x | 1 << i):
-                x |= 1 << i
-        sub = x
-        for bit in bitset.singletons(x):
-            if rng.random() < 0.5:
-                sub ^= bit
-        checked += 1
-        if not oracle.indep(sub):
-            return VerificationReport(
-                "matroid-axioms", False, checked,
-                (("downward-closure", bitset.indices(x), bitset.indices(sub)),),
-            )
-        rng.shuffle(order)
-        y = 0
-        for i in order:
-            if y.bit_count() >= x.bit_count() // 2:
-                break
-            if oracle.indep(y | 1 << i):
-                y |= 1 << i
-        if x.bit_count() > y.bit_count():
-            if not (x & (_extension_mask(oracle, y) & ~y)):
-                return VerificationReport(
-                    "matroid-axioms", False, checked,
-                    (("exchange", bitset.indices(x), bitset.indices(y)),),
-                )
-    return VerificationReport("matroid-axioms", True, checked, note="sampled")

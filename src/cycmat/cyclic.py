@@ -244,7 +244,7 @@ class BoundsReport:
     violated: tuple[str, ...]
 
 
-def size_bounds(n: int, params: STParams, full: bool = False) -> BoundsReport:
+def size_bounds(n: int, params: STParams) -> BoundsReport:
     """Evaluate the proven size constraints: the floor n >= s + t - 2 always,
     and for full structure on n > s + t - 2 also n even with s = t mod 2."""
     s, t = params.s, params.t
@@ -253,7 +253,7 @@ def size_bounds(n: int, params: STParams, full: bool = False) -> BoundsReport:
     if not nearly_allowed:
         violated.append("floor")
     full_allowed = nearly_allowed
-    if full and n > s + t - 2:
+    if n > s + t - 2:
         if n % 2:
             violated.append("even-size")
             full_allowed = False
@@ -268,7 +268,6 @@ def find_orderings(
     params: STParams,
     mode: str = NEARLY,
     limit: int | None = None,
-    cap: int | None = None,
 ) -> list[CyclicOrdering]:
     """All orderings (one per rotation/reflection class) whose certificate
     meets `mode`, in lexicographic order of their canonical form.
@@ -279,11 +278,11 @@ def find_orderings(
     if mode not in (NEARLY, FULL):
         raise ValueError(f"mode must be '{NEARLY}' or '{FULL}'")
     n = oracle.n
-    limit_n = cap if cap is not None else env_cap(SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP)
+    limit_n = env_cap(SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP)
     if n > limit_n:
         raise CapExceeded(
             f"ordering search needs n <= {limit_n}, got n={n}; "
-            f"raise the cap explicitly (or via {SEARCH_CAP_ENV}) to proceed"
+            f"raise the cap via {SEARCH_CAP_ENV} to proceed"
         )
     results: list[CyclicOrdering] = []
 

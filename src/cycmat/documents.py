@@ -152,9 +152,9 @@ def to_oracle(doc: dict) -> MatroidOracle:
             raise ValueError(
                 f"document has {len(labels)} labels for {oracle.n} elements"
             )
-        return MatroidOracle(
-            GroundSet(oracle.n, tuple(labels)), oracle.indep, name=oracle.name
-        )
+        # the oracle is not shared yet, so it takes the labels in place and
+        # keeps its memo and any listed circuit family
+        oracle.ground = GroundSet(oracle.n, tuple(labels))
     return oracle
 
 

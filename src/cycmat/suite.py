@@ -1,9 +1,11 @@
 """The verification suite: every structural check over a fixture grid.
 
-Fixtures are built once per run and shared, so oracle memoisation carries
-across checks.  Entries are keyed by check name and parameters and the
-report is assembled in sorted order, making the output independent of
-execution order and byte-stable across runs with the same seed.
+Every matroid is built once per run and shared by label (`FixtureSet.oracle`),
+so oracle memoisation carries across checks; only the cross-checks that
+compare two constructions, and the negative controls, build their own.
+Entries are keyed by check name and parameters and the report is assembled
+in sorted order, making the output independent of execution order and
+byte-stable across runs with the same seed.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .cyclic import (
 from .transversal import (
     BipartitePresentation,
     brute_force_matching_size,
+    classify_circuit,
     dual_transversal,
     interval_presentation,
     max_matching,
@@ -85,13 +88,21 @@ class Fixture:
 
 
 class FixtureSet:
-    """Lazily built, cached fixtures for one suite run."""
+    """Lazily built, cached fixtures for one suite run: one oracle per label."""
 
     def __init__(self, max_n: int, seed: int, families: tuple[str, ...]):
         self.max_n = max_n
         self.seed = seed
         self.families = families
         self._built: dict[str, list[Fixture]] = {}
+        self._oracles: dict[str, MatroidOracle] = {}
+
+    def oracle(self, label: str, build: Callable[[], MatroidOracle]) -> MatroidOracle:
+        """The run's oracle for `label`, from `build` on first use, whether or
+        not the label lies in the run's grid."""
+        if label not in self._oracles:
+            self._oracles[label] = build()
+        return self._oracles[label]
 
     def enabled(self, family: str) -> bool:
         return family in self.families
@@ -103,34 +114,55 @@ class FixtureSet:
             self._built[family] = list(self._build(family))
         return self._built[family]
 
+    def truncation(self, fx: Fixture) -> MatroidOracle:
+        """T^1 of a fixture, shared by the checks that compare the two."""
+        return self.oracle(f"T^1({fx.label})", lambda: truncate(fx.oracle, 1))
+
+    def psi(self, n: int, s: int) -> MatroidOracle:
+        return self.oracle(f"psi({n},{s})", lambda: psi(n, s))
+
+    def truncated_psi(self, n: int, s: int, i: int) -> MatroidOracle:
+        return self.oracle(f"T^{i}(psi({n},{s}))", lambda: truncate(self.psi(n, s), i))
+
+    def uniform(self, r: int, n: int) -> MatroidOracle:
+        return self.oracle(f"U({r},{n})", lambda: uniform(r, n))
+
+    def wheel(self, r: int) -> MatroidOracle:
+        return self.oracle(f"wheel({r})", lambda: wheel(r))
+
+    def whirl(self, r: int) -> MatroidOracle:
+        return self.oracle(f"whirl({r})", lambda: whirl(r))
+
+    def spike(self, r: int) -> MatroidOracle:
+        return self.oracle(f"spike({r})", lambda: free_spike(r)[0])
+
     def _build(self, family: str):
         if family == "psi":
             for n, s in PSI_GRID:
                 if n <= self.max_n:
-                    yield Fixture("psi", f"psi({n},{s})", psi(n, s), STParams(s, s), (n, s))
+                    yield Fixture("psi", f"psi({n},{s})", self.psi(n, s), STParams(s, s), (n, s))
         elif family == "truncation":
             for n, s, t in TRUNCATION_GRID:
                 if n <= self.max_n:
-                    oracle = truncate(psi(n, s), (t - s) // 2)
-                    yield Fixture("truncation", f"T^{(t - s) // 2}(psi({n},{s}))",
-                                  oracle, STParams(s, t), (n, s))
+                    i = (t - s) // 2
+                    yield Fixture("truncation", f"T^{i}(psi({n},{s}))",
+                                  self.truncated_psi(n, s, i), STParams(s, t), (n, s))
         elif family == "uniform":
             for r, n, s, t in UNIFORM_GRID:
                 if n <= self.max_n:
-                    yield Fixture("uniform", f"U({r},{n})", uniform(r, n), STParams(s, t))
+                    yield Fixture("uniform", f"U({r},{n})", self.uniform(r, n), STParams(s, t))
         elif family == "wheel":
             for r in WHEEL_GRID:
                 if 2 * r <= self.max_n:
-                    yield Fixture("wheel", f"wheel({r})", wheel(r), STParams(3, 3))
+                    yield Fixture("wheel", f"wheel({r})", self.wheel(r), STParams(3, 3))
         elif family == "whirl":
             for r in WHEEL_GRID:
                 if 2 * r <= self.max_n:
-                    yield Fixture("whirl", f"whirl({r})", whirl(r), STParams(3, 3))
+                    yield Fixture("whirl", f"whirl({r})", self.whirl(r), STParams(3, 3))
         elif family == "spike":
             for r in SPIKE_GRID:
                 if 2 * r <= self.max_n:
-                    oracle, _ = free_spike(r)
-                    yield Fixture("spike", f"spike({r})", oracle, STParams(4, 4))
+                    yield Fixture("spike", f"spike({r})", self.spike(r), STParams(4, 4))
         elif family == "random":
             rng = random.Random(self.seed)
             for idx in range(RANDOM_COUNT):
@@ -319,10 +351,8 @@ def _self_duality_entry(n: int, s: int, oracle: MatroidOracle) -> tuple[bool, An
 
 
 def _classification_entry(pres, oracle: MatroidOracle) -> tuple[bool, Any]:
-    from .transversal import classify_circuit
-
     for circuit in oracle.circuits():
-        outcome = classify_circuit(pres, circuit)
+        outcome = classify_circuit(oracle, pres, circuit)
         if not outcome.ok:
             return False, list(bitset.indices(circuit))
     return True, None
@@ -401,7 +431,7 @@ def _window_checks(fixtures: FixtureSet, record) -> None:
         params = {"n": n, "s": s, "t": t}
         record("size-bounds", params, lambda n=n, s=s, t=t, a=nearly_ok, b=full_ok: (
             (lambda rep: rep.nearly_allowed == a and rep.full_allowed == b)(
-                size_bounds(n, STParams(s, t), full=True)), None))
+                size_bounds(n, STParams(s, t))), None))
 
 
 def _report_entry(report) -> tuple[bool, Any]:
@@ -432,23 +462,23 @@ def _ordering_checks(fixtures: FixtureSet, record) -> None:
     st = STParams(3, 3)
     targets: list[tuple[str, MatroidOracle]] = []
     if fixtures.enabled("psi") and fixtures.max_n >= 8:
-        targets.append(("psi(8,3)", psi(8, 3)))
+        targets.append(("psi(8,3)", fixtures.psi(8, 3)))
     if fixtures.enabled("wheel") and fixtures.max_n >= 8:
-        targets.append(("wheel(4)", wheel(4)))
+        targets.append(("wheel(4)", fixtures.wheel(4)))
     for fx in fixtures.group("random"):
         targets.append((fx.label, fx.oracle))
     for label, oracle in targets:
         record("nearly-upgrade", {"matroid": label}, lambda oracle=oracle: _upgrade_entry(oracle, st))
     if fixtures.enabled("whirl"):
         record("below-bound-survey", {"matroid": "whirl(3)"},
-               lambda: _survey_entry(whirl(3), st))
+               lambda: _survey_entry(fixtures.whirl(3), st))
     if fixtures.enabled("wheel"):
         # the 3-spoke wheel is the known source of nearly-not-full data at n = 6
         record("below-bound-survey", {"matroid": "wheel(3)"},
-               lambda: _survey_entry(wheel(3), st))
+               lambda: _survey_entry(fixtures.wheel(3), st))
     if fixtures.enabled("uniform"):
         record("below-bound-survey", {"matroid": "U(2,4)"},
-               lambda: _survey_entry(uniform(2, 4), st))
+               lambda: _survey_entry(fixtures.uniform(2, 4), st))
 
 
 def _upgrade_entry(oracle: MatroidOracle, st: STParams) -> tuple[bool, Any]:
@@ -481,17 +511,17 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
                        lambda n=n, s=s, t=t: (truncated_psi_certificate(n, s, t).full, None))
     if fixtures.enabled("psi") and fixtures.max_n >= 10:
         pipeline = [
-            ("wheel(4)", wheel(4), STParams(3, 3)),
-            ("spike(4)", free_spike(4)[0], STParams(4, 4)),
-            ("T^1(psi(10,3))", truncate(psi(10, 3), 1), STParams(3, 5)),
+            ("wheel(4)", fixtures.wheel(4), STParams(3, 3)),
+            ("spike(4)", fixtures.spike(4), STParams(4, 4)),
+            ("T^1(psi(10,3))", fixtures.truncated_psi(10, 3, 1), STParams(3, 5)),
         ]
         for label, oracle, st in pipeline:
             record("weak-map-pipeline", {"matroid": label, "s": st.s, "t": st.t},
                    lambda oracle=oracle, st=st: _pipeline_entry(oracle, st))
     if fixtures.enabled("psi") and fixtures.max_n >= 8:
         for label, oracle, expected in (
-            ("wheel(4)", wheel(4), True),
-            ("psi(8,3)", psi(8, 3), True),
+            ("wheel(4)", fixtures.wheel(4), True),
+            ("psi(8,3)", fixtures.psi(8, 3), True),
             ("U(8,8)", uniform(8, 8), False),
         ):
             record("interval-rank-weakmap", {"matroid": label}, lambda oracle=oracle,
@@ -500,8 +530,9 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
         if fx.oracle.n <= 10 and fx.oracle.rank() >= 1:
             params = {"matroid": fx.label}
             record("quotient-truncation", params, lambda fx=fx: (
-                is_quotient(fx.oracle, truncate(fx.oracle, 1)).holds, None))
-            record("truncation-circuits", params, lambda fx=fx: _truncation_circuits_entry(fx))
+                is_quotient(fx.oracle, fixtures.truncation(fx)).holds, None))
+            record("truncation-circuits", params, lambda fx=fx: _truncation_circuits_entry(
+                fx.oracle, fixtures.truncation(fx)))
 
 
 def _pipeline_entry(oracle: MatroidOracle, st: STParams) -> tuple[bool, Any]:
@@ -519,9 +550,10 @@ def _interval_rank_entry(oracle: MatroidOracle, expected: bool) -> tuple[bool, A
     return True, None
 
 
-def _truncation_circuits_entry(fx: Fixture) -> tuple[bool, Any]:
-    truncated = truncate(fx.oracle, 1)
-    expected = set(truncation_circuits(fx.oracle, 1).members)
+def _truncation_circuits_entry(
+    oracle: MatroidOracle, truncated: MatroidOracle
+) -> tuple[bool, Any]:
+    expected = set(truncation_circuits(oracle, 1).members)
     actual = set(truncated.circuits().members)
     if expected != actual:
         return False, {
@@ -539,16 +571,16 @@ def _counterexample_checks(fixtures: FixtureSet, record) -> None:
             record("two-block-circuits", {"n": n, "s": s},
                    lambda n=n, s=s: _report_entry(psi_two_block_circuits(n, s)))
             record("forced-ledger", {"n": n, "s": s},
-                   lambda n=n, s=s: _ledger_entry(n, s))
+                   lambda n=n, s=s: _ledger_entry(n, s, fixtures.psi(n, s)))
     for n, s in CONTRADICTION_GRID:
         if n <= fixtures.max_n:
             record("rank-contradiction", {"n": n, "s": s}, lambda n=n, s=s: (
                 rank_bound_contradiction(n, s).ok, None))
 
 
-def _ledger_entry(n: int, s: int) -> tuple[bool, Any]:
+def _ledger_entry(n: int, s: int, oracle: MatroidOracle) -> tuple[bool, Any]:
     ledger = forced_dependents(n, s)
-    report = ledger.verify_dependent(psi(n, s))
+    report = ledger.verify_dependent(oracle)
     if not report.ok:
         return False, list(report.witnesses[:1])
     return True, {"entries": len(ledger), "instances": ledger.instance_count()}

@@ -304,8 +304,13 @@ class CircuitClassification:
         return self.kind in ("spanning", "interval")
 
 
-def classify_circuit(pres: MultiPathPresentation, circuit: int) -> CircuitClassification:
-    oracle = dual_transversal(pres.base)
+def classify_circuit(
+    oracle: MatroidOracle, pres: MultiPathPresentation, circuit: int
+) -> CircuitClassification:
+    """Classify a circuit of `oracle`, the dual of the matroid `pres` presents
+    (`dual_transversal(pres.base)`, or `psi` for an interval presentation)."""
+    if oracle.n != pres.n:
+        raise ValueError("the classified matroid must share the presentation's ground set")
     if not oracle.is_circuit(circuit):
         raise ValueError("classification requires a circuit of the dual matroid")
     n, m = pres.n, pres.m

@@ -66,6 +66,24 @@ def test_circuits_command(capsys, tmp_path):
     assert json.loads(out)["circuits"] == [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
 
 
+def test_circuits_command_keeps_listed_family_with_labels(capsys, tmp_path):
+    # U(19,21): the 21 twenty-element subsets, above the enumeration cap of 20
+    n = 21
+    plain = documents.doc_circuits(n, [[i for i in range(1, n + 1) if i != j]
+                                       for j in range(1, n + 1)])
+    labelled = dict(plain, labels=[f"x{i}" for i in range(1, n + 1)])
+    assert documents.to_oracle(labelled).ground.labels == tuple(labelled["labels"])
+    outputs = []
+    for doc in (plain, labelled):
+        path = tmp_path / "m.json"
+        path.write_text(documents.emit(doc))
+        code, out, err = run_cli(capsys, "circuits", str(path))
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0])["circuits"]) == n
+
+
 def _write_fixture(tmp_path, doc, order):
     doc_path = tmp_path / "m.json"
     doc_path.write_text(documents.emit(doc))

@@ -144,5 +144,5 @@ def test_swirl_small_circuits_are_consecutive_pair_unions():
         M = psi(n, 4)
         pairs = PairPartition.consecutive(r).pairs
         expected = {pairs[i] | pairs[(i + 1) % r] for i in range(r)}
-        got = set(M.circuits(cap=n).of_size(4))
+        got = {c for c in M.circuits() if c.bit_count() == 4}
         assert got == expected

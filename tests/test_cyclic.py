@@ -129,9 +129,9 @@ def test_full_implies_nearly_on_examples(psi_oracles):
 
 
 def test_size_bounds_table():
-    assert size_bounds(9, STParams(3, 5), full=True).nearly_allowed
-    assert not size_bounds(9, STParams(3, 5), full=True).full_allowed  # odd n
-    rep = size_bounds(6, STParams(3, 4), full=True)
+    assert size_bounds(9, STParams(3, 5)).nearly_allowed
+    assert not size_bounds(9, STParams(3, 5)).full_allowed  # odd n
+    rep = size_bounds(6, STParams(3, 4))
     assert not rep.full_allowed and "window-parity" in rep.violated
     assert not size_bounds(1, STParams(2, 2)).nearly_allowed
     assert size_bounds(5, ST33).nearly_allowed

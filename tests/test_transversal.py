@@ -207,7 +207,7 @@ def test_self_duality_basis_route(psi_oracles):
 
 def test_classification_interval_example():
     pres = interval_presentation(8, 3)
-    outcome = classify_circuit(pres, bitset.mask_of([1, 2, 3]))
+    outcome = classify_circuit(psi(8, 3), pres, bitset.mask_of([1, 2, 3]))
     assert outcome.kind == "interval"
     assert (outcome.i, outcome.j) == (1, 1)
 
@@ -218,13 +218,19 @@ def test_classification_spanning_example():
     five = [c for c in M.circuits() if c.bit_count() == 5]
     assert five
     for c in five:
-        assert classify_circuit(pres, c).kind == "spanning"
+        assert classify_circuit(M, pres, c).kind == "spanning"
 
 
 def test_classification_rejects_non_circuit():
     pres = interval_presentation(8, 3)
     with pytest.raises(ValueError):
-        classify_circuit(pres, bitset.mask_of([1, 2]))
+        classify_circuit(psi(8, 3), pres, bitset.mask_of([1, 2]))
+
+
+def test_classification_rejects_other_ground_set():
+    pres = interval_presentation(8, 3)
+    with pytest.raises(ValueError):
+        classify_circuit(psi(10, 3), pres, bitset.mask_of([1, 2, 3]))
 
 
 def test_classification_total(psi_oracles):
@@ -232,7 +238,7 @@ def test_classification_total(psi_oracles):
         pres = interval_presentation(n, s)
         M = psi_oracles[(n, s)]
         for circuit in M.circuits():
-            assert classify_circuit(pres, circuit).ok
+            assert classify_circuit(M, pres, circuit).ok
 
 
 def test_circuit_size_dichotomy(psi_oracles):
