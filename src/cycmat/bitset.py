@@ -44,10 +44,6 @@ def iter_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def size(mask: int) -> int:
-    return mask.bit_count()
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -89,21 +85,43 @@ def permute(mask: int, perm: tuple[int, ...]) -> int:
 def dependence_table(n: int, generators: Iterable[int]) -> bytearray:
     """Table ``t`` with ``t[mask] = 1`` iff mask contains some generator.
 
-    The superset closure over the subset lattice, computed as a zeta
-    transform (Yates' algorithm): set the generators, then for each bit OR
-    every mask without it into the same mask with it.  That is O(n * 2^n)
-    byte operations, one numpy slice per bit, so callers keep n small (the
-    library builds tables up to n = TABLE_MAX_N).  The table is a
-    ``bytearray`` of 2^n bytes, so a single lookup is a plain int;
-    ``np.frombuffer(t, np.uint8)`` views it as an array without a copy.
+    The `subset_max` of the generators, as a ``bytearray`` of 2^n bytes: a
+    single lookup is a plain int, and ``np.frombuffer(t, np.uint8)`` views it
+    as an array without a copy.
     """
     table = bytearray(1 << n)
     cells = np.frombuffer(table, dtype=np.uint8)
     cells[np.fromiter(generators, dtype=np.int64)] = 1
-    for b in range(n):
-        halves = cells.reshape(-1, 2, 1 << b)
-        halves[:, 1] |= halves[:, 0]
+    subset_max(cells)
     return table
+
+
+# Transforms of an array indexed by all 2^n masks, one numpy operation per
+# bit b (Yates' algorithm): ``a.reshape(-1, 2, 1 << b)`` pairs each mask
+# without b with the same mask plus b.  O(n * 2^n), so callers keep n small.
+def subset_max(values: np.ndarray) -> np.ndarray:
+    """In place: ``values[X]`` becomes the largest ``values[Y]`` over Y <= X
+    (on a bool array, "some subset is marked").  Returns `values`."""
+    for b in range(len(values).bit_length() - 1):
+        halves = values.reshape(-1, 2, 1 << b)
+        np.maximum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    return values
+
+
+def all_maximal_subsets(marked: np.ndarray) -> np.ndarray:
+    """Bool array: is ``marked[X - e]`` set for every e in X (true at X = 0)?"""
+    out = np.ones(len(marked), dtype=bool)
+    for b in range(len(marked).bit_length() - 1):
+        out.reshape(-1, 2, 1 << b)[:, 1] &= marked.reshape(-1, 2, 1 << b)[:, 0]
+    return out
+
+
+def set_sizes(n: int) -> np.ndarray:
+    """``uint8`` array of 2^n entries: the number of elements of each mask."""
+    sizes = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        sizes.reshape(-1, 2, 1 << b)[:, 1] += 1
+    return sizes
 
 
 def mask_array(masks: Sequence[int]) -> np.ndarray:

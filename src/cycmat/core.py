@@ -1,14 +1,14 @@
 """Independence oracles and derived matroid quantities.
 
 A matroid is represented by its ground set and a deterministic independence
-predicate over bitmasks.  Rank, closure, circuits, cocircuits, duals and
-minors are all derived from the predicate; enumerations are capped so that
+predicate over bitmasks.  Rank, closure, circuits, cocircuits and duals are
+all derived from the predicate; circuits and cocircuits come from one table
+of independent sets per oracle.  Enumerations are capped so that
 exponential sweeps stay a deliberate choice rather than an accident.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 from collections.abc import Callable, Iterable, Iterator
@@ -21,8 +21,8 @@ from . import bitset
 
 DEFAULT_ENUM_CAP = 20
 ENUM_CAP_ENV = "CYCMAT_MAX_N"
-# largest ground set the exchange sweep covers; it tests every pair of
-# independent sets of different sizes
+# largest ground set the matroid-axiom sweep covers; it asks the predicate
+# about every subset
 EXHAUSTIVE_LIMIT = 14
 
 
@@ -118,9 +118,9 @@ class MatroidOracle:
     """Matroid given by an independence predicate on bitmasks.
 
     Instances are immutable after construction: the predicate must be pure,
-    and all derived state (memoised independence calls, enumerated circuit
-    families, ordering certificates) is filled behind a lock, so oracles can
-    be shared freely across threads, and is freed with the oracle.
+    and all derived state (memoised independence calls, the independence
+    table, circuit families, ordering certificates) is filled behind a lock,
+    so oracles can be shared freely across threads, and is freed with the oracle.
     """
 
     def __init__(self, ground: GroundSet, indep: Callable[[int], bool], name: str = ""):
@@ -131,6 +131,7 @@ class MatroidOracle:
         self._lock = threading.Lock()
         self._circuits: CircuitFamily | None = None
         self._cocircuits: CircuitFamily | None = None
+        self._independent: np.ndarray | None = None
         self._rank_full: int | None = None
         # ordering certificates by (order, params); see cyclic.certify
         self._certificates: dict = {}
@@ -198,34 +199,45 @@ class MatroidOracle:
     def circuits(self) -> CircuitFamily:
         with self._lock:
             if self._circuits is None:
-                self._circuits = self._enumerate_circuits()
+                self._circuits = _minimal_sets(self.n, ~self._independence_table())
             return self._circuits
 
     def cocircuits(self) -> CircuitFamily:
+        """Minimal sets whose complement contains no basis."""
         with self._lock:
             if self._cocircuits is None:
-                self._cocircuits = self.dual()._enumerate_circuits()
+                independent = self._independence_table()
+                sizes = bitset.set_sizes(self.n)
+                bases = independent & (sizes == sizes[independent].max())
+                # reversing a 2^n array maps mask X to its complement
+                self._cocircuits = _minimal_sets(self.n, ~bitset.subset_max(bases)[::-1])
             return self._cocircuits
 
-    def _enumerate_circuits(self) -> CircuitFamily:
-        limit = env_cap(ENUM_CAP_ENV, DEFAULT_ENUM_CAP)
-        n = self.n
-        if n > limit:
-            raise CapExceeded(
-                f"circuit enumeration needs n <= {limit}, got n={n}; "
-                f"raise the cap via {ENUM_CAP_ENV} to proceed"
-            )
-        found: list[int] = []
-        # A dependent k-set with every (k-1)-deletion independent is minimal;
-        # sweeping sizes upward makes the deletion test complete.
-        for k in range(1, self.rank() + 2):
-            for combo in itertools.combinations(range(n), k):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                if self.is_circuit(mask):
-                    found.append(mask)
-        return CircuitFamily.from_masks(n, found)
+    def _independence_table(self) -> np.ndarray:
+        """``bool`` array over all 2^n masks: is the mask independent?
+
+        The empty set is, as `rank` also assumes; larger sets are filled one
+        size at a time through `indep`, which is asked only about sets whose
+        maximal proper subsets are all independent (any other set is not),
+        until a size has none.  Built once; the caller holds `_lock`.
+        """
+        if self._independent is None:
+            limit = env_cap(ENUM_CAP_ENV, DEFAULT_ENUM_CAP)
+            if self.n > limit:
+                raise CapExceeded(
+                    f"circuit enumeration needs n <= {limit}, got n={self.n}; "
+                    f"raise the cap via {ENUM_CAP_ENV} to proceed"
+                )
+            sizes = bitset.set_sizes(self.n)
+            independent = np.zeros(1 << self.n, dtype=bool)
+            independent[0] = True
+            for k in range(1, self.n + 1):
+                asked = np.flatnonzero((sizes == k) & bitset.all_maximal_subsets(independent))
+                if not len(asked):
+                    break
+                independent[asked] = [self.indep(int(m)) for m in asked]
+            self._independent = independent
+        return self._independent
 
     # -- derived matroids ----------------------------------------------------
 
@@ -237,31 +249,6 @@ class MatroidOracle:
             lambda mask: self.rank(full & ~mask) == rank_full,
             name=f"dual({self.name})",
         )
-
-    def minor(self, delete: int = 0, contract: int = 0) -> "MatroidOracle":
-        """Delete/contract disjoint subsets; survivors keep their labels."""
-        if delete & contract:
-            raise ValueError("delete and contract sets must be disjoint")
-        if (delete | contract) & ~self.ground.full:
-            raise ValueError("minor sets must lie inside the ground set")
-        fixed = 0
-        for bit in bitset.singletons(contract):
-            if self.indep(fixed | bit):
-                fixed |= bit
-        kept = bitset.indices(self.ground.full & ~(delete | contract))
-        if not kept:
-            raise ValueError("minor would have an empty ground set")
-        ground = GroundSet(len(kept), tuple(self.ground.label_of(i) for i in kept))
-        lift = {new_bit: 1 << (old - 1) for new_bit, old in enumerate(kept)}
-
-        def indep(mask: int, _fixed=fixed, _lift=lift) -> bool:
-            lifted = _fixed
-            for b, old_bit in _lift.items():
-                if mask >> b & 1:
-                    lifted |= old_bit
-            return self.indep(lifted)
-
-        return MatroidOracle(ground, indep, name=f"{self.name}/minor")
 
     def __repr__(self) -> str:
         return f"MatroidOracle({self.name}, n={self.n})"
@@ -282,6 +269,13 @@ def oracle_from_circuits(
     )
     oracle._circuits = family
     return oracle
+
+
+def _minimal_sets(n: int, marked: np.ndarray) -> CircuitFamily:
+    """The minimal nonempty masks of a ``bool`` array over all 2^n masks."""
+    minimal = marked & bitset.all_maximal_subsets(~marked)
+    minimal[0] = False
+    return CircuitFamily.from_masks(n, map(int, np.flatnonzero(minimal)))
 
 
 def orthogonality_check(circuit: int, cocircuit: int) -> bool:
@@ -374,55 +368,38 @@ def _member_pairs(arr: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
 def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
     """Sweep the independence axioms: empty set, downward closure, exchange.
 
-    Exhaustive over every subset; a ground set above EXHAUSTIVE_LIMIT
-    elements raises `CapExceeded` (the sweep is exponential).
+    Asks the predicate about every subset; above EXHAUSTIVE_LIMIT elements
+    it raises `CapExceeded`.  Exchange fails at an independent Y iff
+    rank(E - ext(Y)) > |Y|, ext(Y) being the elements that extend Y; the
+    witness pairs the first such Y by (size, mask) with the lowest
+    independent set one larger that avoids ext(Y).
     """
     n = oracle.n
     if n > EXHAUSTIVE_LIMIT:
         raise CapExceeded(f"the exchange sweep needs n <= {EXHAUSTIVE_LIMIT}, got n={n}")
     if not oracle.indep(0):
         return VerificationReport("matroid-axioms", False, 1, (("empty-set",),))
-    independents: list[int] = [m for m in range(1 << n) if oracle.indep(m)]
     checked = 1 << n
-    for m in independents:
-        for bit in bitset.singletons(m):
-            if not oracle.indep(m ^ bit):
-                return VerificationReport(
-                    "matroid-axioms", False, checked,
-                    (("downward-closure", bitset.indices(m), bit.bit_length()),),
-                )
-    by_size: dict[int, list[int]] = {}
-    for m in independents:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    # Exchange, vectorised: Y can take some element of X iff X meets the set
-    # of elements whose addition keeps Y independent.
-    avail = {}
-    for sy, ys in by_size.items():
-        avail[sy] = bitset.mask_array([_extension_mask(oracle, y) & ~y for y in ys])
-    sizes = sorted(by_size)
-    for sy in sizes:
-        ys_arr = avail[sy]
-        for sx in sizes:
-            if sx <= sy:
-                continue
-            xs_arr = bitset.mask_array(by_size[sx])
-            checked += len(ys_arr) * len(xs_arr)
-            for lo, hi in bitset.row_blocks(len(ys_arr), len(xs_arr)):
-                hits = (ys_arr[lo:hi, None] & xs_arr[None, :]) == 0
-                if hits.any():
-                    yi, xi = np.argwhere(hits)[0]
-                    return VerificationReport(
-                        "matroid-axioms", False, checked,
-                        (("exchange",
-                          bitset.indices(by_size[sx][int(xi)]),
-                          bitset.indices(by_size[sy][lo + int(yi)])),),
-                    )
+    independent = np.fromiter(map(oracle.indep, range(checked)), dtype=bool, count=checked)
+    broken = np.flatnonzero(independent & ~bitset.all_maximal_subsets(independent))
+    if len(broken):
+        m = int(broken[0])
+        bit = next(b for b in bitset.singletons(m) if not independent[m ^ b])
+        return VerificationReport(
+            "matroid-axioms", False, checked,
+            (("downward-closure", bitset.indices(m), bit.bit_length()),),
+        )
+    sizes = bitset.set_sizes(n)
+    rank = bitset.subset_max(np.where(independent, sizes, 0))
+    masks = np.arange(checked)
+    ext = sum(independent[masks | 1 << b].astype(np.int64) << b for b in range(n)) & ~masks
+    failing = independent & (rank[bitset.full_mask(n) ^ ext] > sizes)
+    if failing.any():
+        k = sizes[failing].min()
+        y = int(np.flatnonzero(failing & (sizes == k))[0])
+        x = int(np.flatnonzero(independent & (sizes == k + 1) & ((masks & ext[y]) == 0))[0])
+        return VerificationReport(
+            "matroid-axioms", False, checked,
+            (("exchange", bitset.indices(x), bitset.indices(y)),),
+        )
     return VerificationReport("matroid-axioms", True, checked)
-
-
-def _extension_mask(oracle: MatroidOracle, y: int) -> int:
-    out = 0
-    for bit in bitset.singletons(oracle.ground.full & ~y):
-        if oracle.indep(y | bit):
-            out |= bit
-    return out

@@ -277,6 +277,8 @@ def find_orderings(
     """
     if mode not in (NEARLY, FULL):
         raise ValueError(f"mode must be '{NEARLY}' or '{FULL}'")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be positive, got {limit}")
     n = oracle.n
     limit_n = env_cap(SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP)
     if n > limit_n:

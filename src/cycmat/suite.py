@@ -206,6 +206,8 @@ def run_suite(
     families: tuple[str, ...] | None = None,
     inject_mutant: bool = False,
 ) -> dict:
+    if max_n < 1:
+        raise ValueError(f"max_n must be positive, got {max_n}")
     chosen = tuple(families) if families else FAMILY_NAMES
     unknown = set(chosen) - set(FAMILY_NAMES)
     if unknown:

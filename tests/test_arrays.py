@@ -1,14 +1,16 @@
 """The array forms of the circuit-family checks against their loop references.
 
-`validate_circuit_axioms`, `orthogonality_violations` and the exhaustive
-exchange sweep test circuit pairs as numpy arrays, a bounded block of rows at
-a time.  The loop versions they replaced stay here as the references: same
+`validate_circuit_axioms` and `orthogonality_violations` test circuit pairs
+as numpy arrays, a bounded block of rows at a time.  Circuits, cocircuits and
+the matroid-axiom sweep are transforms of a table over all 2^n subsets.  The
+routes they replaced stay here as the references: same families, same
 report, same violation order, same first witness, and bounded memory.
 """
 
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from cycmat import (
 )
 from cycmat import bitset
 from cycmat.constructions import free_spike, whirl
-from cycmat.suite import DEFAULT_SEED, FixtureSet
+from cycmat.suite import DEFAULT_SEED, FAMILY_NAMES, FixtureSet
 
 # peak traced allocation allowed for one n = 14 check; the unblocked pairwise
 # products it replaced allocated 22 MB (circuit axioms) and 82 MB (exchange)
@@ -124,6 +126,127 @@ def test_validate_matches_reference_on_matroids(build):
     assert report == reference_validate_circuit_axioms(broken, oracle.n)
 
 
+def reference_circuits(oracle) -> CircuitFamily:
+    """The k-subset loop: every `is_circuit` k-set, k up to rank + 1."""
+    found = []
+    for k in range(1, oracle.rank() + 2):
+        for combo in itertools.combinations(range(1, oracle.n + 1), k):
+            mask = bitset.mask_of(combo)
+            if oracle.is_circuit(mask):
+                found.append(mask)
+    return CircuitFamily.from_masks(oracle.n, found)
+
+
+def reference_cocircuits(oracle) -> CircuitFamily:
+    """The k-subset loop on the dual oracle, whose predicate is a greedy rank."""
+    return reference_circuits(oracle.dual())
+
+
+def _extension_mask(oracle, y: int) -> int:
+    out = 0
+    for bit in bitset.singletons(oracle.ground.full & ~y):
+        if oracle.indep(y | bit):
+            out |= bit
+    return out
+
+
+def reference_verify_matroid_axioms(oracle) -> tuple[bool, tuple]:
+    """(ok, witnesses) of the pairwise sweep: every independent Y against
+    every larger independent X, by size of Y, then size of X, then rows."""
+    n = oracle.n
+    if not oracle.indep(0):
+        return False, (("empty-set",),)
+    independents = [m for m in range(1 << n) if oracle.indep(m)]
+    for m in independents:
+        for bit in bitset.singletons(m):
+            if not oracle.indep(m ^ bit):
+                return False, (("downward-closure", bitset.indices(m), bit.bit_length()),)
+    by_size = {}
+    for m in independents:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    sizes = sorted(by_size)
+    for sy in sizes:
+        ys = bitset.mask_array([_extension_mask(oracle, y) & ~y for y in by_size[sy]])
+        for sx in sizes:
+            if sx <= sy:
+                continue
+            xs = bitset.mask_array(by_size[sx])
+            for lo, hi in bitset.row_blocks(len(ys), len(xs)):
+                hits = (ys[lo:hi, None] & xs[None, :]) == 0
+                if hits.any():
+                    yi, xi = np.argwhere(hits)[0]
+                    return False, (("exchange",
+                                    bitset.indices(by_size[sx][int(xi)]),
+                                    bitset.indices(by_size[sy][lo + int(yi)])),)
+    return True, ()
+
+
+@pytest.fixture(scope="module")
+def max_n14():
+    """The fixtures of `cycmat suite --max-n 14`, built as the suite builds them."""
+    return FixtureSet(14, DEFAULT_SEED, FAMILY_NAMES)
+
+
+def test_families_match_subset_loops(max_n14):
+    fixtures = max_n14.all_oracles() + max_n14.group("random")
+    assert len(fixtures) == 48
+    for fx in fixtures:
+        oracle = fx.oracle
+        assert oracle.circuits() == reference_circuits(oracle), fx.label
+        assert oracle.cocircuits() == reference_cocircuits(oracle), fx.label
+
+
+def _assert_sweep_matches_reference(n: int, independent: set[int]) -> None:
+    oracle = MatroidOracle(GroundSet(n), lambda m: m in independent)
+    report = verify_matroid_axioms(oracle)
+    assert (report.ok, report.witnesses) == reference_verify_matroid_axioms(oracle)
+
+
+@st.composite
+def downward_closed(draw, max_n: int = 7):
+    """(n, every subset of some drawn set)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    tops = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=6))
+    return n, {m for m in range(1 << n) if any(m & ~top == 0 for top in tops)} | {0}
+
+
+@settings(max_examples=200)
+@given(downward_closed())
+@example((3, {0, 0b001, 0b010, 0b100, 0b011}))  # {1,2} and {3} both maximal
+def test_sweep_matches_reference_downward_closed(case):
+    _assert_sweep_matches_reference(*case)
+
+
+@st.composite
+def with_empty_set(draw, max_n: int = 7):
+    """(n, an arbitrary family of masks containing the empty set)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    masks = draw(st.sets(st.integers(min_value=1, max_value=(1 << n) - 1), max_size=40))
+    return n, masks | {0}
+
+
+@settings(max_examples=200)
+@given(with_empty_set())
+@example((3, {0, 0b011}))  # {1,2} independent but {1} not
+def test_sweep_matches_reference_arbitrary_families(case):
+    _assert_sweep_matches_reference(*case)
+
+
+@st.composite
+def uniform_with_one_flip(draw, max_n: int = 7):
+    """(n, the independent sets of U(r, n) with one mask toggled)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    r = draw(st.integers(min_value=0, max_value=n))
+    flip = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    return n, {m for m in range(1 << n) if m.bit_count() <= r} ^ {flip}
+
+
+@settings(max_examples=200)
+@given(uniform_with_one_flip())
+def test_sweep_matches_reference_flipped_uniform(case):
+    _assert_sweep_matches_reference(*case)
+
+
 def _nested_loop_violations(circuits, cocircuits):
     return [(c, d) for c in circuits for d in cocircuits if not orthogonality_check(c, d)]
 
@@ -150,10 +273,9 @@ def test_orthogonality_first_witness_on_corrupted_cocircuit():
 
 
 @pytest.fixture(scope="module")
-def n14_fixtures():
-    """The n = 14 suite fixtures by label, built as `cycmat suite --max-n 14` builds them."""
-    fixtures = FixtureSet(14, DEFAULT_SEED, ("psi", "truncation")).cyclic_fixtures()
-    return {fx.label: fx.oracle for fx in fixtures if fx.oracle.n == 14}
+def n14_fixtures(max_n14):
+    """The n = 14 cyclic suite fixtures by label."""
+    return {fx.label: fx.oracle for fx in max_n14.cyclic_fixtures() if fx.oracle.n == 14}
 
 
 def test_n14_suite_fixtures_sweep_exhaustively(n14_fixtures):

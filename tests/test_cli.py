@@ -135,6 +135,17 @@ def test_find_orderings_cap(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_find_orderings_rejects_nonpositive_limit(capsys, tmp_path, limit):
+    doc = tmp_path / "m.json"
+    doc.write_text(documents.emit(documents.doc_uniform(2, 4)))
+    code, out, err = run_cli(
+        capsys, "find-orderings", str(doc), "--s", "3", "--t", "3", "--limit", limit
+    )
+    assert code == 2 and out == ""
+    assert "limit must be positive" in err
+
+
 def test_find_orderings_rejects_nonpositive_search_cap(capsys, tmp_path, monkeypatch):
     doc = tmp_path / "m.json"
     doc.write_text(documents.emit(documents.doc_uniform(2, 4)))
@@ -209,6 +220,12 @@ def test_suite_mutant_fails(capsys, tmp_path):
     report = json.loads(out.read_text())
     assert report["summary"]["failed"] == 1
     assert report["summary"]["first_failure"]["params"] == {"matroid": "mutant-U(2,4)"}
+
+
+def test_suite_rejects_nonpositive_max_n(capsys):
+    code, out, err = run_cli(capsys, "suite", "--max-n", "-5")
+    assert code == 2 and out == ""
+    assert "max_n must be positive" in err
 
 
 def test_suite_small_grid_passes_and_deterministic(capsys, tmp_path):

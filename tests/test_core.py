@@ -131,35 +131,54 @@ def test_cocircuits_match_hyperplane_complements():
         assert set(M.cocircuits().members) == hyperplane_cocircuits(M)
 
 
-def test_cocircuits_equal_dual_circuits():
-    M = psi(8, 4)
-    assert set(M.cocircuits().members) == set(M.dual().circuits().members)
+def test_cocircuits_equal_dual_circuits(small_fixtures):
+    # the complement-of-a-basis route against the circuits of the dual oracle
+    for name, M in small_fixtures.items():
+        assert M.cocircuits() == M.dual().circuits(), name
+
+
+def _counting_copy(oracle):
+    """A fresh oracle on the same predicate, and its list of predicate calls."""
+    asked = []
+
+    def indep(mask):
+        asked.append(mask)
+        return oracle._indep(mask)
+
+    return MatroidOracle(oracle.ground, indep), asked
+
+
+def test_circuits_ask_each_independent_set_and_circuit_once():
+    M, asked = _counting_copy(psi(14, 3))
+    circuits = M.circuits()
+    calls = sorted(asked)
+    assert len(circuits) == 49
+    independent = [m for m in range(1, 1 << 14) if M.indep(m)]
+    assert len(independent) == 5406
+    assert calls == sorted(independent + list(circuits))  # 5,455 calls
+
+
+def test_cocircuits_after_circuits_build_nothing(monkeypatch):
+    M, asked = _counting_copy(psi(10, 3))
+    M.circuits()
+    before = len(asked)
+    built = []
+    init = MatroidOracle.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MatroidOracle, "__init__", counting)
+    cocircuits = M.cocircuits()
+    assert built == []
+    assert len(asked) == before
+    assert set(cocircuits.members) == hyperplane_cocircuits(M)
 
 
 def test_self_dual_even_family():
     M = psi(8, 4)
     assert set(M.cocircuits().members) == set(M.circuits().members)
-
-
-def test_minor_contract_and_delete():
-    M = uniform(2, 4)
-    contracted = M.minor(contract=bitset.mask_of([1]))
-    expect = uniform(1, 3)
-    for mask in range(1 << 3):
-        assert contracted.indep(mask) == expect.indep(mask)
-    deleted = M.minor(delete=bitset.mask_of([4]))
-    expect = uniform(2, 3)
-    for mask in range(1 << 3):
-        assert deleted.indep(mask) == expect.indep(mask)
-
-
-def test_minor_identity_and_validation():
-    M = uniform(2, 4)
-    same = M.minor()
-    for mask in range(1 << 4):
-        assert same.indep(mask) == M.indep(mask)
-    with pytest.raises(ValueError):
-        M.minor(delete=1, contract=1)
 
 
 def test_orthogonality_check():

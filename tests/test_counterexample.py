@@ -29,7 +29,7 @@ def test_two_block_literal_formula():
 def test_two_block_upper_bound_parameters():
     spec = TwoBlockSpec(1, 2, 2, 4, 8)
     assert bitset.indices(spec.mask) == (1, 2, 5, 6)
-    assert bitset.size(spec.gap) == 2  # gap length k + l - (s - 2)
+    assert spec.gap.bit_count() == 2  # gap length k + l - (s - 2)
 
 
 def test_two_block_exclusions_at_extremes():
@@ -42,8 +42,8 @@ def test_two_block_exclusions_at_extremes():
 
 def test_two_block_block_sizes():
     for spec in iter_specs(12, 5):
-        assert bitset.size(spec.mask) == spec.k + spec.ell
-        assert bitset.size(spec.gap) == spec.k + spec.ell - spec.s + 2
+        assert spec.mask.bit_count() == spec.k + spec.ell
+        assert spec.gap.bit_count() == spec.k + spec.ell - spec.s + 2
         assert spec.gap & spec.mask == 0
 
 
@@ -158,7 +158,7 @@ def test_rank_bound_chain_structure():
     for step in report.chain:
         if step.rule == "closure-circuit":
             assert step.support is not None
-            assert bitset.size(step.support) == 5
+            assert step.support.bit_count() == 5
             # the supporting circuit ends exactly at the new prefix element
             assert max(bitset.indices(step.support)) == step.prefix_size
 

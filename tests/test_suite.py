@@ -23,6 +23,7 @@ from cycmat.suite import run_suite
     (10, ("wheel", "whirl", "uniform"), "2869d65849754c3f", 75),
     (12, ("counterexample",), "12e6dd36793516de", 12),
     (4, ("whirl", "wheel", "uniform", "random"), "b6cd2167bd012835", 36),
+    (14, None, "8402595bd15c7503", 350),
 ])
 def test_report_hash(max_n, families, prefix, checks):
     report = run_suite(max_n, families=families)
