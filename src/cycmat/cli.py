@@ -9,6 +9,7 @@ be compared byte for byte.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -132,8 +133,7 @@ def _read(path: str) -> str:
 
 
 def _load_oracle(path: str):
-    doc = documents.parse(_read(path))
-    return documents.to_oracle(doc), doc
+    return documents.to_oracle(documents.parse(_read(path)))
 
 
 def _cmd_gen(args) -> int:
@@ -148,19 +148,17 @@ def _cmd_gen(args) -> int:
     elif args.free_spike is not None:
         doc = documents.doc_construction("free_spike", args.free_spike)
     else:
-        import json
-
         payload = json.loads(_read(args.transversal))
         doc = documents.doc_transversal(payload["n"], payload["neighborhoods"])
     if args.truncate is not None:
         doc = documents.doc_truncate(doc, args.truncate)
     documents.to_oracle(doc)  # reject invalid parameters before emitting
-    _write(args, documents.emit(doc))
+    _write(args, canonical_json(doc))
     return 0
 
 
 def _cmd_rank(args) -> int:
-    oracle, _ = _load_oracle(args.doc)
+    oracle = _load_oracle(args.doc)
     if args.subset:
         elements = [int(x) for x in args.subset.split(",") if x.strip()]
         mask = oracle.ground.mask(elements)
@@ -172,7 +170,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_circuits(args) -> int:
-    oracle, _ = _load_oracle(args.doc)
+    oracle = _load_oracle(args.doc)
     family = oracle.circuits()
     _write(args, canonical_json({"n": oracle.n, "circuits": family.as_indices()}))
     return 0
@@ -193,7 +191,7 @@ def _certificate_json(cert) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    oracle, _ = _load_oracle(args.doc)
+    oracle = _load_oracle(args.doc)
     order = documents.parse_ordering(_read(args.ordering), oracle.n)
     cert = certify(oracle, CyclicOrdering(order), STParams(args.s, args.t))
     _write(args, canonical_json(_certificate_json(cert)))
@@ -202,7 +200,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_find(args) -> int:
-    oracle, _ = _load_oracle(args.doc)
+    oracle = _load_oracle(args.doc)
     params = STParams(args.s, args.t)
     found = find_orderings(oracle, params, mode=args.mode, limit=args.limit)
     payload = {
@@ -215,16 +213,14 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_weakmap(args) -> int:
-    source, _ = _load_oracle(args.doc1)
-    target, _ = _load_oracle(args.doc2)
+    source = _load_oracle(args.doc1)
+    target = _load_oracle(args.doc2)
     if args.quotient:
         report = is_quotient(source, target)
     else:
         if args.mapping == "identity":
             phi = ElementBijection.identity(source.n)
         else:
-            import json
-
             phi = ElementBijection(tuple(json.loads(_read(args.mapping))))
         report = is_weak_map(source, target, phi)
     payload = {

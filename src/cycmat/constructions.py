@@ -8,6 +8,7 @@ their natural cyclic order is the structured one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import bitset
@@ -151,8 +152,6 @@ def truncation_circuits(oracle: MatroidOracle, i: int) -> CircuitFamily:
     if not 1 <= i <= r:
         raise ValueError("cross-check applies to 1 <= i <= rank")
     keep = [c for c in oracle.circuits() if c.bit_count() <= r - i + 1]
-    import itertools
-
     n = oracle.n
     for combo in itertools.combinations(range(n), r - i + 1):
         mask = 0

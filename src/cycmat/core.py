@@ -64,9 +64,6 @@ class GroundSet:
             raise ValueError("element index out of range")
         return m
 
-    def label_of(self, index: int) -> str:
-        return self.labels[index - 1]
-
 
 @dataclass(frozen=True)
 class CircuitFamily:
@@ -86,7 +83,7 @@ class CircuitFamily:
         return len(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
+        return mask in self.members
 
     @cached_property
     def contains_member(self) -> bitset.ContainmentTest:

@@ -63,10 +63,6 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def emit(doc: dict) -> str:
-    return canonical_json(doc)
-
-
 def parse(text: str) -> dict:
     try:
         doc = json.loads(text)

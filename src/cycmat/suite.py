@@ -361,15 +361,15 @@ def _classification_entry(pres, oracle: MatroidOracle) -> tuple[bool, Any]:
 
 
 def _deficiency_entry(pres, oracle: MatroidOracle) -> tuple[bool, Any]:
-    m = pres.m
+    unions = pres.base.unions
     for circuit in oracle.circuits():
-        for j_mask in range(1, 1 << m):
-            lefts = bitset.indices(j_mask)
-            union = pres.base.neighborhood_union(lefts)
-            if (union & ~circuit).bit_count() < len(lefts):
-                size_ok = circuit.bit_count() == union.bit_count() - len(lefts) + 1
+        for j_mask, union in enumerate(unions):
+            size = j_mask.bit_count()
+            if (union & ~circuit).bit_count() < size:
+                size_ok = circuit.bit_count() == union.bit_count() - size + 1
                 if not (bitset.is_subset(circuit, union) and size_ok):
-                    return False, {"circuit": list(bitset.indices(circuit)), "J": list(lefts)}
+                    lefts = list(bitset.indices(j_mask))
+                    return False, {"circuit": list(bitset.indices(circuit)), "J": lefts}
     return True, None
 
 
@@ -386,9 +386,10 @@ def _matching_entry(pres, seed: int) -> tuple[bool, Any]:
         if fast.size != slow:
             return False, {"avoid": list(bitset.indices(avoid)), "fast": fast.size, "slow": slow}
         if fast.size < pres.m:
+            # the König witness attains the maximum deficiency, m - size
             lefts = fast.witness
-            union = pres.base.neighborhood_union(lefts)
-            if (union & ~avoid).bit_count() >= len(lefts):
+            union = pres.base.unions[bitset.mask_of(lefts)]
+            if len(lefts) - (union & ~avoid).bit_count() != pres.m - fast.size:
                 return False, {"avoid": list(bitset.indices(avoid)), "witness": list(lefts)}
     return True, None
 

@@ -11,7 +11,7 @@ fixture of the whole library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import bitset
 from .core import GroundSet, MatroidOracle
@@ -49,6 +49,19 @@ class BipartitePresentation:
 
     def loop_free(self) -> bool:
         return self.covered() == self.ground.full
+
+    @cached_property
+    def unions(self) -> tuple[int, ...]:
+        """N(J) for every J of left vertices, indexed by J's mask (bit i - 1 for i).
+
+        One OR per entry, built once; it has 2^m entries, so only routes that
+        are already exhaustive over left sets read it.
+        """
+        out = [0] * (1 << self.m)
+        for j in range(1, len(out)):
+            low = j & -j
+            out[j] = out[j ^ low] | self.neighborhoods[low.bit_length() - 1]
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -124,18 +137,14 @@ def max_matching(pres: BipartitePresentation, avoid: int = 0) -> MatchingResult:
 
 
 def brute_force_matching_size(pres: BipartitePresentation, avoid: int = 0) -> int:
-    """Exhaustive matching maximiser; the naive cross-check for `max_matching`."""
-    adjacency = [nbr & ~avoid for nbr in pres.neighborhoods]
+    """Ore's defect form of Hall's theorem: m - max over J of |J| - |N(J) - avoid|.
 
-    def best(i: int, used: int) -> int:
-        if i == len(adjacency):
-            return 0
-        out = best(i + 1, used)
-        for bit in bitset.singletons(adjacency[i] & ~used):
-            out = max(out, 1 + best(i + 1, used | bit))
-        return out
-
-    return best(0, 0)
+    Exhaustive over left sets and free of augmenting paths; the independent
+    cross-check for `max_matching`.  J = {} bounds the maximum below by 0.
+    """
+    return pres.m - max(
+        j.bit_count() - (union & ~avoid).bit_count() for j, union in enumerate(pres.unions)
+    )
 
 
 def transversal_matroid(pres: BipartitePresentation) -> MatroidOracle:
@@ -216,11 +225,8 @@ class MultiPathPresentation:
 
     def run_union(self, i: int, j: int) -> int:
         """Union of neighbourhoods over the cyclic run [i, j] of left vertices."""
-        length = (j - i) % self.m + 1
-        out = 0
-        for step in range(length):
-            out |= self.base.neighborhood((i - 1 + step) % self.m + 1)
-        return out
+        run = bitset.cyclic_interval(self.m, i, j)
+        return self.base.neighborhood_union(bitset.iter_indices(run))
 
     def run_length(self, i: int, j: int) -> int:
         return (j - i) % self.m + 1

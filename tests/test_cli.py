@@ -36,7 +36,7 @@ def test_gen_rejects_bad_parameters(capsys):
 
 def test_rank_command(capsys, tmp_path):
     doc = tmp_path / "m.json"
-    doc.write_text(documents.emit(documents.doc_psi(12, 4)))
+    doc.write_text(documents.canonical_json(documents.doc_psi(12, 4)))
     code, out, _ = run_cli(capsys, "rank", str(doc))
     assert code == 0
     assert json.loads(out)["rank"] == 6
@@ -60,7 +60,7 @@ def test_rank_rejects_boolean_integers(capsys, tmp_path, text):
 
 def test_circuits_command(capsys, tmp_path):
     doc = tmp_path / "m.json"
-    doc.write_text(documents.emit(documents.doc_uniform(2, 4)))
+    doc.write_text(documents.canonical_json(documents.doc_uniform(2, 4)))
     code, out, _ = run_cli(capsys, "circuits", str(doc))
     assert code == 0
     assert json.loads(out)["circuits"] == [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
@@ -76,7 +76,7 @@ def test_circuits_command_keeps_listed_family_with_labels(capsys, tmp_path):
     outputs = []
     for doc in (plain, labelled):
         path = tmp_path / "m.json"
-        path.write_text(documents.emit(doc))
+        path.write_text(documents.canonical_json(doc))
         code, out, err = run_cli(capsys, "circuits", str(path))
         assert code == 0, err
         outputs.append(out)
@@ -86,7 +86,7 @@ def test_circuits_command_keeps_listed_family_with_labels(capsys, tmp_path):
 
 def _write_fixture(tmp_path, doc, order):
     doc_path = tmp_path / "m.json"
-    doc_path.write_text(documents.emit(doc))
+    doc_path.write_text(documents.canonical_json(doc))
     order_path = tmp_path / "order.json"
     order_path.write_text(json.dumps(order))
     return str(doc_path), str(order_path)
@@ -121,7 +121,7 @@ def test_verify_ordering_malformed(capsys, tmp_path):
 
 def test_find_orderings_command(capsys, tmp_path):
     doc = tmp_path / "m.json"
-    doc.write_text(documents.emit(documents.doc_uniform(2, 4)))
+    doc.write_text(documents.canonical_json(documents.doc_uniform(2, 4)))
     code, out, _ = run_cli(capsys, "find-orderings", str(doc), "--s", "3", "--t", "3")
     assert code == 0
     payload = json.loads(out)
@@ -130,7 +130,7 @@ def test_find_orderings_command(capsys, tmp_path):
 
 def test_find_orderings_cap(capsys, tmp_path):
     doc = tmp_path / "m.json"
-    doc.write_text(documents.emit(documents.doc_uniform(6, 13)))
+    doc.write_text(documents.canonical_json(documents.doc_uniform(6, 13)))
     code, _, err = run_cli(capsys, "find-orderings", str(doc), "--s", "3", "--t", "3")
     assert code == 2
 
@@ -138,7 +138,7 @@ def test_find_orderings_cap(capsys, tmp_path):
 @pytest.mark.parametrize("limit", ["0", "-3"])
 def test_find_orderings_rejects_nonpositive_limit(capsys, tmp_path, limit):
     doc = tmp_path / "m.json"
-    doc.write_text(documents.emit(documents.doc_uniform(2, 4)))
+    doc.write_text(documents.canonical_json(documents.doc_uniform(2, 4)))
     code, out, err = run_cli(
         capsys, "find-orderings", str(doc), "--s", "3", "--t", "3", "--limit", limit
     )
@@ -148,7 +148,7 @@ def test_find_orderings_rejects_nonpositive_limit(capsys, tmp_path, limit):
 
 def test_find_orderings_rejects_nonpositive_search_cap(capsys, tmp_path, monkeypatch):
     doc = tmp_path / "m.json"
-    doc.write_text(documents.emit(documents.doc_uniform(2, 4)))
+    doc.write_text(documents.canonical_json(documents.doc_uniform(2, 4)))
     monkeypatch.setenv("CYCMAT_SEARCH_CAP", "-3")
     code, out, err = run_cli(capsys, "find-orderings", str(doc), "--s", "3", "--t", "3")
     assert code == 2 and out == ""
@@ -158,18 +158,18 @@ def test_find_orderings_rejects_nonpositive_search_cap(capsys, tmp_path, monkeyp
 def test_weakmap_command(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    a.write_text(documents.emit(documents.doc_construction("whirl", 4)))
-    b.write_text(documents.emit(documents.doc_construction("wheel", 4)))
+    a.write_text(documents.canonical_json(documents.doc_construction("whirl", 4)))
+    b.write_text(documents.canonical_json(documents.doc_construction("wheel", 4)))
     code, out, _ = run_cli(capsys, "weakmap", str(a), str(b))
     assert code == 0 and json.loads(out)["holds"]
 
-    a.write_text(documents.emit(documents.doc_uniform(1, 4)))
-    b.write_text(documents.emit(documents.doc_uniform(2, 4)))
+    a.write_text(documents.canonical_json(documents.doc_uniform(1, 4)))
+    b.write_text(documents.canonical_json(documents.doc_uniform(2, 4)))
     code, out, _ = run_cli(capsys, "weakmap", str(a), str(b))
     assert code == 1
     assert json.loads(out)["violating_circuit"] is not None
 
-    b.write_text(documents.emit(documents.doc_uniform(2, 5)))
+    b.write_text(documents.canonical_json(documents.doc_uniform(2, 5)))
     code, _, err = run_cli(capsys, "weakmap", str(a), str(b))
     assert code == 2
 
@@ -177,8 +177,8 @@ def test_weakmap_command(capsys, tmp_path):
 def test_weakmap_quotient_flag(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    a.write_text(documents.emit(documents.doc_uniform(2, 4)))
-    b.write_text(documents.emit(documents.doc_uniform(1, 4)))
+    a.write_text(documents.canonical_json(documents.doc_uniform(2, 4)))
+    b.write_text(documents.canonical_json(documents.doc_uniform(1, 4)))
     code, out, _ = run_cli(capsys, "weakmap", str(a), str(b), "--quotient")
     assert code == 0 and json.loads(out)["relation"] == "quotient"
 

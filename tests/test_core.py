@@ -47,7 +47,6 @@ def test_ground_set_validation():
         GroundSet(2, ("a", "a"))
     g = GroundSet(3)
     assert g.labels == ("e1", "e2", "e3")
-    assert g.label_of(2) == "e2"
 
 
 def test_uniform_rank_examples():

@@ -14,9 +14,9 @@ def test_round_trip_byte_identical():
         documents.doc_transversal(6, [[1, 2], [3, 4], [5, 6]]),
     ]
     for doc in docs:
-        text = documents.emit(doc)
+        text = documents.canonical_json(doc)
         assert documents.parse(text) == doc
-        assert documents.emit(documents.parse(text)) == text
+        assert documents.canonical_json(documents.parse(text)) == text
 
 
 def test_circuit_lists_canonicalised():
@@ -68,7 +68,7 @@ def test_to_oracle_circuit_document():
 def test_labels_field():
     doc = documents.doc_uniform(1, 2)
     doc["labels"] = ["a", "b"]
-    assert documents.parse(documents.emit(doc)) == doc
+    assert documents.parse(documents.canonical_json(doc)) == doc
     M = documents.to_oracle(doc)
     assert M.ground.labels == ("a", "b")
     doc["labels"] = ["a"]
@@ -76,7 +76,7 @@ def test_labels_field():
         documents.to_oracle(doc)
     doc["labels"] = ["a", "a"]
     with pytest.raises(ValueError):
-        documents.parse(documents.emit(doc))
+        documents.parse(documents.canonical_json(doc))
 
 
 def test_parse_ordering():

@@ -11,9 +11,11 @@ from collections import Counter
 
 import pytest
 
+from cycmat import bitset, suite
 from cycmat.core import MatroidOracle
 from cycmat.documents import canonical_json
 from cycmat.suite import run_suite
+from cycmat.transversal import MatchingResult, interval_presentation, max_matching
 
 
 @pytest.mark.parametrize("max_n, families, prefix, checks", [
@@ -48,3 +50,23 @@ def test_suite_builds_each_matroid_once(monkeypatch):
     for label in ("U(2,4)", "whirl(3)", "spike(4)"):
         assert built[label] == 1, (label, built[label])
     assert built["dual-transversal(m=6)"] <= 3
+
+
+def test_matching_cross_check_rejects_a_witness_short_of_the_maximum(monkeypatch):
+    # J = (1,) is deficient (N(1) lies inside the avoid set) but its deficiency
+    # is 1, not m - size = 2: a witness that is not a König certificate
+    pres = interval_presentation(8, 3)
+    avoid = bitset.mask_of([1, 2, 3, 5, 6, 7])
+    assert max_matching(pres.base, avoid).witness == (1, 3)
+
+    def short_witness(base, avoid_mask=0):
+        result = max_matching(base, avoid_mask)
+        if avoid_mask == avoid:
+            return MatchingResult(result.size, result.pairs, (1,))
+        return result
+
+    monkeypatch.setattr(suite, "max_matching", short_witness)
+    seed = 5  # draws this avoid set among the check's random ones
+    ok, witness = suite._matching_entry(pres, seed)
+    assert not ok
+    assert witness == {"avoid": [1, 2, 3, 5, 6, 7], "witness": [1]}

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycmat import bitset
 from cycmat.core import GroundSet
@@ -74,6 +76,45 @@ def test_witness_certifies_deficiency():
             deficiency = len(result.witness) - (union & ~avoid).bit_count()
             # the extracted J attains the maximum deficiency
             assert deficiency == pres.m - result.size
+
+
+def reference_matching_size(pres, avoid):
+    """The exhaustive recursion over matchings that Ore's defect formula replaced."""
+    adjacency = [nbr & ~avoid for nbr in pres.neighborhoods]
+
+    def best(i, used):
+        if i == len(adjacency):
+            return 0
+        out = best(i + 1, used)
+        for bit in bitset.singletons(adjacency[i] & ~used):
+            out = max(out, 1 + best(i + 1, used | bit))
+        return out
+
+    return best(0, 0)
+
+
+@st.composite
+def presentations_and_avoids(draw):
+    n = draw(st.integers(1, 10))
+    masks = st.integers(0, (1 << n) - 1)
+    nbrs = draw(st.lists(masks, min_size=1, max_size=6))  # empty neighbourhoods allowed
+    return BipartitePresentation(GroundSet(n), tuple(nbrs)), draw(masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations_and_avoids())
+def test_defect_formula_matches_augmenting_paths_and_recursion(case):
+    pres, avoid = case
+    size = brute_force_matching_size(pres, avoid)
+    assert size == max_matching(pres, avoid).size
+    assert size == reference_matching_size(pres, avoid)
+
+
+def test_unions_table_matches_neighborhood_union():
+    pres = interval_presentation(12, 4).base
+    assert len(pres.unions) == 1 << pres.m
+    for j, union in enumerate(pres.unions):
+        assert union == pres.neighborhood_union(bitset.indices(j))
 
 
 def test_matching_pairs_respect_neighborhoods():
