@@ -14,7 +14,8 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# largest n whose containment test is a dependence table (2^18 bytes)
+# largest n whose containment test is a dependence table (2^18 bytes), and
+# whose transversal oracles read a Hall table (see `transversal`)
 TABLE_MAX_N = 18
 # widest mask held in an int64 array; wider masks use Python ints
 WORD_BITS = 62
@@ -105,6 +106,15 @@ def subset_max(values: np.ndarray) -> np.ndarray:
     for b in range(len(values).bit_length() - 1):
         halves = values.reshape(-1, 2, 1 << b)
         np.maximum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    return values
+
+
+def subset_sum(values: np.ndarray) -> np.ndarray:
+    """In place: ``values[X]`` becomes the sum of ``values[Y]`` over Y <= X.
+    Returns `values`."""
+    for b in range(len(values).bit_length() - 1):
+        halves = values.reshape(-1, 2, 1 << b)
+        halves[:, 1] += halves[:, 0]
     return values
 
 

@@ -41,28 +41,45 @@ def env_cap(name: str, default: int) -> int:
     return cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroundSet:
-    """Elements e_1..e_n, addressed by 1-based index."""
+    """Elements e_1..e_n, addressed by 1-based index.
+
+    Custom labels are checked at construction.  The default labels "e1".."en"
+    are built on the first read of `labels`, so a large ground set does not
+    pay for them; custom labels equal to the defaults count as the defaults.
+    """
 
     n: int
-    labels: tuple[str, ...] = ()
-    full: int = field(init=False, compare=False, repr=False)
+    _custom: tuple[str, ...] = field(repr=False)
+    full: int = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"ground set needs at least one element, got n={self.n}")
-        labels = self.labels or tuple(f"e{i}" for i in range(1, self.n + 1))
-        if len(labels) != self.n or len(set(labels)) != self.n:
-            raise ValueError("labels must be distinct and match the element count")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "full", bitset.full_mask(self.n))
+    def __init__(self, n: int, labels: tuple[str, ...] = ()) -> None:
+        if n < 1:
+            raise ValueError(f"ground set needs at least one element, got n={n}")
+        labels = tuple(labels)
+        if labels:
+            if len(labels) != n or len(set(labels)) != n:
+                raise ValueError("labels must be distinct and match the element count")
+            if labels == _default_labels(n):
+                labels = ()
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_custom", labels)
+        object.__setattr__(self, "full", bitset.full_mask(n))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return self._custom or _default_labels(self.n)
 
     def mask(self, elements: Iterable[int]) -> int:
         m = bitset.mask_of(elements)
         if m & ~self.full:
             raise ValueError("element index out of range")
         return m
+
+
+def _default_labels(n: int) -> tuple[str, ...]:
+    return tuple(f"e{i}" for i in range(1, n + 1))
 
 
 @dataclass(frozen=True)

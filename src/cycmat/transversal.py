@@ -6,12 +6,20 @@ it is independent in the dual iff [m] matches completely into E - X.  The
 interval-presentation family built here has N(i) covering s consecutive
 elements starting at e_{2i-1}; its dual (rank n/2, self-dual) is the central
 fixture of the whole library.
+
+Up to `bitset.TABLE_MAX_N` elements both oracles look X up in a Hall table
+of the presentation, built once over all 2^n masks from Hall's condition
+without any matching; above that they run Kuhn's augmenting paths per mask.
+`max_matching` (augmenting paths, with a Hall witness) and
+`brute_force_matching_size` (Ore's defect formula) cross-check each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+
+import numpy as np
 
 from . import bitset
 from .core import GroundSet, MatroidOracle
@@ -62,6 +70,34 @@ class BipartitePresentation:
             low = j & -j
             out[j] = out[j ^ low] | self.neighborhoods[low.bit_length() - 1]
         return tuple(out)
+
+    @cached_property
+    def independent(self) -> np.ndarray:
+        """Read-only ``bool`` array over all 2^n element masks: does X match into [m]?
+
+        Hall's condition on the element side: X matches iff no Y <= X has
+        |L(Y)| < |Y|, where L(Y) = {i : N(i) meets Y} has m - S[E - Y]
+        members and S[X] = #{i : N(i) <= X}.  Two O(n 2^n) transforms and no
+        matching; callers build it only for n <= `bitset.TABLE_MAX_N`.
+        """
+        n = self.ground.n
+        inside = bitset.subset_sum(np.bincount(self.neighborhoods, minlength=1 << n))
+        # reversing a 2^n array maps mask Y to its complement E - Y
+        deficient = self.m - inside[::-1] < bitset.set_sizes(n)
+        return _read_only(~bitset.subset_max(deficient))
+
+    @cached_property
+    def dual_independent(self) -> np.ndarray:
+        """Read-only ``bool`` array over all 2^n element masks: does [m] match
+        completely into E - X, that is, has E - X rank m in `independent`?"""
+        sizes = bitset.set_sizes(self.ground.n)
+        rank = bitset.subset_max(np.where(self.independent, sizes, 0))
+        return _read_only((rank == self.m)[::-1])
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -147,8 +183,8 @@ def brute_force_matching_size(pres: BipartitePresentation, avoid: int = 0) -> in
     )
 
 
-def transversal_matroid(pres: BipartitePresentation) -> MatroidOracle:
-    """X independent iff X has a complete matching into [m]."""
+def _primal_indep(pres: BipartitePresentation):
+    """Predicate by augmenting paths: X matches completely into [m]."""
     lefts_of = [0] * pres.ground.n
     for i, nbr in enumerate(pres.neighborhoods):
         for bit in bitset.singletons(nbr):
@@ -158,11 +194,11 @@ def transversal_matroid(pres: BipartitePresentation) -> MatroidOracle:
         adjacency = [lefts_of[bit.bit_length() - 1] for bit in bitset.singletons(mask)]
         return len(_matching(adjacency)) == len(adjacency)
 
-    return MatroidOracle(pres.ground, indep, name=f"transversal(m={pres.m})")
+    return indep
 
 
 def _dual_indep(pres: BipartitePresentation):
-    """Predicate: [m] matches completely into E - X."""
+    """Predicate by augmenting paths: [m] matches completely into E - X."""
     m = pres.m
 
     def indep(mask: int) -> bool:
@@ -172,9 +208,25 @@ def _dual_indep(pres: BipartitePresentation):
     return indep
 
 
+def _predicate(pres: BipartitePresentation, dual: bool):
+    """Independence in the presented matroid or its dual: a lookup in the
+    presentation's Hall table up to `bitset.TABLE_MAX_N` elements (built on
+    the first call), augmenting paths above."""
+    if pres.ground.n > bitset.TABLE_MAX_N:
+        return _dual_indep(pres) if dual else _primal_indep(pres)
+    if dual:
+        return lambda mask: pres.dual_independent[mask]
+    return lambda mask: pres.independent[mask]
+
+
+def transversal_matroid(pres: BipartitePresentation) -> MatroidOracle:
+    """X independent iff X has a complete matching into [m]."""
+    return MatroidOracle(pres.ground, _predicate(pres, False), name=f"transversal(m={pres.m})")
+
+
 def dual_transversal(pres: BipartitePresentation) -> MatroidOracle:
     """X independent iff [m] matches completely into E - X."""
-    return MatroidOracle(pres.ground, _dual_indep(pres), name=f"dual-transversal(m={pres.m})")
+    return MatroidOracle(pres.ground, _predicate(pres, True), name=f"dual-transversal(m={pres.m})")
 
 
 @dataclass(frozen=True)
@@ -259,7 +311,7 @@ def interval_presentation(n: int, s: int) -> MultiPathPresentation:
 def psi(n: int, s: int) -> MatroidOracle:
     """Dual of the interval-presented transversal matroid; rank n/2."""
     pres = interval_presentation(n, s)
-    return MatroidOracle(pres.base.ground, _dual_indep(pres.base), name=f"psi({n},{s})")
+    return MatroidOracle(pres.base.ground, _predicate(pres.base, True), name=f"psi({n},{s})")
 
 
 def psi_basis_test(n: int, s: int, mask: int) -> bool:

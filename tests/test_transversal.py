@@ -1,12 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycmat import bitset
-from cycmat.core import GroundSet
+from cycmat import bitset, transversal
+from cycmat.core import CapExceeded, GroundSet, verify_matroid_axioms
+from cycmat.suite import PSI_GRID
 from cycmat.transversal import (
+    _dual_indep,
+    _primal_indep,
     BipartitePresentation,
     MultiPathPresentation,
     brute_force_matching_size,
@@ -115,6 +118,98 @@ def test_unions_table_matches_neighborhood_union():
     assert len(pres.unions) == 1 << pres.m
     for j, union in enumerate(pres.unions):
         assert union == pres.neighborhood_union(bitset.indices(j))
+
+
+@st.composite
+def presentations(draw):
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 70))
+    masks = st.integers(0, (1 << n) - 1)  # empty neighbourhoods allowed
+    nbrs = draw(st.lists(masks, min_size=m, max_size=m))
+    return BipartitePresentation(GroundSet(n), tuple(nbrs))
+
+
+def _assert_tables_match_augmenting_paths(pres):
+    primal, dual = _primal_indep(pres), _dual_indep(pres)
+    for mask in range(1 << pres.ground.n):
+        assert pres.independent[mask] == primal(mask), mask
+        assert pres.dual_independent[mask] == dual(mask), mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations())
+# pinned: m > n with an empty neighbourhood, and m > WORD_BITS twice
+@example(BipartitePresentation(GroundSet(4), (0b0011, 0b0110, 0, 0b1100, 0b1001, 0b1111)))
+@example(BipartitePresentation(GroundSet(10), tuple(range(bitset.WORD_BITS + 1))))
+@example(BipartitePresentation(GroundSet(10), (0,) + tuple(1 << i % 10 for i in range(69))))
+def test_hall_tables_match_augmenting_paths(pres):
+    _assert_tables_match_augmenting_paths(pres)
+
+
+def test_hall_tables_are_read_only():
+    pres = interval_presentation(8, 3).base
+    for table in (pres.independent, pres.dual_independent):
+        assert len(table) == 1 << 8
+        with pytest.raises(ValueError):
+            table[0] = False
+
+
+def test_psi_grid_matches_augmenting_paths():
+    for n, s in PSI_GRID:
+        M = psi(n, s)
+        dual = _dual_indep(interval_presentation(n, s).base)
+        for mask in range(1 << n):
+            assert M.indep(mask) == dual(mask), (n, s, mask)
+
+
+def test_no_complete_matching_means_no_independent_set():
+    # two left vertices share the single element e1: [m] never matches
+    pres = BipartitePresentation(GroundSet(3), (0b001, 0b001))
+    dual = _dual_indep(pres)
+    assert not pres.dual_independent.any()
+    assert not any(dual(mask) for mask in range(1 << 3))
+    assert not dual_transversal(pres).indep(0)
+    _assert_tables_match_augmenting_paths(pres)
+
+
+def _no_augmenting_paths(adjacency):
+    raise AssertionError("augmenting paths run below TABLE_MAX_N")
+
+
+def test_psi_below_table_cap_needs_no_matching(monkeypatch):
+    monkeypatch.setattr(transversal, "_matching", _no_augmenting_paths)
+    M = psi(12, 4)
+    assert len(M.circuits()) == len(M.cocircuits()) > 0
+    assert verify_matroid_axioms(M).ok
+    ground = GroundSet(6)
+    pres = BipartitePresentation(ground, tuple(bitset.cyclic_interval(6, i, i + 2) for i in (1, 3)))
+    assert transversal_matroid(pres).rank() == 2
+    assert dual_transversal(pres).rank() == 4
+
+
+def test_psi_above_table_cap_runs_augmenting_paths(monkeypatch):
+    calls = []
+    matching = transversal._matching
+
+    def counting(adjacency):
+        calls.append(len(adjacency))
+        return matching(adjacency)
+
+    monkeypatch.setattr(transversal, "_matching", counting)
+    assert 20 > bitset.TABLE_MAX_N
+    assert psi(20, 4).rank() == 10
+    assert calls
+    assert "dual_independent" not in vars(interval_presentation(20, 4).base)
+
+
+def test_enumeration_cap_holds_for_table_oracles(monkeypatch):
+    monkeypatch.setenv("CYCMAT_MAX_N", "8")
+    M = psi(10, 3)
+    with pytest.raises(CapExceeded):
+        M.circuits()
+    assert M.rank() == 5
+    assert M.indep(bitset.mask_of([1, 3, 5, 7, 9]))
+    assert not M.indep(bitset.mask_of([1, 2, 3]))
 
 
 def test_matching_pairs_respect_neighborhoods():
