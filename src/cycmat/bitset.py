@@ -126,6 +126,13 @@ def all_maximal_subsets(marked: np.ndarray) -> np.ndarray:
     return out
 
 
+def lattice_rank(independent: np.ndarray) -> np.ndarray:
+    """Rank of every mask, from a ``bool`` array over all 2^n masks that marks
+    the independent ones: the size of its largest independent subset."""
+    sizes = set_sizes(len(independent).bit_length() - 1)
+    return subset_max(np.where(independent, sizes, 0))
+
+
 def set_sizes(n: int) -> np.ndarray:
     """``uint8`` array of 2^n entries: the number of elements of each mask."""
     sizes = np.zeros(1 << n, dtype=np.uint8)

@@ -69,16 +69,23 @@ def rim_mask(r: int) -> int:
 
 def whirl(r: int) -> MatroidOracle:
     """Relax the rim circuit of the wheel: the rim becomes independent and
-    each rim-plus-spoke set becomes a circuit."""
+    each rim-plus-spoke set becomes a circuit.
+
+    The wheel's other circuits are listed directly: each proper cyclic arc
+    of rim edges with its two bounding spokes, r(r - 1) of them.
+    """
     if r < 2:
         raise ValueError(f"whirl needs r >= 2, got r={r}")
-    base = wheel(r).circuits()
     rim = rim_mask(r)
-    if rim not in base:
-        raise RuntimeError("wheel circuit enumeration lost the rim")
-    relaxed = [c for c in base if c != rim]
-    relaxed.extend(rim | 1 << (2 * i) for i in range(r))
-    return oracle_from_circuits(GroundSet(2 * r), relaxed, name=f"whirl({r})", validate=True)
+    spokes = [1 << (2 * i) for i in range(r)]  # spoke i + 1 is e_{2i+1}
+    rims = [spoke << 1 for spoke in spokes]  # rim edge i + 1 is e_{2i+2}
+    circuits = [rim | spoke for spoke in spokes]
+    for i in range(r):
+        arc = 0
+        for length in range(1, r):
+            arc |= rims[(i + length - 1) % r]
+            circuits.append(spokes[i] | arc | spokes[(i + length) % r])
+    return oracle_from_circuits(GroundSet(2 * r), circuits, name=f"whirl({r})", validate=True)
 
 
 @dataclass(frozen=True)

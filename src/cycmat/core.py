@@ -41,45 +41,23 @@ def env_cap(name: str, default: int) -> int:
     return cap
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class GroundSet:
-    """Elements e_1..e_n, addressed by 1-based index.
-
-    Custom labels are checked at construction.  The default labels "e1".."en"
-    are built on the first read of `labels`, so a large ground set does not
-    pay for them; custom labels equal to the defaults count as the defaults.
-    """
+    """Elements e_1..e_n, addressed by 1-based index."""
 
     n: int
-    _custom: tuple[str, ...] = field(repr=False)
-    full: int = field(compare=False, repr=False)
+    full: int = field(init=False, compare=False, repr=False)
 
-    def __init__(self, n: int, labels: tuple[str, ...] = ()) -> None:
-        if n < 1:
-            raise ValueError(f"ground set needs at least one element, got n={n}")
-        labels = tuple(labels)
-        if labels:
-            if len(labels) != n or len(set(labels)) != n:
-                raise ValueError("labels must be distinct and match the element count")
-            if labels == _default_labels(n):
-                labels = ()
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_custom", labels)
-        object.__setattr__(self, "full", bitset.full_mask(n))
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return self._custom or _default_labels(self.n)
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"ground set needs at least one element, got n={self.n}")
+        object.__setattr__(self, "full", bitset.full_mask(self.n))
 
     def mask(self, elements: Iterable[int]) -> int:
         m = bitset.mask_of(elements)
         if m & ~self.full:
             raise ValueError("element index out of range")
         return m
-
-
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"e{i}" for i in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -131,10 +109,12 @@ class VerificationReport:
 class MatroidOracle:
     """Matroid given by an independence predicate on bitmasks.
 
-    Instances are immutable after construction: the predicate must be pure,
-    and all derived state (memoised independence calls, the independence
-    table, circuit families, ordering certificates) is filled behind a lock,
-    so oracles can be shared freely across threads, and is freed with the oracle.
+    Instances are immutable after construction, and the predicate must be
+    pure.  The independence table, the circuit families and the ordering
+    certificates are filled under `_lock`.  The memo of independence answers
+    and the cached full rank are written without it: two threads that race
+    on an entry store the same value.  Oracles can be shared across threads,
+    and all derived state is freed with the oracle.
     """
 
     def __init__(self, ground: GroundSet, indep: Callable[[int], bool], name: str = ""):
@@ -198,17 +178,13 @@ class MatroidOracle:
     # -- circuits and cocircuits --------------------------------------------
 
     def is_circuit(self, mask: int) -> bool:
-        if mask == 0 or self.indep(mask):
-            return False
-        return all(self.indep(mask ^ bit) for bit in bitset.singletons(mask))
+        return _minimally_dependent(self.indep, mask)
 
     def is_coindependent(self, mask: int) -> bool:
         return self.rank(self.ground.full & ~mask) == self.rank()
 
     def is_cocircuit(self, mask: int) -> bool:
-        if mask == 0 or self.is_coindependent(mask):
-            return False
-        return all(self.is_coindependent(mask ^ bit) for bit in bitset.singletons(mask))
+        return _minimally_dependent(self.is_coindependent, mask)
 
     def circuits(self) -> CircuitFamily:
         with self._lock:
@@ -220,11 +196,9 @@ class MatroidOracle:
         """Minimal sets whose complement contains no basis."""
         with self._lock:
             if self._cocircuits is None:
-                independent = self._independence_table()
-                sizes = bitset.set_sizes(self.n)
-                bases = independent & (sizes == sizes[independent].max())
+                rank = bitset.lattice_rank(self._independence_table())
                 # reversing a 2^n array maps mask X to its complement
-                self._cocircuits = _minimal_sets(self.n, ~bitset.subset_max(bases)[::-1])
+                self._cocircuits = _minimal_sets(self.n, (rank < rank[-1])[::-1])
             return self._cocircuits
 
     def _independence_table(self) -> np.ndarray:
@@ -256,13 +230,7 @@ class MatroidOracle:
     # -- derived matroids ----------------------------------------------------
 
     def dual(self) -> "MatroidOracle":
-        full = self.ground.full
-        rank_full = self.rank()
-        return MatroidOracle(
-            self.ground,
-            lambda mask: self.rank(full & ~mask) == rank_full,
-            name=f"dual({self.name})",
-        )
+        return MatroidOracle(self.ground, self.is_coindependent, name=f"dual({self.name})")
 
     def __repr__(self) -> str:
         return f"MatroidOracle({self.name}, n={self.n})"
@@ -283,6 +251,13 @@ def oracle_from_circuits(
     )
     oracle._circuits = family
     return oracle
+
+
+def _minimally_dependent(indep: Callable[[int], bool], mask: int) -> bool:
+    """Is `mask` dependent under `indep`, with every maximal proper subset independent?"""
+    if mask == 0 or indep(mask):
+        return False
+    return all(indep(mask ^ bit) for bit in bitset.singletons(mask))
 
 
 def _minimal_sets(n: int, marked: np.ndarray) -> CircuitFamily:
@@ -404,7 +379,7 @@ def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
             (("downward-closure", bitset.indices(m), bit.bit_length()),),
         )
     sizes = bitset.set_sizes(n)
-    rank = bitset.subset_max(np.where(independent, sizes, 0))
+    rank = bitset.lattice_rank(independent)
     masks = np.arange(checked)
     ext = sum(independent[masks | 1 << b].astype(np.int64) << b for b in range(n)) & ~masks
     failing = independent & (rank[bitset.full_mask(n) ^ ext] > sizes)

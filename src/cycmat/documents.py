@@ -141,16 +141,11 @@ def _expect_index_lists(value: Any, n: int) -> None:
 
 
 def to_oracle(doc: dict) -> MatroidOracle:
+    """The document's matroid.  Labels are checked against its size, then dropped."""
     oracle = _build(doc["matroid"])
     labels = doc.get("labels")
-    if labels:
-        if len(labels) != oracle.n:
-            raise ValueError(
-                f"document has {len(labels)} labels for {oracle.n} elements"
-            )
-        # the oracle is not shared yet, so it takes the labels in place and
-        # keeps its memo and any listed circuit family
-        oracle.ground = GroundSet(oracle.n, tuple(labels))
+    if labels and len(labels) != oracle.n:
+        raise ValueError(f"document has {len(labels)} labels for {oracle.n} elements")
     return oracle
 
 

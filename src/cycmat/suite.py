@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from . import bitset
@@ -96,6 +97,8 @@ class FixtureSet:
         self.families = families
         self._built: dict[str, list[Fixture]] = {}
         self._oracles: dict[str, MatroidOracle] = {}
+        # label -> "error: ..." for each grid fixture whose build raised
+        self.broken: dict[str, str] = {}
 
     def oracle(self, label: str, build: Callable[[], MatroidOracle]) -> MatroidOracle:
         """The run's oracle for `label`, from `build` on first use, whether or
@@ -111,7 +114,12 @@ class FixtureSet:
         if not self.enabled(family):
             return []
         if family not in self._built:
-            self._built[family] = list(self._build(family))
+            self._built[family] = []
+            for label, build, st, psi_params in self._grid(family):
+                try:
+                    self._built[family].append(Fixture(family, label, build(), st, psi_params))
+                except Exception as exc:  # a broken fixture is a failed entry, not a dead run
+                    self.broken[label] = f"error: {exc}"
         return self._built[family]
 
     def truncation(self, fx: Fixture) -> MatroidOracle:
@@ -136,37 +144,31 @@ class FixtureSet:
     def spike(self, r: int) -> MatroidOracle:
         return self.oracle(f"spike({r})", lambda: free_spike(r)[0])
 
-    def _build(self, family: str):
+    def _grid(self, family: str):
+        """(label, build, st, psi_params) for each fixture of `family` in the grid."""
         if family == "psi":
             for n, s in PSI_GRID:
                 if n <= self.max_n:
-                    yield Fixture("psi", f"psi({n},{s})", self.psi(n, s), STParams(s, s), (n, s))
+                    yield f"psi({n},{s})", partial(self.psi, n, s), STParams(s, s), (n, s)
         elif family == "truncation":
             for n, s, t in TRUNCATION_GRID:
                 if n <= self.max_n:
                     i = (t - s) // 2
-                    yield Fixture("truncation", f"T^{i}(psi({n},{s}))",
-                                  self.truncated_psi(n, s, i), STParams(s, t), (n, s))
+                    yield (f"T^{i}(psi({n},{s}))", partial(self.truncated_psi, n, s, i),
+                           STParams(s, t), (n, s))
         elif family == "uniform":
             for r, n, s, t in UNIFORM_GRID:
                 if n <= self.max_n:
-                    yield Fixture("uniform", f"U({r},{n})", self.uniform(r, n), STParams(s, t))
-        elif family == "wheel":
-            for r in WHEEL_GRID:
+                    yield f"U({r},{n})", partial(self.uniform, r, n), STParams(s, t), None
+        elif family in ("wheel", "whirl", "spike"):
+            st = STParams(4, 4) if family == "spike" else STParams(3, 3)
+            for r in SPIKE_GRID if family == "spike" else WHEEL_GRID:
                 if 2 * r <= self.max_n:
-                    yield Fixture("wheel", f"wheel({r})", self.wheel(r), STParams(3, 3))
-        elif family == "whirl":
-            for r in WHEEL_GRID:
-                if 2 * r <= self.max_n:
-                    yield Fixture("whirl", f"whirl({r})", self.whirl(r), STParams(3, 3))
-        elif family == "spike":
-            for r in SPIKE_GRID:
-                if 2 * r <= self.max_n:
-                    yield Fixture("spike", f"spike({r})", self.spike(r), STParams(4, 4))
+                    yield f"{family}({r})", partial(getattr(self, family), r), st, None
         elif family == "random":
             rng = random.Random(self.seed)
             for idx in range(RANDOM_COUNT):
-                yield Fixture("random", f"random-{idx}", random_transversal(rng, 8))
+                yield f"random-{idx}", partial(random_transversal, rng, 8), None, None
 
     def all_oracles(self) -> list[Fixture]:
         out: list[Fixture] = []
@@ -230,6 +232,8 @@ def run_suite(
     _counterexample_checks(fixtures, record)
     if inject_mutant:
         record("circuit-axioms", {"matroid": "mutant-U(2,4)"}, _mutant_check)
+    for label, error in fixtures.broken.items():
+        entries.append(SuiteEntry("fixture-build", {"matroid": label}, False, error))
 
     entries.sort(key=lambda e: (e.check, json.dumps(e.params, sort_keys=True)))
     failed = [e for e in entries if not e.ok]
@@ -463,15 +467,16 @@ def _window_rank_entry(oracle, ordering, st) -> tuple[bool, Any]:
 
 def _ordering_checks(fixtures: FixtureSet, record) -> None:
     st = STParams(3, 3)
-    targets: list[tuple[str, MatroidOracle]] = []
+    # builds run inside `record`, so a fixture that fails to build is a failed entry
+    targets: list[tuple[str, Callable[[], MatroidOracle]]] = []
     if fixtures.enabled("psi") and fixtures.max_n >= 8:
-        targets.append(("psi(8,3)", fixtures.psi(8, 3)))
+        targets.append(("psi(8,3)", partial(fixtures.psi, 8, 3)))
     if fixtures.enabled("wheel") and fixtures.max_n >= 8:
-        targets.append(("wheel(4)", fixtures.wheel(4)))
+        targets.append(("wheel(4)", partial(fixtures.wheel, 4)))
     for fx in fixtures.group("random"):
-        targets.append((fx.label, fx.oracle))
-    for label, oracle in targets:
-        record("nearly-upgrade", {"matroid": label}, lambda oracle=oracle: _upgrade_entry(oracle, st))
+        targets.append((fx.label, lambda fx=fx: fx.oracle))
+    for label, build in targets:
+        record("nearly-upgrade", {"matroid": label}, lambda build=build: _upgrade_entry(build(), st))
     if fixtures.enabled("whirl"):
         record("below-bound-survey", {"matroid": "whirl(3)"},
                lambda: _survey_entry(fixtures.whirl(3), st))
@@ -514,21 +519,21 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
                        lambda n=n, s=s, t=t: (truncated_psi_certificate(n, s, t).full, None))
     if fixtures.enabled("psi") and fixtures.max_n >= 10:
         pipeline = [
-            ("wheel(4)", fixtures.wheel(4), STParams(3, 3)),
-            ("spike(4)", fixtures.spike(4), STParams(4, 4)),
-            ("T^1(psi(10,3))", fixtures.truncated_psi(10, 3, 1), STParams(3, 5)),
+            ("wheel(4)", partial(fixtures.wheel, 4), STParams(3, 3)),
+            ("spike(4)", partial(fixtures.spike, 4), STParams(4, 4)),
+            ("T^1(psi(10,3))", partial(fixtures.truncated_psi, 10, 3, 1), STParams(3, 5)),
         ]
-        for label, oracle, st in pipeline:
+        for label, build, st in pipeline:
             record("weak-map-pipeline", {"matroid": label, "s": st.s, "t": st.t},
-                   lambda oracle=oracle, st=st: _pipeline_entry(oracle, st))
+                   lambda build=build, st=st: _pipeline_entry(fixtures, build(), st))
     if fixtures.enabled("psi") and fixtures.max_n >= 8:
-        for label, oracle, expected in (
-            ("wheel(4)", fixtures.wheel(4), True),
-            ("psi(8,3)", fixtures.psi(8, 3), True),
-            ("U(8,8)", uniform(8, 8), False),
+        for label, build, expected in (
+            ("wheel(4)", partial(fixtures.wheel, 4), True),
+            ("psi(8,3)", partial(fixtures.psi, 8, 3), True),
+            ("U(8,8)", partial(uniform, 8, 8), False),
         ):
-            record("interval-rank-weakmap", {"matroid": label}, lambda oracle=oracle,
-                   expected=expected: _interval_rank_entry(oracle, expected))
+            record("interval-rank-weakmap", {"matroid": label}, lambda build=build,
+                   expected=expected: _interval_rank_entry(build(), expected))
     for fx in fixtures.all_oracles():
         if fx.oracle.n <= 10 and fx.oracle.rank() >= 1:
             params = {"matroid": fx.label}
@@ -538,8 +543,9 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
                 fx.oracle, fixtures.truncation(fx)))
 
 
-def _pipeline_entry(oracle: MatroidOracle, st: STParams) -> tuple[bool, Any]:
-    report = weak_image_of_truncated_psi(oracle, natural_ordering(oracle.n), st)
+def _pipeline_entry(fixtures: FixtureSet, oracle: MatroidOracle, st: STParams) -> tuple[bool, Any]:
+    target = fixtures.truncated_psi(oracle.n, st.s, (st.t - st.s) // 2)
+    report = weak_image_of_truncated_psi(oracle, natural_ordering(oracle.n), st, target)
     witness = None if report.holds else _mask_list([report.violating_circuit])
     return report.holds, witness
 

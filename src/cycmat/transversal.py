@@ -90,9 +90,7 @@ class BipartitePresentation:
     def dual_independent(self) -> np.ndarray:
         """Read-only ``bool`` array over all 2^n element masks: does [m] match
         completely into E - X, that is, has E - X rank m in `independent`?"""
-        sizes = bitset.set_sizes(self.ground.n)
-        rank = bitset.subset_max(np.where(self.independent, sizes, 0))
-        return _read_only((rank == self.m)[::-1])
+        return _read_only((bitset.lattice_rank(self.independent) == self.m)[::-1])
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:

@@ -154,14 +154,16 @@ def truncated_psi_certificate(n: int, s: int, t: int):
 
 
 def weak_image_of_truncated_psi(
-    oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams
+    oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams, target: MatroidOracle
 ) -> WeakMapReport:
     """A fully (s, t)-structured matroid on n >= s + t - 1 elements is a
-    weak-map image of the ((t-s)/2)-th truncation of psi(n, s).
+    weak-map image of `target`, the ((t-s)/2)-th truncation of psi(n, s).
 
-    The ordering is rotated by one step when its circuit windows start at
-    even positions, so that the image's odd-start circuit phase lines up;
-    the applied rotation is recorded in the report note.
+    The caller passes the target in, so a run that already holds it does not
+    build it again; its size and rank (n + s - t)/2 are checked.  The
+    ordering is rotated by one step when its circuit windows start at even
+    positions, so that the image's odd-start circuit phase lines up; the
+    applied rotation is recorded in the report note.
     """
     s, t = params.s, params.t
     if t < s:
@@ -169,6 +171,11 @@ def weak_image_of_truncated_psi(
     n = oracle.n
     if n < s + t - 1:
         raise ValueError(f"the canonical image needs n >= s + t - 1, got n={n}")
+    if target.n != n or 2 * target.rank() != n + s - t:
+        raise ValueError(
+            f"the target needs n={n} and rank (n + s - t)/2, "
+            f"got n={target.n}, rank={target.rank()}"
+        )
     cert = certify(oracle, ordering, params)
     if not cert.full:
         raise ValueError("the compared matroid must carry a full certificate")
@@ -176,7 +183,6 @@ def weak_image_of_truncated_psi(
         raise ValueError("circuit windows have no single parity; cannot align")
     rotation = 0 if cert.circuit_phase == 1 else 1
     aligned = ordering.rotated(rotation)
-    target = truncate(psi(n, s), (t - s) // 2)
     phi = ElementBijection(aligned.order)
     report = is_weak_map(target, oracle, phi)
     return WeakMapReport(report.holds, report.violating_circuit, note=f"rotation={rotation}")

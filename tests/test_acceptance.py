@@ -156,7 +156,8 @@ def test_criterion_7_canonical_weak_map():
         (truncate(psi(10, 3), 1), STParams(3, 5)),
     ]
     for oracle, st in fixtures:
-        report = weak_image_of_truncated_psi(oracle, natural_ordering(oracle.n), st)
+        target = truncate(psi(oracle.n, st.s), (st.t - st.s) // 2)
+        report = weak_image_of_truncated_psi(oracle, natural_ordering(oracle.n), st, target)
         assert report.holds, oracle.name
     _ok(7, "canonical-weak-map-image")
 

@@ -72,7 +72,6 @@ def test_circuits_command_keeps_listed_family_with_labels(capsys, tmp_path):
     plain = documents.doc_circuits(n, [[i for i in range(1, n + 1) if i != j]
                                        for j in range(1, n + 1)])
     labelled = dict(plain, labels=[f"x{i}" for i in range(1, n + 1)])
-    assert documents.to_oracle(labelled).ground.labels == tuple(labelled["labels"])
     outputs = []
     for doc in (plain, labelled):
         path = tmp_path / "m.json"
@@ -82,6 +81,15 @@ def test_circuits_command_keeps_listed_family_with_labels(capsys, tmp_path):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert len(json.loads(outputs[0])["circuits"]) == n
+
+
+@pytest.mark.parametrize("labels", [[1, 2, 3, 4], ["a", "a", "b", "c"], ["a", "b", "c"]])
+def test_bad_labels_exit_2(capsys, tmp_path, labels):
+    # not strings, duplicated, one short: labels are validated though no output reads them
+    path = tmp_path / "m.json"
+    path.write_text(documents.canonical_json(dict(documents.doc_uniform(2, 4), labels=labels)))
+    code, out, _ = run_cli(capsys, "circuits", str(path))
+    assert code == 2 and out == ""
 
 
 def _write_fixture(tmp_path, doc, order):

@@ -59,10 +59,19 @@ def test_whirl_relaxes_rim():
 
 def test_whirl_matches_dual_interval_family():
     # two constructions, one matroid: rim relaxation vs the matching dual
-    for r in (4, 5):
+    for r in range(3, 8):
         W = whirl(r)
         P = psi(2 * r, 3)
         assert set(W.circuits().members) == set(P.circuits().members)
+
+
+def test_whirl_lists_the_rim_relaxation_of_the_graphic_wheel():
+    # the listed circuits stay tied to the forest predicate of `wheel`
+    for r in range(2, 8):
+        rim = rim_mask(r)
+        relaxed = {c for c in wheel(r).circuits() if c != rim}
+        relaxed |= {rim | 1 << (2 * i) for i in range(r)}
+        assert set(whirl(r).circuits().members) == relaxed, r
 
 
 def test_whirl_axioms():

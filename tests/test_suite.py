@@ -2,20 +2,31 @@
 
 The report hashes pin the canonical report byte for byte on small grids,
 including the checks whose matroid lies outside the run's grid (for example
-`whirl(3)` at max-n 4, `spike(4)` with the spike family off).  The
-construction count pins that a run builds each matroid once.
+`whirl(3)` at max-n 4, `spike(4)` with the spike family off), and the
+`--inject-mutant` report.  The construction count pins that a run builds
+each matroid once.
 """
 
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cycmat import bitset, suite
+from cycmat.cli import main
 from cycmat.core import MatroidOracle
 from cycmat.documents import canonical_json
 from cycmat.suite import run_suite
-from cycmat.transversal import MatchingResult, interval_presentation, max_matching
+from cycmat.transversal import (
+    BipartitePresentation,
+    MatchingResult,
+    interval_presentation,
+    max_matching,
+)
+
+# a report row that runs every family with the injected mutant
+MUTANT = "mutant"
 
 
 @pytest.mark.parametrize("max_n, families, prefix, checks", [
@@ -26,30 +37,66 @@ from cycmat.transversal import MatchingResult, interval_presentation, max_matchi
     (12, ("counterexample",), "12e6dd36793516de", 12),
     (4, ("whirl", "wheel", "uniform", "random"), "b6cd2167bd012835", 36),
     (14, None, "8402595bd15c7503", 350),
+    (12, MUTANT, "5d112c84efe451c6", 301),
 ])
 def test_report_hash(max_n, families, prefix, checks):
-    report = run_suite(max_n, families=families)
+    mutant = families == MUTANT
+    report = run_suite(max_n, families=None if mutant else families, inject_mutant=mutant)
     digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
     assert digest.startswith(prefix), digest[:16]
-    assert report["summary"] == {
-        "total": checks, "passed": checks, "failed": 0, "first_failure": None,
-    }
+    failed = 1 if mutant else 0
+    assert report["summary"]["total"] == checks
+    assert report["summary"]["failed"] == failed
+    assert report["summary"]["passed"] == checks - failed
+    if mutant:
+        first = report["summary"]["first_failure"]
+        assert (first["check"], first["params"]) == ("circuit-axioms", {"matroid": "mutant-U(2,4)"})
+    else:
+        assert report["summary"]["first_failure"] is None
 
 
 def test_suite_builds_each_matroid_once(monkeypatch):
-    built = Counter()
-    init = MatroidOracle.__init__
+    built, tables = Counter(), Counter()
+    init, table = MatroidOracle.__init__, MatroidOracle._independence_table
 
     def counting(self, ground, indep, name=""):
         built[name] += 1
         init(self, ground, indep, name)
 
+    def counting_table(self):
+        if self._independent is None:
+            tables[self.name] += 1
+        return table(self)
+
     monkeypatch.setattr(MatroidOracle, "__init__", counting)
+    monkeypatch.setattr(MatroidOracle, "_independence_table", counting_table)
     run_suite(max_n=12)
-    assert sum(built.values()) <= 200, built.most_common(5)
-    for label in ("U(2,4)", "whirl(3)", "spike(4)"):
+    assert sum(built.values()) <= 139, built.most_common(5)
+    assert sum(tables.values()) <= 41, tables.most_common(5)
+    for label in ("U(2,4)", "whirl(3)", "spike(4)", *(f"wheel({r})" for r in suite.WHEEL_GRID)):
         assert built[label] == 1, (label, built[label])
     assert built["dual-transversal(m=6)"] <= 3
+
+
+def test_suite_reports_a_fixture_that_fails_to_build(monkeypatch, capsys):
+    # every psi has rank 0, so T^1(psi(10,3)) cannot be built
+    def only_empty(pres):
+        table = np.zeros(1 << pres.ground.n, dtype=bool)
+        table[0] = True
+        return table
+
+    monkeypatch.setattr(BipartitePresentation, "dual_independent", property(only_empty))
+    report = run_suite(max_n=10)
+    assert report["summary"]["failed"] > 0
+    broken = [e for e in report["entries"] if e["check"] == "fixture-build"]
+    assert broken == [{
+        "check": "fixture-build",
+        "params": {"matroid": "T^1(psi(10,3))"},
+        "ok": False,
+        "witness": "error: truncation steps must satisfy 0 <= i <= rank, got i=1, rank=0",
+    }]
+    assert main(["suite", "--max-n", "10"]) == 1
+    capsys.readouterr()
 
 
 def test_matching_cross_check_rejects_a_witness_short_of_the_maximum(monkeypatch):

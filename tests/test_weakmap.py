@@ -140,19 +140,25 @@ def test_truncated_psi_rejects_bad_parity():
 
 
 def test_pipeline_wheel():
-    report = weak_image_of_truncated_psi(wheel(4), natural_ordering(8), STParams(3, 3))
+    report = weak_image_of_truncated_psi(
+        wheel(4), natural_ordering(8), STParams(3, 3), truncate(psi(8, 3), 0)
+    )
     assert report.holds and report.note == "rotation=0"
 
 
 def test_pipeline_spike():
     M, _ = free_spike(4)
-    report = weak_image_of_truncated_psi(M, natural_ordering(8), STParams(4, 4))
+    report = weak_image_of_truncated_psi(
+        M, natural_ordering(8), STParams(4, 4), truncate(psi(8, 4), 0)
+    )
     assert report.holds
 
 
 def test_pipeline_truncation_self():
     T = truncate(psi(10, 3), 1)
-    report = weak_image_of_truncated_psi(T, natural_ordering(10), STParams(3, 5))
+    report = weak_image_of_truncated_psi(
+        T, natural_ordering(10), STParams(3, 5), truncate(psi(10, 3), 1)
+    )
     assert report.holds
 
 
@@ -160,7 +166,9 @@ def test_pipeline_on_every_full_fixture(psi_oracles):
     # every fully structured fixture with t >= s is an image of its canonical
     # representative (itself, for the dual interval family)
     for (n, s), oracle in psi_oracles.items():
-        report = weak_image_of_truncated_psi(oracle, natural_ordering(n), STParams(s, s))
+        report = weak_image_of_truncated_psi(
+            oracle, natural_ordering(n), STParams(s, s), truncate(psi(n, s), 0)
+        )
         assert report.holds, (n, s)
 
 
@@ -168,10 +176,20 @@ def test_pipeline_phase_alignment():
     # shift the wheel ordering so circuits sit at even starts; the pipeline
     # must rotate once and still succeed
     shifted = natural_ordering(8).rotated(1)
-    report = weak_image_of_truncated_psi(wheel(4), shifted, STParams(3, 3))
+    report = weak_image_of_truncated_psi(wheel(4), shifted, STParams(3, 3), truncate(psi(8, 3), 0))
     assert report.holds and report.note == "rotation=1"
 
 
 def test_pipeline_rejects_boundary():
     with pytest.raises(ValueError):
-        weak_image_of_truncated_psi(uniform(2, 5), natural_ordering(5), STParams(3, 4))
+        weak_image_of_truncated_psi(
+            uniform(2, 5), natural_ordering(5), STParams(3, 4), truncate(psi(6, 3), 0)
+        )
+
+
+def test_pipeline_rejects_a_target_of_the_wrong_size_or_rank():
+    st = STParams(3, 5)
+    T = truncate(psi(10, 3), 1)
+    for target in (truncate(psi(12, 3), 1), psi(10, 3)):
+        with pytest.raises(ValueError, match="the target needs n=10"):
+            weak_image_of_truncated_psi(T, natural_ordering(10), st, target)
