@@ -126,6 +126,18 @@ def all_maximal_subsets(marked: np.ndarray) -> np.ndarray:
     return out
 
 
+def maximal_subsets_marked(masks: np.ndarray, k: int, marked: np.ndarray) -> np.ndarray:
+    """Bool array over `masks`, each of k elements: is ``marked[X - e]`` set for
+    every e in X?  One lookup per element, not a pass over all 2^n masks."""
+    out = np.ones(len(masks), dtype=bool)
+    rest = masks.copy()
+    for _ in range(k):
+        low = rest & -rest
+        out &= marked[masks ^ low]
+        rest ^= low
+    return out
+
+
 def lattice_rank(independent: np.ndarray) -> np.ndarray:
     """Rank of every mask, from a ``bool`` array over all 2^n masks that marks
     the independent ones: the size of its largest independent subset."""
@@ -139,6 +151,21 @@ def set_sizes(n: int) -> np.ndarray:
     for b in range(n):
         sizes.reshape(-1, 2, 1 << b)[:, 1] += 1
     return sizes
+
+
+def masks_by_size(n: int) -> Iterator[np.ndarray]:
+    """The masks over n elements of size 1, 2, ..., n in turn, each ascending.
+
+    A mask of size k with top bit b is one of size k - 1 below 2^b plus b, so
+    each size is built from the last with no pass over all 2^n masks.
+    """
+    level = np.zeros(1, dtype=np.int64)
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    for _ in range(n):
+        below = np.searchsorted(level, bits)  # per bit b, how many masks lie below 2^b
+        starts = np.repeat(np.cumsum(below) - below, below)
+        level = level[np.arange(len(starts)) - starts] | np.repeat(bits, below)
+        yield level
 
 
 def mask_array(masks: Sequence[int]) -> np.ndarray:

@@ -16,9 +16,10 @@ import time
 from . import bitset, documents
 from .core import CapExceeded
 from .cyclic import FULL, NEARLY, CyclicOrdering, STParams, certify, find_orderings
-from .counterexample import psi_two_block_circuits, rank_bound_contradiction
+from .counterexample import forced_dependents, psi_two_block_circuits, rank_bound_contradiction
 from .documents import canonical_json
 from .suite import DEFAULT_MAX_N, DEFAULT_SEED, FAMILY_NAMES, run_suite
+from .transversal import psi
 from .weakmap import ElementBijection, is_quotient, is_weak_map
 
 
@@ -149,6 +150,7 @@ def _cmd_gen(args) -> int:
         doc = documents.doc_construction("free_spike", args.free_spike)
     else:
         payload = json.loads(_read(args.transversal))
+        documents.validate_matroid({"transversal": payload})
         doc = documents.doc_transversal(payload["n"], payload["neighborhoods"])
     if args.truncate is not None:
         doc = documents.doc_truncate(doc, args.truncate)
@@ -221,7 +223,7 @@ def _cmd_weakmap(args) -> int:
         if args.mapping == "identity":
             phi = ElementBijection.identity(source.n)
         else:
-            phi = ElementBijection(tuple(json.loads(_read(args.mapping))))
+            phi = ElementBijection(documents.parse_ordering(_read(args.mapping), source.n))
         report = is_weak_map(source, target, phi)
     payload = {
         "relation": "quotient" if args.quotient else "weak-map",
@@ -260,9 +262,10 @@ def _cmd_suite(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     n, s = args.n, args.s
-    circuits_report = psi_two_block_circuits(n, s)
-    contradiction = rank_bound_contradiction(n, s)
-    ledger = contradiction.ledger
+    ledger = forced_dependents(n, s)  # checks the parameters first
+    oracle = psi(n, s)
+    circuits_report = psi_two_block_circuits(oracle, s)
+    contradiction = rank_bound_contradiction(ledger, oracle)
     payload = {
         "n": n,
         "s": s,

@@ -216,11 +216,10 @@ class MatroidOracle:
                     f"circuit enumeration needs n <= {limit}, got n={self.n}; "
                     f"raise the cap via {ENUM_CAP_ENV} to proceed"
                 )
-            sizes = bitset.set_sizes(self.n)
             independent = np.zeros(1 << self.n, dtype=bool)
             independent[0] = True
-            for k in range(1, self.n + 1):
-                asked = np.flatnonzero((sizes == k) & bitset.all_maximal_subsets(independent))
+            for k, masks in enumerate(bitset.masks_by_size(self.n), start=1):
+                asked = masks[bitset.maximal_subsets_marked(masks, k, independent)]
                 if not len(asked):
                     break
                 independent[asked] = [self.indep(int(m)) for m in asked]

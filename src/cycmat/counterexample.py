@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from . import bitset
 from .core import MatroidOracle, VerificationReport
-from .transversal import psi
 
 AXIOM = "axiom"
 
@@ -110,11 +109,11 @@ def iter_specs(n: int, s: int):
                     yield TwoBlockSpec(i, k, ell, s, n)
 
 
-def psi_two_block_circuits(n: int, s: int) -> VerificationReport:
-    """Every admissible augmented two-block set is a circuit of psi(n, s),
-    each tested directly, so no circuit enumeration caps n."""
+def psi_two_block_circuits(oracle: MatroidOracle, s: int) -> VerificationReport:
+    """Every admissible augmented two-block set is a circuit of `oracle`, which is
+    psi(n, s) with n = oracle.n, each tested directly, so no enumeration caps n."""
+    n = oracle.n
     _require_params(n, s)
-    oracle = psi(n, s)
     checked = 0
     witnesses = []
     for spec in iter_specs(n, s):
@@ -319,9 +318,12 @@ class ContradictionReport:
     ok: bool
 
 
-def rank_bound_contradiction(n: int, s: int) -> ContradictionReport:
-    ledger = forced_dependents(n, s)  # checks the parameters first
-    oracle = psi(n, s)
+def rank_bound_contradiction(ledger: ForcedLedger, oracle: MatroidOracle) -> ContradictionReport:
+    """The rank bound from `ledger` = forced_dependents(n, s) and `oracle` = psi(n, s)."""
+    n, s = ledger.n, ledger.s
+    _require_params(n, s)
+    if oracle.n != n:
+        raise ValueError(f"the ledger is for n={n}, the oracle has n={oracle.n}")
     prefix = bitset.cyclic_interval(n, 1, s)
     chain = [ChainStep(s, s - 1, "axiom-circuit", prefix)]
     bound = s - 1

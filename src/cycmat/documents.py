@@ -92,10 +92,11 @@ def _validate(doc: Any) -> None:
             or len(set(labels)) != len(labels)
         ):
             raise ValueError("labels must be a list of distinct strings")
-    _validate_matroid(doc.get("matroid"))
+    validate_matroid(doc.get("matroid"))
 
 
-def _validate_matroid(body: Any) -> None:
+def validate_matroid(body: Any) -> None:
+    """Raise ValueError unless `body` is a matroid body with one known representation."""
     if not isinstance(body, dict):
         raise ValueError("matroid body must be a JSON object")
     keys = [k for k in body if k in _REPRESENTATIONS]
@@ -119,7 +120,7 @@ def _validate_matroid(body: Any) -> None:
         _expect_int_fields(payload, "r")
     elif kind == "truncate":
         _expect_int_fields(payload, "i")
-        _validate_matroid(payload.get("inner"))
+        validate_matroid(payload.get("inner"))
 
 
 def _expect_int_fields(payload: Any, *names: str) -> None:
@@ -144,7 +145,7 @@ def to_oracle(doc: dict) -> MatroidOracle:
     """The document's matroid.  Labels are checked against its size, then dropped."""
     oracle = _build(doc["matroid"])
     labels = doc.get("labels")
-    if labels and len(labels) != oracle.n:
+    if labels is not None and len(labels) != oracle.n:
         raise ValueError(f"document has {len(labels)} labels for {oracle.n} elements")
     return oracle
 
@@ -182,7 +183,7 @@ def _build(body: dict) -> MatroidOracle:
 
 
 def parse_ordering(text: str, n: int) -> tuple[int, ...]:
-    """An ordering file is a JSON array of 1-based indices, a permutation."""
+    """An ordering or map file is a JSON array of 1-based indices, a permutation."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -192,5 +193,5 @@ def parse_ordering(text: str, n: int) -> tuple[int, ...]:
         or not all(_is_int(i) for i in data)
         or sorted(data) != list(range(1, n + 1))
     ):
-        raise ValueError("ordering must be a JSON array forming a permutation of 1..n")
+        raise ValueError(f"expected a JSON array forming a permutation of 1..{n}")
     return tuple(data)

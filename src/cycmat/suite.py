@@ -2,7 +2,9 @@
 
 Every matroid is built once per run and shared by label (`FixtureSet.oracle`),
 so oracle memoisation carries across checks; only the cross-checks that
-compare two constructions, and the negative controls, build their own.
+compare two constructions, and the negative controls, build their own.  The
+refutation and truncation-certificate checks read the run's psi(n, s) and
+T^i(psi(n, s)), and each forced ledger is derived once (`FixtureSet.ledger`).
 Entries are keyed by check name and parameters and the report is assembled
 in sorted order, making the output independent of execution order and
 byte-stable across runs with the same seed.
@@ -25,7 +27,12 @@ from .core import (
     validate_circuit_axioms,
     verify_matroid_axioms,
 )
-from .counterexample import forced_dependents, psi_two_block_circuits, rank_bound_contradiction
+from .counterexample import (
+    ForcedLedger,
+    forced_dependents,
+    psi_two_block_circuits,
+    rank_bound_contradiction,
+)
 from .cyclic import (
     NEARLY,
     STParams,
@@ -97,6 +104,7 @@ class FixtureSet:
         self.families = families
         self._built: dict[str, list[Fixture]] = {}
         self._oracles: dict[str, MatroidOracle] = {}
+        self._ledgers: dict[tuple[int, int], ForcedLedger] = {}
         # label -> "error: ..." for each grid fixture whose build raised
         self.broken: dict[str, str] = {}
 
@@ -131,6 +139,11 @@ class FixtureSet:
 
     def truncated_psi(self, n: int, s: int, i: int) -> MatroidOracle:
         return self.oracle(f"T^{i}(psi({n},{s}))", lambda: truncate(self.psi(n, s), i))
+
+    def ledger(self, n: int, s: int) -> ForcedLedger:
+        if (n, s) not in self._ledgers:
+            self._ledgers[n, s] = forced_dependents(n, s)
+        return self._ledgers[n, s]
 
     def uniform(self, r: int, n: int) -> MatroidOracle:
         return self.oracle(f"U({r},{n})", lambda: uniform(r, n))
@@ -511,12 +524,13 @@ def _survey_entry(oracle: MatroidOracle, st: STParams) -> tuple[bool, Any]:
 
 def _relation_checks(fixtures: FixtureSet, record) -> None:
     if fixtures.enabled("truncation"):
-        # the window checks already certify the n > 12 truncation fixtures;
-        # this cross-check from a fresh build stays on the default grid
+        # the run's T^((t-s)/2)(psi(n, s)), usually certified by the window checks
+        # already; n <= 12 only, so that the pinned max-n 14 report keeps its entries
         for n, s, t in (TRUNCATION_GRID + ((12, 4, 4),)):
             if n <= min(fixtures.max_n, DEFAULT_MAX_N):
                 record("truncation-cyclic", {"n": n, "s": s, "t": t},
-                       lambda n=n, s=s, t=t: (truncated_psi_certificate(n, s, t).full, None))
+                       lambda n=n, s=s, t=t: (truncated_psi_certificate(
+                           fixtures.truncated_psi(n, s, (t - s) // 2), s, t).full, None))
     if fixtures.enabled("psi") and fixtures.max_n >= 10:
         pipeline = [
             ("wheel(4)", partial(fixtures.wheel, 4), STParams(3, 3)),
@@ -577,18 +591,17 @@ def _counterexample_checks(fixtures: FixtureSet, record) -> None:
         return
     for n, s in TWO_BLOCK_GRID:
         if n <= fixtures.max_n:
-            record("two-block-circuits", {"n": n, "s": s},
-                   lambda n=n, s=s: _report_entry(psi_two_block_circuits(n, s)))
+            record("two-block-circuits", {"n": n, "s": s}, lambda n=n, s=s: _report_entry(
+                psi_two_block_circuits(fixtures.psi(n, s), s)))
             record("forced-ledger", {"n": n, "s": s},
-                   lambda n=n, s=s: _ledger_entry(n, s, fixtures.psi(n, s)))
+                   lambda n=n, s=s: _ledger_entry(fixtures.ledger(n, s), fixtures.psi(n, s)))
     for n, s in CONTRADICTION_GRID:
         if n <= fixtures.max_n:
             record("rank-contradiction", {"n": n, "s": s}, lambda n=n, s=s: (
-                rank_bound_contradiction(n, s).ok, None))
+                rank_bound_contradiction(fixtures.ledger(n, s), fixtures.psi(n, s)).ok, None))
 
 
-def _ledger_entry(n: int, s: int, oracle: MatroidOracle) -> tuple[bool, Any]:
-    ledger = forced_dependents(n, s)
+def _ledger_entry(ledger: ForcedLedger, oracle: MatroidOracle) -> tuple[bool, Any]:
     report = ledger.verify_dependent(oracle)
     if not report.ok:
         return False, list(report.witnesses[:1])

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bitset
-from .constructions import truncate
 from .core import MatroidOracle
 from .cyclic import CyclicOrdering, STParams, certify, natural_ordering
-from .transversal import MultiPathPresentation, dual_transversal, psi
+from .transversal import MultiPathPresentation, dual_transversal
 
 
 @dataclass(frozen=True)
@@ -140,17 +139,27 @@ def interval_rank_condition(
     return IntervalRankOutcome(True, None, report)
 
 
-def truncated_psi_certificate(n: int, s: int, t: int):
-    """Certificate of the natural ordering of the ((t-s)/2)-th truncation of
-    psi(n, s) for parameters (s, t); the result must be full."""
+def _require_target(target: MatroidOracle, n: int, s: int, t: int) -> None:
+    """T^((t-s)/2)(psi(n, s)) needs t >= s >= 2, s = t mod 2 and an even
+    n >= s + t - 2; `target` must have n elements and rank (n + s - t)/2."""
     if not 2 <= s <= t:
         raise ValueError(f"need t >= s >= 2, got s={s}, t={t}")
     if (t - s) % 2:
         raise ValueError(f"need s = t mod 2, got s={s}, t={t}")
     if n % 2 or n < s + t - 2:
         raise ValueError(f"need even n >= s + t - 2, got n={n}")
-    oracle = truncate(psi(n, s), (t - s) // 2)
-    return certify(oracle, natural_ordering(n), STParams(s, t))
+    if target.n != n or 2 * target.rank() != n + s - t:
+        raise ValueError(
+            f"the target needs n={n} and rank (n + s - t)/2, "
+            f"got n={target.n}, rank={target.rank()}"
+        )
+
+
+def truncated_psi_certificate(target: MatroidOracle, s: int, t: int):
+    """Certificate of the natural ordering of `target`, the caller's
+    T^((t-s)/2)(psi(n, s)), for parameters (s, t); the result must be full."""
+    _require_target(target, target.n, s, t)
+    return certify(target, natural_ordering(target.n), STParams(s, t))
 
 
 def weak_image_of_truncated_psi(
@@ -171,11 +180,7 @@ def weak_image_of_truncated_psi(
     n = oracle.n
     if n < s + t - 1:
         raise ValueError(f"the canonical image needs n >= s + t - 1, got n={n}")
-    if target.n != n or 2 * target.rank() != n + s - t:
-        raise ValueError(
-            f"the target needs n={n} and rank (n + s - t)/2, "
-            f"got n={target.n}, rank={target.rank()}"
-        )
+    _require_target(target, n, s, t)
     cert = certify(oracle, ordering, params)
     if not cert.full:
         raise ValueError("the compared matroid must carry a full certificate")

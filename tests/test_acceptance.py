@@ -11,7 +11,11 @@ from cycmat import bitset
 from cycmat.cli import main as cli_main
 from cycmat.constructions import free_spike, truncate, uniform, wheel, whirl
 from cycmat.core import validate_circuit_axioms, verify_matroid_axioms
-from cycmat.counterexample import psi_two_block_circuits, rank_bound_contradiction
+from cycmat.counterexample import (
+    forced_dependents,
+    psi_two_block_circuits,
+    rank_bound_contradiction,
+)
 from cycmat.cyclic import (
     NEARLY,
     STParams,
@@ -164,10 +168,10 @@ def test_criterion_7_canonical_weak_map():
 
 def test_criterion_8_quotient_refutation():
     for n, s in ((8, 4), (12, 4), (12, 5)):
-        report = psi_two_block_circuits(n, s)
+        report = psi_two_block_circuits(psi(n, s), s)
         assert report.ok and report.checked > 0, (n, s)
     for n, s in ((12, 5), (8, 4)):
-        report = rank_bound_contradiction(n, s)
+        report = rank_bound_contradiction(forced_dependents(n, s), psi(n, s))
         assert report.ok, (n, s)
         assert report.rank_bound == n // 2
         assert report.claimed_rank == n // 2 + 1

@@ -83,12 +83,30 @@ def test_circuits_command_keeps_listed_family_with_labels(capsys, tmp_path):
     assert len(json.loads(outputs[0])["circuits"]) == n
 
 
-@pytest.mark.parametrize("labels", [[1, 2, 3, 4], ["a", "a", "b", "c"], ["a", "b", "c"]])
+@pytest.mark.parametrize("labels", [[1, 2, 3, 4], ["a", "a", "b", "c"], ["a", "b", "c"], []])
 def test_bad_labels_exit_2(capsys, tmp_path, labels):
-    # not strings, duplicated, one short: labels are validated though no output reads them
+    # not strings, duplicated, one short, none: labels are validated though no output reads them
     path = tmp_path / "m.json"
     path.write_text(documents.canonical_json(dict(documents.doc_uniform(2, 4), labels=labels)))
     code, out, _ = run_cli(capsys, "circuits", str(path))
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("gen", {"neighborhoods": [[1, 2]]}),  # no "n"
+    ("gen", [1]),
+    ("weakmap", [1.0, 2.0, 3.0, 4.0]),
+    ("weakmap", 5),
+])
+def test_bad_input_files_exit_2(capsys, tmp_path, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if command == "gen":
+        code, out, _ = run_cli(capsys, "gen", "--transversal", str(path))
+    else:
+        doc = tmp_path / "m.json"
+        doc.write_text(documents.canonical_json(documents.doc_uniform(2, 4)))
+        code, out, _ = run_cli(capsys, "weakmap", str(doc), str(doc), "--map", str(path))
     assert code == 2 and out == ""
 
 

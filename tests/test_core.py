@@ -154,13 +154,19 @@ def _counting_copy(oracle):
 
 
 def test_circuits_ask_each_independent_set_and_circuit_once():
-    M, asked = _counting_copy(psi(14, 3))
-    circuits = M.circuits()
-    calls = sorted(asked)
-    assert len(circuits) == 49
-    independent = [m for m in range(1, 1 << 14) if M.indep(m)]
-    assert len(independent) == 5406
-    assert calls == sorted(independent + list(circuits))  # 5,455 calls
+    for oracle, n_circuits, n_independent in (
+        (psi(14, 3), 49, 5406),  # 5,455 calls
+        # rank 2 on 20 elements: only the sets of at most 3 elements are asked about
+        (uniform(2, 20), 1140, 210),
+    ):
+        M, asked = _counting_copy(oracle)
+        circuits = M.circuits()
+        calls = sorted(asked)
+        assert len(circuits) == n_circuits
+        # the source's own predicate, so the reference fills no memo of 2^n entries
+        independent = [m for m in range(1, 1 << M.n) if oracle._indep(m)]
+        assert len(independent) == n_independent
+        assert calls == sorted(independent + list(circuits))
 
 
 def test_cocircuits_after_circuits_build_nothing(monkeypatch):

@@ -1,8 +1,9 @@
 import pytest
 
-from cycmat import bitset, psi
+from cycmat import bitset, psi, uniform
 from cycmat.counterexample import (
     AXIOM,
+    ForcedLedger,
     TwoBlockSpec,
     forced_dependents,
     iter_specs,
@@ -60,7 +61,7 @@ def test_spec_validation():
 
 def test_augmented_sets_are_circuits():
     for n, s in ((8, 4), (12, 4), (12, 5)):
-        report = psi_two_block_circuits(n, s)
+        report = psi_two_block_circuits(psi(n, s), s)
         assert report.ok and report.checked > 0
         # reference route: membership in the enumerated circuit family
         circuits = set(psi(n, s).circuits().members)
@@ -71,9 +72,17 @@ def test_augmented_sets_are_circuits():
 
 def test_psi_two_block_rejects_parameters():
     with pytest.raises(ValueError):
-        psi_two_block_circuits(10, 5)
+        psi_two_block_circuits(psi(10, 5), 5)
     with pytest.raises(ValueError):
-        psi_two_block_circuits(12, 3)
+        psi_two_block_circuits(psi(12, 3), 3)
+
+
+def test_psi_two_block_rejects_a_matroid_that_is_not_psi():
+    # U(6, 12) has no circuit below size 7, so every augmented set fails
+    report = psi_two_block_circuits(uniform(6, 12), 4)
+    assert not report.ok
+    assert report.checked == 12
+    assert len(report.witnesses) == 12
 
 
 def test_ledger_base_case_is_axiom():
@@ -132,7 +141,7 @@ def test_ledger_eliminations_are_sound():
 
 def test_rank_bound_contradiction_certificates():
     for n, s in ((8, 4), (12, 5), (16, 6)):
-        report = rank_bound_contradiction(n, s)
+        report = rank_bound_contradiction(forced_dependents(n, s), psi(n, s))
         assert report.ok
         assert report.rank_bound == n // 2
         assert report.claimed_rank == n // 2 + 1
@@ -143,14 +152,16 @@ def test_rank_bound_contradiction_certificates():
 
 
 def test_rank_bound_report_carries_its_ledger():
-    report = rank_bound_contradiction(12, 5)
+    given = forced_dependents(12, 5)
+    report = rank_bound_contradiction(given, psi(12, 5))
+    assert report.ledger is given
     ledger = forced_dependents(12, 5)
     assert len(report.ledger) == len(ledger)
     assert report.ledger.instance_count() == ledger.instance_count()
 
 
 def test_rank_bound_chain_structure():
-    report = rank_bound_contradiction(12, 5)
+    report = rank_bound_contradiction(forced_dependents(12, 5), psi(12, 5))
     # base: the first window has rank at most s - 1
     assert report.chain[0].rule == "axiom-circuit"
     rules = [step.rule for step in report.chain[1:]]
@@ -165,6 +176,13 @@ def test_rank_bound_chain_structure():
 
 def test_rank_bound_rejects_parameters():
     with pytest.raises(ValueError):
-        rank_bound_contradiction(10, 5)
+        rank_bound_contradiction(ForcedLedger(10, 5), psi(10, 5))
     with pytest.raises(ValueError):
-        rank_bound_contradiction(12, 3)
+        rank_bound_contradiction(ForcedLedger(12, 3), psi(12, 3))
+    with pytest.raises(ValueError, match="the ledger is for n=12, the oracle has n=16"):
+        rank_bound_contradiction(forced_dependents(12, 5), psi(16, 5))
+
+
+def test_rank_bound_rejects_a_matroid_that_is_not_psi():
+    # the spanning sets are dependent in U(7, 12) but not circuits of it
+    assert not rank_bound_contradiction(forced_dependents(12, 5), uniform(7, 12)).ok

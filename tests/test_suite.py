@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cycmat import bitset, suite
+from cycmat import bitset, counterexample, suite
 from cycmat.cli import main
 from cycmat.core import MatroidOracle
 from cycmat.documents import canonical_json
@@ -56,8 +56,9 @@ def test_report_hash(max_n, families, prefix, checks):
 
 
 def test_suite_builds_each_matroid_once(monkeypatch):
-    built, tables = Counter(), Counter()
+    built, tables, ledgers = Counter(), Counter(), Counter()
     init, table = MatroidOracle.__init__, MatroidOracle._independence_table
+    derive = counterexample.forced_dependents
 
     def counting(self, ground, indep, name=""):
         built[name] += 1
@@ -70,11 +71,25 @@ def test_suite_builds_each_matroid_once(monkeypatch):
 
     monkeypatch.setattr(MatroidOracle, "__init__", counting)
     monkeypatch.setattr(MatroidOracle, "_independence_table", counting_table)
+
+    def counting_ledger(n, s):
+        ledgers[n, s] += 1
+        return derive(n, s)
+
+    for module in (suite, counterexample):
+        monkeypatch.setattr(module, "forced_dependents", counting_ledger)
     run_suite(max_n=12)
-    assert sum(built.values()) <= 139, built.most_common(5)
+    assert sum(built.values()) <= 127, built.most_common(5)
     assert sum(tables.values()) <= 41, tables.most_common(5)
     for label in ("U(2,4)", "whirl(3)", "spike(4)", *(f"wheel({r})" for r in suite.WHEEL_GRID)):
         assert built[label] == 1, (label, built[label])
+    psi_labels = [label for label in built if label.startswith(("psi(", "T^")) and "psi(" in label]
+    grid = {f"psi({n},{s})" for n, s in suite.PSI_GRID if n <= 12}
+    grid |= {f"T^{(t - s) // 2}(psi({n},{s}))" for n, s, t in suite.TRUNCATION_GRID if n <= 12}
+    assert grid <= set(psi_labels), sorted(grid - set(psi_labels))
+    for label in psi_labels:
+        assert built[label] == 1, (label, built[label])
+    assert ledgers == Counter({(8, 4): 1, (12, 4): 1, (12, 5): 1})
     assert built["dual-transversal(m=6)"] <= 3
 
 

@@ -128,15 +128,21 @@ def test_interval_rank_condition_free_matroid_fails():
 
 def test_truncated_psi_certificates():
     for n, s, t in ((10, 3, 5), (12, 4, 4), (12, 4, 6)):
-        cert = truncated_psi_certificate(n, s, t)
+        cert = truncated_psi_certificate(truncate(psi(n, s), (t - s) // 2), s, t)
         assert cert.full, (n, s, t)
 
 
 def test_truncated_psi_rejects_bad_parity():
     with pytest.raises(ValueError):
-        truncated_psi_certificate(10, 3, 4)
+        truncated_psi_certificate(psi(10, 3), 3, 4)
     with pytest.raises(ValueError):
-        truncated_psi_certificate(9, 3, 5)
+        truncated_psi_certificate(uniform(3, 9), 3, 5)
+
+
+def test_truncated_psi_certificate_rejects_a_target_of_the_wrong_rank():
+    # psi(10, 3) has rank 5; the (3, 5) target T^1(psi(10, 3)) has rank 4
+    with pytest.raises(ValueError, match="the target needs n=10"):
+        truncated_psi_certificate(psi(10, 3), 3, 5)
 
 
 def test_pipeline_wheel():
