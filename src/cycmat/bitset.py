@@ -10,17 +10,49 @@ in 62 bits, Python ints above, under the same numpy expressions.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# largest n whose containment test is a dependence table (2^18 bytes), and
-# whose transversal oracles read a Hall table (see `transversal`)
-TABLE_MAX_N = 18
+# largest n for which any array over all 2^n masks is built: the independence,
+# dependence and Hall tables and the exchange sweep (whose int64 arrays take
+# 8 MB each at n = 20); `CYCMAT_MAX_N` overrides, read by `lattice_cap`
+LATTICE_CAP = 20
+LATTICE_CAP_ENV = "CYCMAT_MAX_N"
 # widest mask held in an int64 array; wider masks use Python ints
 WORD_BITS = 62
 # cells per temporary in the blocked pairwise array operations (128 KB at int64)
 BLOCK_CELLS = 1 << 14
+
+
+class CapExceeded(ValueError):
+    """Raised when an exhaustive sweep would exceed its cap."""
+
+
+def env_cap(name: str, default: int) -> int:
+    """Positive integer cap read from environment variable `name`."""
+    value = os.environ.get(name)
+    if value is None:
+        return default
+    try:
+        cap = int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
+    if cap < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return cap
+
+
+def lattice_cap() -> int:
+    """`LATTICE_CAP`, or the positive integer in `CYCMAT_MAX_N`."""
+    return env_cap(LATTICE_CAP_ENV, LATTICE_CAP)
+
+
+def require_cap(task: str, n: int, limit: int, env: str = LATTICE_CAP_ENV) -> None:
+    """Refuse `task` on n elements above `limit`, which `env` overrides."""
+    if n > limit:
+        raise CapExceeded(f"{task} needs n <= {limit}, got n={n}; raise the cap via {env} to proceed")
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -186,7 +218,7 @@ def row_blocks(rows: int, cols: int) -> Iterator[tuple[int, int]]:
 class ContainmentTest:
     """Does a mask over n elements contain some member?
 
-    A `dependence_table` lookup up to n = TABLE_MAX_N, a scan over the
+    A `dependence_table` lookup up to the `lattice_cap`, a scan over the
     members above.
     Call it on one mask, or use `each` on an array of masks (as built by
     `mask_array`).
@@ -194,7 +226,7 @@ class ContainmentTest:
 
     def __init__(self, n: int, members: Sequence[int]) -> None:
         self._members = tuple(members)
-        self._table = dependence_table(n, self._members) if n <= TABLE_MAX_N else None
+        self._table = dependence_table(n, self._members) if n <= lattice_cap() else None
         if self._table is not None:
             self._cells = np.frombuffer(self._table, dtype=np.uint8)
         else:

@@ -14,7 +14,6 @@ import sys
 import time
 
 from . import bitset, documents
-from .core import CapExceeded
 from .cyclic import FULL, NEARLY, CyclicOrdering, STParams, certify, find_orderings
 from .counterexample import forced_dependents, psi_two_block_circuits, rank_bound_contradiction
 from .documents import canonical_json
@@ -28,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, CapExceeded, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CapExceeded is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

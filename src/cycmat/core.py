@@ -9,7 +9,6 @@ exponential sweeps stay a deliberate choice rather than an accident.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -18,27 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bitset
-
-DEFAULT_ENUM_CAP = 20
-ENUM_CAP_ENV = "CYCMAT_MAX_N"
-# largest ground set the matroid-axiom sweep covers; it asks the predicate
-# about every subset
-EXHAUSTIVE_LIMIT = 14
-
-
-class CapExceeded(ValueError):
-    """Raised when an exhaustive sweep would exceed the configured cap."""
-
-
-def env_cap(name: str, default: int) -> int:
-    """Positive integer cap read from environment variable `name`."""
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    cap = int(value)
-    if cap < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return cap
+from .bitset import CapExceeded  # re-exported: callers catch `core.CapExceeded`
 
 
 @dataclass(frozen=True)
@@ -110,10 +89,10 @@ class MatroidOracle:
     """Matroid given by an independence predicate on bitmasks.
 
     Instances are immutable after construction, and the predicate must be
-    pure.  The independence table, the circuit families and the ordering
-    certificates are filled under `_lock`.  The memo of independence answers
-    and the cached full rank are written without it: two threads that race
-    on an entry store the same value.  Oracles can be shared across threads,
+    pure.  The independence table, the circuit families, the dual and the
+    ordering certificates are filled under `_lock`.  The memo of independence
+    answers and the cached full rank are written without it: two threads that
+    race on an entry store the same value.  Oracles can be shared across threads,
     and all derived state is freed with the oracle.
     """
 
@@ -127,6 +106,7 @@ class MatroidOracle:
         self._cocircuits: CircuitFamily | None = None
         self._independent: np.ndarray | None = None
         self._rank_full: int | None = None
+        self._dual: MatroidOracle | None = None
         # ordering certificates by (order, params); see cyclic.certify
         self._certificates: dict = {}
 
@@ -210,12 +190,7 @@ class MatroidOracle:
         until a size has none.  Built once; the caller holds `_lock`.
         """
         if self._independent is None:
-            limit = env_cap(ENUM_CAP_ENV, DEFAULT_ENUM_CAP)
-            if self.n > limit:
-                raise CapExceeded(
-                    f"circuit enumeration needs n <= {limit}, got n={self.n}; "
-                    f"raise the cap via {ENUM_CAP_ENV} to proceed"
-                )
+            bitset.require_cap("circuit enumeration", self.n, bitset.lattice_cap())
             independent = np.zeros(1 << self.n, dtype=bool)
             independent[0] = True
             for k, masks in enumerate(bitset.masks_by_size(self.n), start=1):
@@ -229,7 +204,11 @@ class MatroidOracle:
     # -- derived matroids ----------------------------------------------------
 
     def dual(self) -> "MatroidOracle":
-        return MatroidOracle(self.ground, self.is_coindependent, name=f"dual({self.name})")
+        """The dual, built once per oracle; its own dual is a new oracle, not this one."""
+        with self._lock:
+            if self._dual is None:
+                self._dual = MatroidOracle(self.ground, self.is_coindependent, f"dual({self.name})")
+            return self._dual
 
     def __repr__(self) -> str:
         return f"MatroidOracle({self.name}, n={self.n})"
@@ -356,15 +335,14 @@ def _member_pairs(arr: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
 def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
     """Sweep the independence axioms: empty set, downward closure, exchange.
 
-    Asks the predicate about every subset; above EXHAUSTIVE_LIMIT elements
+    Asks the predicate about every subset; above the `bitset.lattice_cap`
     it raises `CapExceeded`.  Exchange fails at an independent Y iff
     rank(E - ext(Y)) > |Y|, ext(Y) being the elements that extend Y; the
     witness pairs the first such Y by (size, mask) with the lowest
     independent set one larger that avoids ext(Y).
     """
     n = oracle.n
-    if n > EXHAUSTIVE_LIMIT:
-        raise CapExceeded(f"the exchange sweep needs n <= {EXHAUSTIVE_LIMIT}, got n={n}")
+    bitset.require_cap("the exchange sweep", n, bitset.lattice_cap())
     if not oracle.indep(0):
         return VerificationReport("matroid-axioms", False, 1, (("empty-set",),))
     checked = 1 << n

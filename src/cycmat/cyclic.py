@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bitset
-from .core import CapExceeded, MatroidOracle, VerificationReport, env_cap
+from .core import MatroidOracle, VerificationReport
 
 NEITHER = "neither"
 NEARLY = "nearly"
@@ -280,12 +280,8 @@ def find_orderings(
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     n = oracle.n
-    limit_n = env_cap(SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP)
-    if n > limit_n:
-        raise CapExceeded(
-            f"ordering search needs n <= {limit_n}, got n={n}; "
-            f"raise the cap via {SEARCH_CAP_ENV} to proceed"
-        )
+    cap = bitset.env_cap(SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP)
+    bitset.require_cap("ordering search", n, cap, SEARCH_CAP_ENV)
     results: list[CyclicOrdering] = []
 
     def prefix_ok(prefix: list[int]) -> bool:

@@ -547,7 +547,7 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
             ("U(8,8)", partial(uniform, 8, 8), False),
         ):
             record("interval-rank-weakmap", {"matroid": label}, lambda build=build,
-                   expected=expected: _interval_rank_entry(build(), expected))
+                   expected=expected: _interval_rank_entry(fixtures, build(), expected))
     for fx in fixtures.all_oracles():
         if fx.oracle.n <= 10 and fx.oracle.rank() >= 1:
             params = {"matroid": fx.label}
@@ -564,8 +564,10 @@ def _pipeline_entry(fixtures: FixtureSet, oracle: MatroidOracle, st: STParams) -
     return report.holds, witness
 
 
-def _interval_rank_entry(oracle: MatroidOracle, expected: bool) -> tuple[bool, Any]:
-    outcome = interval_rank_condition(oracle, interval_presentation(8, 3))
+def _interval_rank_entry(
+    fixtures: FixtureSet, oracle: MatroidOracle, expected: bool
+) -> tuple[bool, Any]:
+    outcome = interval_rank_condition(oracle, interval_presentation(8, 3), fixtures.psi(8, 3))
     if outcome.condition != expected:
         return False, {"condition": outcome.condition}
     if outcome.condition and not outcome.weak_map.holds:

@@ -7,9 +7,9 @@ interval-presentation family built here has N(i) covering s consecutive
 elements starting at e_{2i-1}; its dual (rank n/2, self-dual) is the central
 fixture of the whole library.
 
-Up to `bitset.TABLE_MAX_N` elements both oracles look X up in a Hall table
-of the presentation, built once over all 2^n masks from Hall's condition
-without any matching; above that they run Kuhn's augmenting paths per mask.
+Up to the `bitset.lattice_cap` both oracles look X up in a Hall table of
+the presentation, built once over all 2^n masks from Hall's condition
+without any matching; above it they run Kuhn's augmenting paths per mask.
 `max_matching` (augmenting paths, with a Hall witness) and
 `brute_force_matching_size` (Ore's defect formula) cross-check each other.
 """
@@ -78,7 +78,7 @@ class BipartitePresentation:
         Hall's condition on the element side: X matches iff no Y <= X has
         |L(Y)| < |Y|, where L(Y) = {i : N(i) meets Y} has m - S[E - Y]
         members and S[X] = #{i : N(i) <= X}.  Two O(n 2^n) transforms and no
-        matching; callers build it only for n <= `bitset.TABLE_MAX_N`.
+        matching; callers build it only for n up to the `bitset.lattice_cap`.
         """
         n = self.ground.n
         inside = bitset.subset_sum(np.bincount(self.neighborhoods, minlength=1 << n))
@@ -208,9 +208,9 @@ def _dual_indep(pres: BipartitePresentation):
 
 def _predicate(pres: BipartitePresentation, dual: bool):
     """Independence in the presented matroid or its dual: a lookup in the
-    presentation's Hall table up to `bitset.TABLE_MAX_N` elements (built on
-    the first call), augmenting paths above."""
-    if pres.ground.n > bitset.TABLE_MAX_N:
+    presentation's Hall table up to the `bitset.lattice_cap` (built on the
+    first call), augmenting paths above."""
+    if pres.ground.n > bitset.lattice_cap():
         return _dual_indep(pres) if dual else _primal_indep(pres)
     if dual:
         return lambda mask: pres.dual_independent[mask]

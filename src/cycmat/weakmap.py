@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import bitset
 from .core import MatroidOracle
 from .cyclic import CyclicOrdering, STParams, certify, natural_ordering
-from .transversal import MultiPathPresentation, dual_transversal
+from .transversal import MultiPathPresentation
 
 
 @dataclass(frozen=True)
@@ -113,17 +113,20 @@ class IntervalRankOutcome:
 
 
 def interval_rank_condition(
-    oracle: MatroidOracle, pres: MultiPathPresentation
+    oracle: MatroidOracle, pres: MultiPathPresentation, dual: MatroidOracle
 ) -> IntervalRankOutcome:
     """Compare ranks of every union of consecutive presentation intervals in
-    `oracle` against the dual of the presented matroid.  If no union has
-    larger rank in `oracle` (and the presentation covers every element), the
-    identity map from the dual is a weak map onto `oracle`."""
+    `oracle` against `dual`, the dual of the matroid `pres` presents
+    (`dual_transversal(pres.base)`, or `psi` for an interval presentation).
+    If no union has larger rank in `oracle` (and the presentation covers
+    every element), the identity map from the dual is a weak map onto
+    `oracle`."""
     if oracle.n != pres.n:
         raise ValueError("the compared matroid must share the ground set")
+    if dual.n != pres.n:
+        raise ValueError("the dual must share the presentation's ground set")
     if not pres.base.loop_free():
         raise ValueError("the presented matroid must be loop-free")
-    dual = dual_transversal(pres.base)
     m = pres.m
     for i in range(1, m + 1):
         for k in range(1, m + 1):

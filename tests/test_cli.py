@@ -181,6 +181,15 @@ def test_find_orderings_rejects_nonpositive_search_cap(capsys, tmp_path, monkeyp
     assert "CYCMAT_SEARCH_CAP must be positive" in err
 
 
+def test_non_integer_lattice_cap_is_named(capsys, tmp_path, monkeypatch):
+    doc = tmp_path / "m.json"
+    doc.write_text(documents.canonical_json(documents.doc_uniform(2, 4)))
+    monkeypatch.setenv("CYCMAT_MAX_N", "abc")
+    code, out, err = run_cli(capsys, "circuits", str(doc))
+    assert code == 2 and out == ""
+    assert "CYCMAT_MAX_N must be a positive integer, got 'abc'" in err
+
+
 def test_weakmap_command(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -126,6 +126,32 @@ def test_dual_involution():
         assert M.indep(mask) == DD.indep(mask)
 
 
+def test_dual_is_built_once_per_oracle():
+    # threads that ask a fresh oracle for its dual at once all get one oracle
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    M = psi(8, 3)
+    barrier = threading.Barrier(8)
+
+    def dual(_):
+        barrier.wait(timeout=10)
+        return M.dual()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            duals = list(pool.map(dual, range(8), timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    D = duals[0]
+    assert all(d is D for d in duals) and M.dual() is D
+    # the dual's dual is built from the dual's own coindependence, not M
+    assert D.dual() is not M and D.dual() is D.dual()
+
+
 def test_rank_plus_dual_rank(small_fixtures):
     for name, M in small_fixtures.items():
         assert M.rank() + M.dual().rank() == M.n, name
@@ -284,9 +310,18 @@ def test_enum_cap_env_override(monkeypatch):
         uniform(2, 5).circuits()
 
 
-def test_exchange_sweep_refuses_above_exhaustive_limit():
-    with pytest.raises(CapExceeded):
-        verify_matroid_axioms(uniform(3, 15))
+def test_exchange_sweep_answers_up_to_the_lattice_cap():
+    report = verify_matroid_axioms(psi(16, 4))
+    assert report.ok and report.checked == 1 << 16
+
+
+def test_exchange_sweep_refuses_above_the_lattice_cap(monkeypatch):
+    monkeypatch.delenv("CYCMAT_MAX_N", raising=False)
+    with pytest.raises(CapExceeded, match="n <= 20, got n=21"):
+        verify_matroid_axioms(uniform(3, 21))
+    monkeypatch.setenv("CYCMAT_MAX_N", "8")
+    with pytest.raises(CapExceeded, match="CYCMAT_MAX_N"):
+        verify_matroid_axioms(uniform(3, 10))
 
 
 def test_oracle_shared_across_threads():

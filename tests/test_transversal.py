@@ -173,7 +173,7 @@ def test_no_complete_matching_means_no_independent_set():
 
 
 def _no_augmenting_paths(adjacency):
-    raise AssertionError("augmenting paths run below TABLE_MAX_N")
+    raise AssertionError("augmenting paths run below the lattice cap")
 
 
 def test_psi_below_table_cap_needs_no_matching(monkeypatch):
@@ -196,10 +196,18 @@ def test_psi_above_table_cap_runs_augmenting_paths(monkeypatch):
         return matching(adjacency)
 
     monkeypatch.setattr(transversal, "_matching", counting)
-    assert 20 > bitset.TABLE_MAX_N
-    assert psi(20, 4).rank() == 10
+    monkeypatch.delenv("CYCMAT_MAX_N", raising=False)
+    assert 22 > bitset.LATTICE_CAP
+    assert psi(22, 4).rank() == 11
     assert calls
-    assert "dual_independent" not in vars(interval_presentation(20, 4).base)
+    assert "dual_independent" not in vars(interval_presentation(22, 4).base)
+
+
+def test_psi_at_the_lattice_cap_reads_the_hall_table(monkeypatch):
+    monkeypatch.setattr(transversal, "_matching", _no_augmenting_paths)
+    monkeypatch.delenv("CYCMAT_MAX_N", raising=False)
+    assert psi(20, 4).rank() == 10
+    assert "dual_independent" in vars(interval_presentation(20, 4).base)
 
 
 def test_enumeration_cap_holds_for_table_oracles(monkeypatch):
@@ -210,6 +218,15 @@ def test_enumeration_cap_holds_for_table_oracles(monkeypatch):
     assert M.rank() == 5
     assert M.indep(bitset.mask_of([1, 3, 5, 7, 9]))
     assert not M.indep(bitset.mask_of([1, 2, 3]))
+
+
+def test_presentation_above_the_cap_builds_no_hall_table(monkeypatch):
+    # a presentation not yet asked (interval_presentation is cached), at n = 10
+    monkeypatch.setenv("CYCMAT_MAX_N", "8")
+    pres = BipartitePresentation(GroundSet(10), interval_presentation(10, 3).base.neighborhoods)
+    assert dual_transversal(pres).rank() == 5
+    assert transversal_matroid(pres).rank() == 5
+    assert "independent" not in vars(pres) and "dual_independent" not in vars(pres)
 
 
 def test_matching_pairs_respect_neighborhoods():

@@ -3,7 +3,7 @@ import pytest
 from cycmat import bitset, psi, uniform, wheel, whirl
 from cycmat.constructions import free_spike, truncate
 from cycmat.cyclic import STParams, natural_ordering
-from cycmat.transversal import interval_presentation
+from cycmat.transversal import dual_transversal, interval_presentation
 from cycmat.weakmap import (
     ElementBijection,
     interval_rank_condition,
@@ -109,21 +109,26 @@ def test_quotient_examples():
 
 
 def test_interval_rank_condition_wheel():
-    outcome = interval_rank_condition(wheel(4), interval_presentation(8, 3))
+    outcome = interval_rank_condition(wheel(4), interval_presentation(8, 3), psi(8, 3))
     assert outcome.condition
     assert outcome.weak_map is not None and outcome.weak_map.holds
 
 
 def test_interval_rank_condition_self():
     pres = interval_presentation(8, 3)
-    outcome = interval_rank_condition(psi(8, 3), pres)
+    outcome = interval_rank_condition(psi(8, 3), pres, dual_transversal(pres.base))
     assert outcome.condition
 
 
 def test_interval_rank_condition_free_matroid_fails():
-    outcome = interval_rank_condition(uniform(8, 8), interval_presentation(8, 3))
+    outcome = interval_rank_condition(uniform(8, 8), interval_presentation(8, 3), psi(8, 3))
     assert not outcome.condition
     assert outcome.violation is not None
+
+
+def test_interval_rank_condition_rejects_a_dual_of_the_wrong_size():
+    with pytest.raises(ValueError, match="dual"):
+        interval_rank_condition(wheel(4), interval_presentation(8, 3), psi(10, 3))
 
 
 def test_truncated_psi_certificates():
