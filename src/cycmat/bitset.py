@@ -11,7 +11,7 @@ in 62 bits, Python ints above, under the same numpy expressions.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,6 +98,17 @@ def subset_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), indices(mask))
 
 
+def canonical_sort(masks: Collection[int], n: int) -> list[int]:
+    """`masks` sorted by `subset_key`, without building index tuples.
+
+    Among sets of one size, ascending index order is descending order of
+    the mask with its bits reversed, so element 1 weighs most.  The width
+    is max(n, widest mask), so masks outside the n elements sort as well.
+    """
+    fmt = f"0{max(n, max(masks, default=0).bit_length())}b"
+    return sorted(masks, key=lambda m: (m.bit_count(), -int(format(m, fmt)[::-1], 2)))
+
+
 def cyclic_interval(n: int, i: int, j: int) -> int:
     """Mask of elements e_i..e_j on the cycle of n elements, wrapping if i > j."""
     i = (i - 1) % n
@@ -158,18 +169,6 @@ def all_maximal_subsets(marked: np.ndarray) -> np.ndarray:
     return out
 
 
-def maximal_subsets_marked(masks: np.ndarray, k: int, marked: np.ndarray) -> np.ndarray:
-    """Bool array over `masks`, each of k elements: is ``marked[X - e]`` set for
-    every e in X?  One lookup per element, not a pass over all 2^n masks."""
-    out = np.ones(len(masks), dtype=bool)
-    rest = masks.copy()
-    for _ in range(k):
-        low = rest & -rest
-        out &= marked[masks ^ low]
-        rest ^= low
-    return out
-
-
 def lattice_rank(independent: np.ndarray) -> np.ndarray:
     """Rank of every mask, from a ``bool`` array over all 2^n masks that marks
     the independent ones: the size of its largest independent subset."""
@@ -183,21 +182,6 @@ def set_sizes(n: int) -> np.ndarray:
     for b in range(n):
         sizes.reshape(-1, 2, 1 << b)[:, 1] += 1
     return sizes
-
-
-def masks_by_size(n: int) -> Iterator[np.ndarray]:
-    """The masks over n elements of size 1, 2, ..., n in turn, each ascending.
-
-    A mask of size k with top bit b is one of size k - 1 below 2^b plus b, so
-    each size is built from the last with no pass over all 2^n masks.
-    """
-    level = np.zeros(1, dtype=np.int64)
-    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
-    for _ in range(n):
-        below = np.searchsorted(level, bits)  # per bit b, how many masks lie below 2^b
-        starts = np.repeat(np.cumsum(below) - below, below)
-        level = level[np.arange(len(starts)) - starts] | np.repeat(bits, below)
-        yield level
 
 
 def mask_array(masks: Sequence[int]) -> np.ndarray:

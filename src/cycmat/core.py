@@ -48,7 +48,7 @@ class CircuitFamily:
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "CircuitFamily":
-        return cls(n, tuple(sorted(set(masks), key=bitset.subset_key)))
+        return cls(n, tuple(bitset.canonical_sort(set(masks), n)))
 
     def __iter__(self):
         return iter(self.members)
@@ -89,11 +89,13 @@ class MatroidOracle:
     """Matroid given by an independence predicate on bitmasks.
 
     Instances are immutable after construction, and the predicate must be
-    pure.  The independence table, the circuit families, the dual and the
-    ordering certificates are filled under `_lock`.  The memo of independence
-    answers and the cached full rank are written without it: two threads that
-    race on an entry store the same value.  Oracles can be shared across threads,
-    and all derived state is freed with the oracle.
+    pure.  The independence table (the predicate's answer on all 2^n
+    subsets, which enumeration and the exchange sweep share), the circuit
+    families, the dual and the ordering certificates are filled under
+    `_lock`.  The memo caches single `indep` queries only; it and the cached
+    full rank are written without the lock: two threads that race on an
+    entry store the same value.  Oracles can be shared across threads, and
+    all derived state is freed with the oracle.
     """
 
     def __init__(self, ground: GroundSet, indep: Callable[[int], bool], name: str = ""):
@@ -182,23 +184,17 @@ class MatroidOracle:
             return self._cocircuits
 
     def _independence_table(self) -> np.ndarray:
-        """``bool`` array over all 2^n masks: is the mask independent?
+        """``bool`` array over all 2^n masks: the predicate's answer on each.
 
-        The empty set is, as `rank` also assumes; larger sets are filled one
-        size at a time through `indep`, which is asked only about sets whose
-        maximal proper subsets are all independent (any other set is not),
-        until a size has none.  Built once; the caller holds `_lock`.
+        The predicate is asked once per mask, in ascending order, and not
+        through the memo, so no answer is held twice.  The table is raw: on a
+        predicate that is not a matroid it shows every violation to
+        `verify_matroid_axioms`.  Built once; the caller holds `_lock`.
         """
         if self._independent is None:
             bitset.require_cap("circuit enumeration", self.n, bitset.lattice_cap())
-            independent = np.zeros(1 << self.n, dtype=bool)
-            independent[0] = True
-            for k, masks in enumerate(bitset.masks_by_size(self.n), start=1):
-                asked = masks[bitset.maximal_subsets_marked(masks, k, independent)]
-                if not len(asked):
-                    break
-                independent[asked] = [self.indep(int(m)) for m in asked]
-            self._independent = independent
+            size = 1 << self.n
+            self._independent = np.fromiter(map(self._indep, range(size)), dtype=bool, count=size)
         return self._independent
 
     # -- derived matroids ----------------------------------------------------
@@ -335,18 +331,20 @@ def _member_pairs(arr: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
 def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
     """Sweep the independence axioms: empty set, downward closure, exchange.
 
-    Asks the predicate about every subset; above the `bitset.lattice_cap`
-    it raises `CapExceeded`.  Exchange fails at an independent Y iff
-    rank(E - ext(Y)) > |Y|, ext(Y) being the elements that extend Y; the
-    witness pairs the first such Y by (size, mask) with the lowest
-    independent set one larger that avoids ext(Y).
+    Reads the oracle's independence table, the predicate's answer on every
+    subset (shared with circuit enumeration, filled on first use); above
+    the `bitset.lattice_cap` it raises `CapExceeded`.  Exchange fails at an
+    independent Y iff rank(E - ext(Y)) > |Y|, ext(Y) being the elements
+    that extend Y; the witness pairs the first such Y by (size, mask) with
+    the lowest independent set one larger that avoids ext(Y).
     """
     n = oracle.n
     bitset.require_cap("the exchange sweep", n, bitset.lattice_cap())
-    if not oracle.indep(0):
+    with oracle._lock:
+        independent = oracle._independence_table()
+    if not independent[0]:
         return VerificationReport("matroid-axioms", False, 1, (("empty-set",),))
     checked = 1 << n
-    independent = np.fromiter(map(oracle.indep, range(checked)), dtype=bool, count=checked)
     broken = np.flatnonzero(independent & ~bitset.all_maximal_subsets(independent))
     if len(broken):
         m = int(broken[0])

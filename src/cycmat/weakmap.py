@@ -68,10 +68,12 @@ def is_weak_map_by_independence(
     source: MatroidOracle, target: MatroidOracle, phi: ElementBijection | None = None
 ) -> WeakMapReport:
     """Equivalent test through independent sets: phi^{-1} of every independent
-    set of the target is independent in the source.  Exhaustive, so only for
-    enumeration-scale ground sets; kept as the second route for cross-checks."""
+    set of the target is independent in the source.  Exhaustive, so it refuses
+    ground sets above the `bitset.lattice_cap` (`CapExceeded`); kept as the
+    second route for cross-checks."""
     if source.n != target.n:
         raise ValueError("weak maps need ground sets of equal size")
+    bitset.require_cap("the independence weak-map test", target.n, bitset.lattice_cap())
     phi = phi or ElementBijection.identity(source.n)
     inv = phi.inverse()
     for mask in range(1 << target.n):

@@ -197,8 +197,12 @@ def test_families_match_subset_loops(max_n14):
         assert oracle.cocircuits() == reference_cocircuits(oracle), fx.label
 
 
-def _assert_sweep_matches_reference(n: int, independent: set[int]) -> None:
+def _assert_sweep_matches_reference(n: int, independent: set[int], circuits_first: bool) -> None:
+    # enumerating circuits first fills the table the sweep reads; it must
+    # still hold every answer, or a downward-closure failure would be hidden
     oracle = MatroidOracle(GroundSet(n), lambda m: m in independent)
+    if circuits_first:
+        oracle.circuits()
     report = verify_matroid_axioms(oracle)
     assert (report.ok, report.witnesses) == reference_verify_matroid_axioms(oracle)
 
@@ -212,10 +216,10 @@ def downward_closed(draw, max_n: int = 7):
 
 
 @settings(max_examples=200)
-@given(downward_closed())
-@example((3, {0, 0b001, 0b010, 0b100, 0b011}))  # {1,2} and {3} both maximal
-def test_sweep_matches_reference_downward_closed(case):
-    _assert_sweep_matches_reference(*case)
+@given(downward_closed(), st.booleans())
+@example((3, {0, 0b001, 0b010, 0b100, 0b011}), False)  # {1,2} and {3} both maximal
+def test_sweep_matches_reference_downward_closed(case, circuits_first):
+    _assert_sweep_matches_reference(*case, circuits_first)
 
 
 @st.composite
@@ -227,10 +231,11 @@ def with_empty_set(draw, max_n: int = 7):
 
 
 @settings(max_examples=200)
-@given(with_empty_set())
-@example((3, {0, 0b011}))  # {1,2} independent but {1} not
-def test_sweep_matches_reference_arbitrary_families(case):
-    _assert_sweep_matches_reference(*case)
+@given(with_empty_set(), st.booleans())
+@example((3, {0, 0b011}), False)  # {1,2} independent but {1} not
+@example((3, {0, 0b011}), True)
+def test_sweep_matches_reference_arbitrary_families(case, circuits_first):
+    _assert_sweep_matches_reference(*case, circuits_first)
 
 
 @st.composite
@@ -243,9 +248,9 @@ def uniform_with_one_flip(draw, max_n: int = 7):
 
 
 @settings(max_examples=200)
-@given(uniform_with_one_flip())
-def test_sweep_matches_reference_flipped_uniform(case):
-    _assert_sweep_matches_reference(*case)
+@given(uniform_with_one_flip(), st.booleans())
+def test_sweep_matches_reference_flipped_uniform(case, circuits_first):
+    _assert_sweep_matches_reference(*case, circuits_first)
 
 
 def _nested_loop_violations(circuits, cocircuits):
@@ -317,6 +322,6 @@ def test_circuit_axioms_memory_is_bounded(n14_fixtures):
 
 def test_exchange_sweep_memory_is_bounded(n14_fixtures):
     oracle = n14_fixtures["psi(14,4)"]
-    assert verify_matroid_axioms(oracle).ok  # fills the independence memo first
+    assert verify_matroid_axioms(oracle).ok  # fills the independence table first
     peak = _traced_peak(lambda: verify_matroid_axioms(oracle))
     assert peak < PEAK_BYTES, peak

@@ -1,4 +1,3 @@
-import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -62,15 +61,10 @@ def test_dependence_table_matches_direct_scan(case):
         assert bool(table[mask]) == direct
 
 
-@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**32))
-def test_size_levels_match_the_whole_lattice(n, seed):
-    # each size in ascending order, and the per-level maximal-subset test
-    # agrees with the transform over all 2^n masks
-    marked = np.random.default_rng(seed).random(1 << n) < 0.7
-    sizes = bitset.set_sizes(n)
-    levels = list(bitset.masks_by_size(n))
-    assert len(levels) == n
-    for k, level in enumerate(levels, start=1):
-        assert level.tolist() == np.flatnonzero(sizes == k).tolist()
-        expected = bitset.all_maximal_subsets(marked)[level]
-        assert bitset.maximal_subsets_marked(level, k, marked).tolist() == expected.tolist()
+@given(
+    st.integers(min_value=0, max_value=12),
+    st.lists(st.integers(min_value=0, max_value=(1 << 14) - 1), max_size=60),
+)
+@example(3, [0b10010, 0b101])  # {2, 5} reaches past n: reversed over its own width, {1, 3} would sort last
+def test_canonical_sort_is_subset_key_order(n, masks):
+    assert bitset.canonical_sort(set(masks), n) == sorted(set(masks), key=bitset.subset_key)

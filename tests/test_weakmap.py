@@ -1,6 +1,6 @@
 import pytest
 
-from cycmat import bitset, psi, uniform, wheel, whirl
+from cycmat import CapExceeded, GroundSet, MatroidOracle, bitset, psi, uniform, wheel, whirl
 from cycmat.constructions import free_spike, truncate
 from cycmat.cyclic import STParams, natural_ordering
 from cycmat.transversal import dual_transversal, interval_presentation
@@ -52,6 +52,20 @@ def test_weak_map_routes_agree():
     ]
     for source, target in pairs:
         assert is_weak_map(source, target).holds == is_weak_map_by_independence(source, target).holds
+
+
+def test_weak_map_by_independence_refuses_above_the_cap():
+    asked = []
+
+    def indep(mask):
+        asked.append(mask)
+        return mask.bit_count() <= 2
+
+    n = bitset.LATTICE_CAP + 1
+    M = MatroidOracle(GroundSet(n), indep)
+    with pytest.raises(CapExceeded):
+        is_weak_map_by_independence(M, M)
+    assert asked == []
 
 
 def test_weak_maps_compose():
