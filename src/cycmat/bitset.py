@@ -203,31 +203,16 @@ class ContainmentTest:
     """Does a mask over n elements contain some member?
 
     A `dependence_table` lookup up to the `lattice_cap`, a scan over the
-    members above.
-    Call it on one mask, or use `each` on an array of masks (as built by
-    `mask_array`).
+    members above.  `table` is that table as a ``uint8`` array over all 2^n
+    masks, or None when the test was built above the cap.
     """
 
     def __init__(self, n: int, members: Sequence[int]) -> None:
         self._members = tuple(members)
         self._table = dependence_table(n, self._members) if n <= lattice_cap() else None
-        if self._table is not None:
-            self._cells = np.frombuffer(self._table, dtype=np.uint8)
-        else:
-            self._array = mask_array(self._members)
+        self.table = None if self._table is None else np.frombuffer(self._table, dtype=np.uint8)
 
     def __call__(self, mask: int) -> bool:
         if self._table is not None:
             return bool(self._table[mask])
         return any(is_subset(m, mask) for m in self._members)
-
-    def each(self, masks: np.ndarray) -> np.ndarray:
-        """Boolean array: which of `masks` contain some member."""
-        if self._table is not None:
-            return self._cells[masks] != 0
-        out = np.empty(len(masks), dtype=bool)
-        members = self._array[None, :]
-        for lo, hi in row_blocks(len(masks), len(self._array)):
-            block = masks[lo:hi, None]
-            out[lo:hi] = ((members & block) == members).any(axis=1)
-        return out

@@ -9,6 +9,7 @@ exponential sweeps stay a deliberate choice rather than an accident.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -183,6 +184,11 @@ class MatroidOracle:
                 self._cocircuits = _minimal_sets(self.n, (rank < rank[-1])[::-1])
             return self._cocircuits
 
+    def independence_table(self) -> np.ndarray:
+        """The predicate's answer on all 2^n masks (see `_independence_table`)."""
+        with self._lock:
+            return self._independence_table()
+
     def _independence_table(self) -> np.ndarray:
         """``bool`` array over all 2^n masks: the predicate's answer on each.
 
@@ -269,63 +275,83 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ax
     """Check antichain, non-emptiness and weak elimination for a family.
 
     Weak elimination: for distinct members C1, C2 and e in their
-    intersection, some member lies inside (C1 | C2) - e.  Failures are
-    collected, not raised: first per member, then antichain failures, then
-    elimination failures, each by pair in `itertools.combinations` order and
-    e ascending.  A member outside the ground set leaves elimination
-    undefined, so it is not tested then.  The pairs are tested as numpy
-    arrays, a block of rows of the upper triangle at a time.
+    intersection, some member lies inside (C1 | C2) - e.  Up to the
+    `bitset.lattice_cap` the family is decided on its dependence table, and
+    a passing family visits no pair.  Otherwise the pairs are walked and the
+    failures collected, not raised: first per member, then antichain
+    failures, then elimination failures, each by pair in
+    `itertools.combinations` order and e ascending.  A member outside the
+    ground set leaves elimination undefined, so it is not tested then.
     """
     members = tuple(family.members if isinstance(family, CircuitFamily) else family)
     violations: list[tuple[str, tuple]] = []
     full = bitset.full_mask(n)
-    support = 0
     for c in members:
         if c == 0:
             violations.append(("empty-circuit", ()))
         if c & ~full:
             violations.append(("out-of-range", (bitset.indices(c),)))
-        support |= c
     if any(kind == "out-of-range" for kind, _ in violations):
         contains_member = None
     elif isinstance(family, CircuitFamily) and family.n == n:
         contains_member = family.contains_member
     else:
         contains_member = bitset.ContainmentTest(n, members)
+    if not violations and _is_circuit_table(members, contains_member):
+        return AxiomReport(ok=True, violations=())
     antichain: list[tuple[str, tuple]] = []
     elimination: list[tuple[str, tuple]] = []
-    for i, j, a, b in _member_pairs(bitset.mask_array(members)):
+    for a, b in itertools.combinations(members, 2):
         common = a & b
-        for p in np.flatnonzero((common == a) | (common == b)):
-            antichain.append(
-                ("antichain", (bitset.indices(members[i[p]]), bitset.indices(members[j[p]])))
-            )
+        if common in (a, b):
+            antichain.append(("antichain", (bitset.indices(a), bitset.indices(b))))
         if contains_member is None:
             continue
-        meet = np.flatnonzero(common != 0)
-        i, j, common, union = i[meet], j[meet], common[meet], (a | b)[meet]
-        failures: list[tuple[int, int]] = []  # (pair, element), gathered per element
-        for bit in bitset.singletons(support):
-            has = np.flatnonzero((common & bit) != 0)
-            failed = has[~contains_member.each(union[has] ^ bit)]
-            failures.extend((int(p), bit.bit_length()) for p in failed)
-        for p, e in sorted(failures):
-            elimination.append(
-                ("elimination", (bitset.indices(members[i[p]]), bitset.indices(members[j[p]]), e))
-            )
+        union = a | b
+        for bit in bitset.singletons(common):
+            if not contains_member(union ^ bit):
+                elimination.append(
+                    ("elimination", (bitset.indices(a), bitset.indices(b), bit.bit_length()))
+                )
     violations += antichain + elimination
     return AxiomReport(ok=not violations, violations=tuple(violations))
 
 
-def _member_pairs(arr: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """Pairs i < j of an array in `itertools.combinations` order, one block of
-    rows at a time, as flat arrays (i, j, arr[i], arr[j])."""
-    k = len(arr)
-    columns = np.arange(k)
-    for lo, hi in bitset.row_blocks(k, k):
-        i, j = np.nonzero(np.arange(lo, hi)[:, None] < columns[None, :])
-        i += lo
-        yield i, j, arr[i], arr[j]
+def _is_circuit_table(members: tuple[int, ...], contains_member: bitset.ContainmentTest) -> bool:
+    """Are the nonempty in-range `members` the circuits of a matroid, decided
+    on the dependence table their containment test holds (False if it holds
+    none)?  Iff they are distinct, no C - e contains a member, and the sets
+    that contain none pass the exchange test."""
+    dependent = contains_member.table
+    if dependent is None or len(set(members)) != len(members):
+        return False
+    arr = np.array(members, dtype=np.int64)
+    for b in range(len(dependent).bit_length() - 1):
+        if dependent[arr[(arr >> b) & 1 == 1] ^ (1 << b)].any():
+            return False
+    return _exchange_failure(dependent == 0) is None
+
+
+def _exchange_failure(independent: np.ndarray) -> tuple | None:
+    """The exchange test on a downward-closed ``bool`` table over all 2^n masks.
+
+    Exchange fails at an independent Y iff rank(E - ext(Y)) > |Y|, ext(Y)
+    being the elements that extend Y.  None when it holds, else the witness
+    ("exchange", X, Y): the first such Y by (size, mask) and the lowest
+    independent X one larger that avoids ext(Y).
+    """
+    n = len(independent).bit_length() - 1
+    sizes = bitset.set_sizes(n)
+    rank = bitset.lattice_rank(independent)
+    masks = np.arange(len(independent))
+    ext = sum(independent[masks | 1 << b].astype(np.int64) << b for b in range(n)) & ~masks
+    failing = independent & (rank[bitset.full_mask(n) ^ ext] > sizes)
+    if not failing.any():
+        return None
+    k = sizes[failing].min()
+    y = int(np.flatnonzero(failing & (sizes == k))[0])
+    x = int(np.flatnonzero(independent & (sizes == k + 1) & ((masks & ext[y]) == 0))[0])
+    return ("exchange", bitset.indices(x), bitset.indices(y))
 
 
 def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
@@ -333,15 +359,12 @@ def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
 
     Reads the oracle's independence table, the predicate's answer on every
     subset (shared with circuit enumeration, filled on first use); above
-    the `bitset.lattice_cap` it raises `CapExceeded`.  Exchange fails at an
-    independent Y iff rank(E - ext(Y)) > |Y|, ext(Y) being the elements
-    that extend Y; the witness pairs the first such Y by (size, mask) with
-    the lowest independent set one larger that avoids ext(Y).
+    the `bitset.lattice_cap` it raises `CapExceeded`.  The exchange test is
+    `_exchange_failure`, which also decides circuit families.
     """
     n = oracle.n
     bitset.require_cap("the exchange sweep", n, bitset.lattice_cap())
-    with oracle._lock:
-        independent = oracle._independence_table()
+    independent = oracle.independence_table()
     if not independent[0]:
         return VerificationReport("matroid-axioms", False, 1, (("empty-set",),))
     checked = 1 << n
@@ -353,17 +376,7 @@ def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
             "matroid-axioms", False, checked,
             (("downward-closure", bitset.indices(m), bit.bit_length()),),
         )
-    sizes = bitset.set_sizes(n)
-    rank = bitset.lattice_rank(independent)
-    masks = np.arange(checked)
-    ext = sum(independent[masks | 1 << b].astype(np.int64) << b for b in range(n)) & ~masks
-    failing = independent & (rank[bitset.full_mask(n) ^ ext] > sizes)
-    if failing.any():
-        k = sizes[failing].min()
-        y = int(np.flatnonzero(failing & (sizes == k))[0])
-        x = int(np.flatnonzero(independent & (sizes == k + 1) & ((masks & ext[y]) == 0))[0])
-        return VerificationReport(
-            "matroid-axioms", False, checked,
-            (("exchange", bitset.indices(x), bitset.indices(y)),),
-        )
-    return VerificationReport("matroid-axioms", True, checked)
+    witness = _exchange_failure(independent)
+    return VerificationReport(
+        "matroid-axioms", witness is None, checked, () if witness is None else (witness,)
+    )

@@ -111,6 +111,8 @@ def validate_matroid(body: Any) -> None:
     elif kind == "circuits":
         _expect_int_fields(payload, "n")
         _expect_index_lists(payload.get("circuits"), payload["n"])
+        if not all(payload["circuits"]):
+            raise ValueError("circuits must be nonempty")
     elif kind == "transversal":
         _expect_int_fields(payload, "n")
         _expect_index_lists(payload.get("neighborhoods"), payload["n"])

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import bitset
 from .core import MatroidOracle
 from .cyclic import CyclicOrdering, STParams, certify, natural_ordering
@@ -68,17 +70,23 @@ def is_weak_map_by_independence(
     source: MatroidOracle, target: MatroidOracle, phi: ElementBijection | None = None
 ) -> WeakMapReport:
     """Equivalent test through independent sets: phi^{-1} of every independent
-    set of the target is independent in the source.  Exhaustive, so it refuses
-    ground sets above the `bitset.lattice_cap` (`CapExceeded`); kept as the
-    second route for cross-checks."""
+    set of the target is independent in the source.  Exhaustive over both
+    oracles' independence tables, so it refuses ground sets above the
+    `bitset.lattice_cap` (`CapExceeded`); kept as the second route for
+    cross-checks.  The witness is phi^{-1} of the lowest failing mask."""
     if source.n != target.n:
         raise ValueError("weak maps need ground sets of equal size")
     bitset.require_cap("the independence weak-map test", target.n, bitset.lattice_cap())
     phi = phi or ElementBijection.identity(source.n)
-    inv = phi.inverse()
-    for mask in range(1 << target.n):
-        if target.indep(mask) and not source.indep(inv.apply(mask)):
-            return WeakMapReport(False, inv.apply(mask))
+    if len(phi.mapping) != source.n:
+        raise ValueError("bijection size must match the ground sets")
+    # image[X] = phi^{-1}(X), one pass per element
+    image = np.zeros(1 << target.n, dtype=np.int64)
+    for b, j in enumerate(phi.inverse().mapping):
+        image.reshape(-1, 2, 1 << b)[:, 1] |= 1 << (j - 1)
+    failing = np.flatnonzero(target.independence_table() & ~source.independence_table()[image])
+    if len(failing):
+        return WeakMapReport(False, int(image[failing[0]]))
     return WeakMapReport(True)
 
 

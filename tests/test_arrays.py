@@ -1,10 +1,13 @@
-"""The array forms of the circuit-family checks against their loop references.
+"""The table and array forms of the circuit-family checks against their loop
+references.
 
-`validate_circuit_axioms` and `orthogonality_violations` test circuit pairs
-as numpy arrays, a bounded block of rows at a time.  Circuits, cocircuits and
-the matroid-axiom sweep are transforms of a table over all 2^n subsets.  The
-routes they replaced stay here as the references: same families, same
-report, same violation order, same first witness, and bounded memory.
+`validate_circuit_axioms` decides a family on its dependence table and walks
+pairs only to list violations; `orthogonality_violations` tests circuit
+pairs as numpy arrays, a bounded block of rows at a time.  Circuits,
+cocircuits and the matroid-axiom sweep are transforms of a table over all
+2^n subsets.  The routes they replaced stay here as the references: same
+families, same report, same violation order, same first witness, and
+bounded memory.
 """
 
 import itertools
@@ -26,9 +29,10 @@ from cycmat import (
     validate_circuit_axioms,
     verify_matroid_axioms,
 )
-from cycmat import bitset
+from cycmat import bitset, core
 from cycmat.constructions import free_spike, whirl
 from cycmat.suite import DEFAULT_SEED, FAMILY_NAMES, FixtureSet
+from cycmat.transversal import BipartitePresentation, transversal_matroid
 
 # peak traced allocation allowed for one n = 14 check; the unblocked pairwise
 # products it replaced allocated 22 MB (circuit axioms) and 82 MB (exchange)
@@ -73,16 +77,26 @@ def families(draw, min_n: int, max_n: int, spill: int = 0, max_size: int = 10):
     return n, masks, draw(st.booleans())
 
 
+def _decides(masks, n: int) -> bool:
+    """The table decision alone, on nonempty in-range masks: a wrong "fails"
+    would not show through `validate_circuit_axioms`, which then walks pairs."""
+    return core._is_circuit_table(tuple(masks), bitset.ContainmentTest(n, masks))
+
+
 def _assert_matches_reference(case) -> None:
     n, masks, as_family = case
     family = CircuitFamily.from_masks(n, masks) if as_family else masks
-    assert validate_circuit_axioms(family, n) == reference_validate_circuit_axioms(family, n)
+    expected = reference_validate_circuit_axioms(family, n)
+    assert validate_circuit_axioms(family, n) == expected
+    if n <= bitset.LATTICE_CAP and all(0 < m <= bitset.full_mask(n) for m in masks):
+        assert _decides(family, n) == expected.ok
 
 
 @settings(max_examples=300)
 @given(families(1, 8))
 @example((4, [0b0111, 0b1011, 0b1101], False))  # the suite's mutant U(2,4)
 @example((4, [0, 0b0011, 0b0011, 0b0110], False))  # empty and repeated members
+@example((4, [0b0011, 0b0101, 0b0110, 0b0011], False))  # a circuit family, one listed twice
 def test_validate_matches_reference_small(case):
     _assert_matches_reference(case)
 
@@ -125,6 +139,51 @@ def test_validate_matches_reference_on_matroids(build):
     report = validate_circuit_axioms(broken, oracle.n)
     assert not report.ok
     assert report == reference_validate_circuit_axioms(broken, oracle.n)
+
+
+@st.composite
+def transversal_families(draw, max_n: int = 8):
+    """(n, circuits or cocircuits of a random transversal matroid, kept whole,
+    with one member dropped, or with one nonempty mask added)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    neighborhoods = draw(st.lists(
+        st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=5))
+    oracle = transversal_matroid(BipartitePresentation(GroundSet(n), tuple(neighborhoods)))
+    members = list(draw(st.sampled_from([oracle.circuits, oracle.cocircuits]))())
+    edit = draw(st.sampled_from(["keep", "drop", "add"]))
+    if edit == "drop" and members:
+        members.pop(draw(st.integers(min_value=0, max_value=len(members) - 1)))
+    elif edit == "add":
+        members.append(draw(st.integers(min_value=1, max_value=(1 << n) - 1)))
+    return n, members
+
+
+@settings(max_examples=300)
+@given(transversal_families())
+@example((4, [0b0011, 0b0101, 0b0110, 0b0011]))  # a circuit listed twice
+def test_decision_matches_reference_on_transversal_families(case):
+    n, members = case
+    assert _decides(members, n) == reference_validate_circuit_axioms(members, n).ok
+
+
+def test_family_built_under_a_lower_cap_still_validates(monkeypatch):
+    oracle = psi(10, 3)
+    members = oracle.circuits().members
+    monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
+    scanned = CircuitFamily.from_masks(10, members)
+    assert scanned.contains_member.table is None  # built above the lowered cap
+    monkeypatch.delenv(bitset.LATTICE_CAP_ENV)
+    assert validate_circuit_axioms(scanned, 10) == AxiomReport(True, ())
+    broken = CircuitFamily.from_masks(10, members[1:])
+    monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
+    broken.contains_member  # built under the lowered cap, validated above it
+    monkeypatch.delenv(bitset.LATTICE_CAP_ENV)
+    assert validate_circuit_axioms(broken, 10) == reference_validate_circuit_axioms(broken, 10)
+    # and a table built under the default cap is read after the cap is lowered
+    tabled = CircuitFamily.from_masks(10, members)
+    assert tabled.contains_member.table is not None
+    monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
+    assert validate_circuit_axioms(tabled, 10) == AxiomReport(True, ())
 
 
 def reference_circuits(oracle) -> CircuitFamily:
@@ -310,6 +369,18 @@ def _traced_peak(thunk) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_passing_n14_family_visits_no_pair(n14_fixtures, monkeypatch):
+    def no_pairs(*args):
+        raise AssertionError("a passing family walked its pairs")
+
+    monkeypatch.setattr(core.itertools, "combinations", no_pairs)
+    circuits = n14_fixtures["psi(14,4)"].circuits()
+    assert validate_circuit_axioms(circuits, 14).ok
+    assert validate_circuit_axioms(list(circuits), 14).ok
+    with pytest.raises(AssertionError, match="walked its pairs"):
+        validate_circuit_axioms(circuits.members[1:], 14)
 
 
 def test_circuit_axioms_memory_is_bounded(n14_fixtures):

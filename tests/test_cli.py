@@ -110,6 +110,15 @@ def test_bad_input_files_exit_2(capsys, tmp_path, command, payload):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("command", ["circuits", "rank"])
+def test_empty_circuit_document_exits_2(capsys, tmp_path, command):
+    # the empty set as a circuit makes every set dependent; it is not a matroid
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"schema": 1, "matroid": {"circuits": {"n": 3, "circuits": [[]]}}}))
+    code, out, _ = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+
+
 def _write_fixture(tmp_path, doc, order):
     doc_path = tmp_path / "m.json"
     doc_path.write_text(documents.canonical_json(doc))

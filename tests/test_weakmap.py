@@ -54,6 +54,40 @@ def test_weak_map_routes_agree():
         assert is_weak_map(source, target).holds == is_weak_map_by_independence(source, target).holds
 
 
+def _first_pullback_failure(source, target, phi):
+    """The mask loop the table route replaced: phi^{-1} of the lowest
+    independent set of the target that pulls back dependent, or None."""
+    inv = phi.inverse()
+    for mask in range(1 << target.n):
+        if target.indep(mask) and not source.indep(inv.apply(mask)):
+            return inv.apply(mask)
+    return None
+
+
+@pytest.mark.parametrize("source, target", [
+    (uniform(2, 5), uniform(3, 5)),
+    (uniform(3, 5), uniform(2, 5)),
+    (whirl(4), wheel(4)),
+    (wheel(4), whirl(4)),
+    (psi(8, 3), wheel(4)),
+])
+def test_weak_map_by_independence_witness_matches_the_mask_loop(source, target):
+    for phi in (ElementBijection.identity(source.n),
+                ElementBijection(tuple(range(2, source.n + 1)) + (1,)),
+                ElementBijection(tuple(range(source.n, 0, -1)))):
+        report = is_weak_map_by_independence(source, target, phi)
+        expected = _first_pullback_failure(source, target, phi)
+        assert report.holds == (expected is None)
+        assert report.violating_circuit == expected
+
+
+def test_weak_map_by_independence_fills_no_memo():
+    source, target = psi(12, 4), truncate(psi(12, 4), 1)
+    assert is_weak_map_by_independence(target, source).holds is False
+    assert is_weak_map_by_independence(source, target).holds
+    assert source._memo == {} and target._memo == {}
+
+
 def test_weak_map_by_independence_refuses_above_the_cap():
     asked = []
 
