@@ -176,6 +176,27 @@ def lattice_rank(independent: np.ndarray) -> np.ndarray:
     return subset_max(np.where(independent, sizes, 0))
 
 
+def greedy_rank(independent: np.ndarray) -> np.ndarray:
+    """Greedy rank of every mask, from a ``bool`` array over all 2^n masks:
+    the size of the set built by adding X's elements in ascending order,
+    each kept when the set so far stays independent (`MatroidOracle.rank`).
+
+    Equal to `lattice_rank` on a matroid, and to the greedy walk on any
+    table.  The masks with highest element b extend the greedy sets of
+    those below 2^b, so one numpy pass per element builds them all.
+    """
+    n = len(independent).bit_length() - 1
+    greedy = np.zeros(1 << n, dtype=np.int32)
+    rank = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        low = 1 << b
+        extended = greedy[:low] | low
+        keep = independent[extended]
+        greedy[low:2 * low] = np.where(keep, extended, greedy[:low])
+        rank[low:2 * low] = rank[:low] + keep
+    return rank
+
+
 def set_sizes(n: int) -> np.ndarray:
     """``uint8`` array of 2^n entries: the number of elements of each mask."""
     sizes = np.zeros(1 << n, dtype=np.uint8)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import bitset
 from .core import (
     CircuitFamily,
@@ -25,7 +27,10 @@ def uniform(r: int, n: int) -> MatroidOracle:
     """Independence is having at most r elements."""
     if not 0 <= r <= n:
         raise ValueError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
-    return MatroidOracle(GroundSet(n), lambda mask: mask.bit_count() <= r, name=f"U({r},{n})")
+    return MatroidOracle(
+        GroundSet(n), lambda mask: mask.bit_count() <= r, name=f"U({r},{n})",
+        table=lambda: bitset.set_sizes(n) <= r,
+    )
 
 
 def _wheel_edges(r: int) -> list[tuple[int, int]]:
@@ -117,8 +122,15 @@ def free_spike(r: int, validate: bool = True) -> tuple[MatroidOracle, PairPartit
         p = partition.count_inside(mask)
         return min(r, mask.bit_count() - max(0, p - 1))
 
+    def table() -> np.ndarray:
+        # rank(X) = |X| iff |X| <= r and X contains at most one pair
+        masks = np.arange(1 << (2 * r))
+        pairs = sum((masks & pair) == pair for pair in partition.pairs)
+        return (bitset.set_sizes(2 * r) <= r) & (pairs <= 1)
+
     oracle = MatroidOracle(
-        GroundSet(2 * r), lambda mask: rank_of(mask) == mask.bit_count(), name=f"spike({r})"
+        GroundSet(2 * r), lambda mask: rank_of(mask) == mask.bit_count(), name=f"spike({r})",
+        table=table,
     )
     if validate:
         report = validate_circuit_axioms(oracle.circuits(), 2 * r)
@@ -146,6 +158,7 @@ def truncate(oracle: MatroidOracle, i: int) -> MatroidOracle:
         oracle.ground,
         lambda mask: mask.bit_count() <= limit and oracle.indep(mask),
         name=f"T^{i}({oracle.name})",
+        table=lambda: (bitset.set_sizes(oracle.n) <= limit) & oracle.independence_table(),
     )
 
 

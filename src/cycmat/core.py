@@ -90,19 +90,30 @@ class MatroidOracle:
     """Matroid given by an independence predicate on bitmasks.
 
     Instances are immutable after construction, and the predicate must be
-    pure.  The independence table (the predicate's answer on all 2^n
-    subsets, which enumeration and the exchange sweep share), the circuit
-    families, the dual and the ordering certificates are filled under
-    `_lock`.  The memo caches single `indep` queries only; it and the cached
-    full rank are written without the lock: two threads that race on an
-    entry store the same value.  Oracles can be shared across threads, and
-    all derived state is freed with the oracle.
+    pure.  `table`, when given, is a zero-argument function returning the
+    ``bool`` array over all 2^n masks that equals the predicate on every
+    mask (a Hall table, a closed form); it is called once, on first use,
+    in place of asking the predicate mask by mask.  The independence table
+    (the predicate's answer on all 2^n subsets, which enumeration and the
+    exchange sweep share), the circuit families, the dual and the ordering
+    certificates are filled under `_lock`.  The memo caches single `indep`
+    queries only; it and the cached full rank are written without the
+    lock: two threads that race on an entry store the same value.  Oracles
+    can be shared across threads, and all derived state is freed with the
+    oracle.
     """
 
-    def __init__(self, ground: GroundSet, indep: Callable[[int], bool], name: str = ""):
+    def __init__(
+        self,
+        ground: GroundSet,
+        indep: Callable[[int], bool],
+        name: str = "",
+        table: Callable[[], np.ndarray] | None = None,
+    ):
         self.ground = ground
         self.name = name or "matroid"
         self._indep = indep
+        self._table = table
         self._memo: dict[int, bool] = {}
         self._lock = threading.Lock()
         self._circuits: CircuitFamily | None = None
@@ -192,25 +203,44 @@ class MatroidOracle:
     def _independence_table(self) -> np.ndarray:
         """``bool`` array over all 2^n masks: the predicate's answer on each.
 
-        The predicate is asked once per mask, in ascending order, and not
-        through the memo, so no answer is held twice.  The table is raw: on a
-        predicate that is not a matroid it shows every violation to
+        The supplied `table` when there is one; otherwise the predicate is
+        asked once per mask, in ascending order.  Neither goes through the
+        memo, so no answer is held twice.  The table is raw: on a predicate
+        that is not a matroid it shows every violation to
         `verify_matroid_axioms`.  Built once; the caller holds `_lock`.
         """
         if self._independent is None:
             bitset.require_cap("circuit enumeration", self.n, bitset.lattice_cap())
-            size = 1 << self.n
-            self._independent = np.fromiter(map(self._indep, range(size)), dtype=bool, count=size)
+            if self._table is not None:
+                self._independent = self._table()
+            else:
+                size = 1 << self.n
+                self._independent = np.fromiter(
+                    map(self._indep, range(size)), dtype=bool, count=size
+                )
         return self._independent
 
     # -- derived matroids ----------------------------------------------------
 
     def dual(self) -> "MatroidOracle":
-        """The dual, built once per oracle; its own dual is a new oracle, not this one."""
+        """The dual, built once per oracle; its own dual is a new oracle, not this one.
+
+        Its table is `is_coindependent` on every mask, rank(E - X) = rank(E)
+        with the greedy rank of `bitset.greedy_rank`, so it equals the
+        predicate even when this oracle is not a matroid.
+        """
         with self._lock:
             if self._dual is None:
-                self._dual = MatroidOracle(self.ground, self.is_coindependent, f"dual({self.name})")
+                self._dual = MatroidOracle(
+                    self.ground, self.is_coindependent, f"dual({self.name})",
+                    table=self._coindependent,
+                )
             return self._dual
+
+    def _coindependent(self) -> np.ndarray:
+        rank = bitset.greedy_rank(self.independence_table())
+        # reversing a 2^n array maps mask X to its complement
+        return (rank == rank[-1])[::-1]
 
     def __repr__(self) -> str:
         return f"MatroidOracle({self.name}, n={self.n})"
@@ -226,8 +256,12 @@ def oracle_from_circuits(
         if not report.ok:
             raise ValueError(f"circuit family fails the axioms: {report.violations[0]}")
     contains_circuit = family.contains_member
+    dependent = contains_circuit.table
     oracle = MatroidOracle(
-        ground, lambda mask: not contains_circuit(mask), name=name or "from-circuits"
+        ground,
+        lambda mask: not contains_circuit(mask),
+        name=name or "from-circuits",
+        table=None if dependent is None else lambda: dependent == 0,
     )
     oracle._circuits = family
     return oracle

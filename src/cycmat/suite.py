@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
+import numpy as np
+
 from . import bitset
 from .constructions import free_spike, truncate, truncation_circuits, uniform, wheel, whirl
 from .core import (
@@ -308,19 +310,20 @@ def _orthogonality_entry(fx: Fixture) -> tuple[bool, Any]:
     return False, _mask_list(pair)
 
 
-def _first_disagreement(
-    n: int, left: Callable[[int], bool], right: Callable[[int], bool]
-) -> tuple[bool, Any]:
-    """Entry comparing two predicates on every mask over n elements; the
-    witness is the first mask on which they differ."""
-    for mask in range(1 << n):
-        if left(mask) != right(mask):
-            return False, list(bitset.indices(mask))
+def _first_disagreement(left: np.ndarray, right: np.ndarray) -> tuple[bool, Any]:
+    """Entry comparing two ``bool`` tables over all 2^n masks; the witness is
+    the lowest mask on which they differ."""
+    differ = np.flatnonzero(left != right)
+    if len(differ):
+        return False, list(bitset.indices(int(differ[0])))
     return True, None
 
 
 def _dual_involution_entry(fx: Fixture) -> tuple[bool, Any]:
-    return _first_disagreement(fx.oracle.n, fx.oracle.indep, fx.oracle.dual().dual().indep)
+    oracle = fx.oracle
+    return _first_disagreement(
+        oracle.independence_table(), oracle.dual().dual().independence_table()
+    )
 
 
 def _transversal_checks(fixtures: FixtureSet, record) -> None:
@@ -330,7 +333,7 @@ def _transversal_checks(fixtures: FixtureSet, record) -> None:
         pres = interval_presentation(n, s)
         if n <= 12:
             record("dual-transversal-equivalence", params,
-                   lambda n=n, s=s, pres=pres: _dual_equivalence_entry(n, pres))
+                   lambda pres=pres: _dual_equivalence_entry(pres))
             record("basis-characterization", params,
                    lambda n=n, s=s, fx=fx: _basis_entry(n, s, fx.oracle))
             record("self-duality", params,
@@ -343,17 +346,19 @@ def _transversal_checks(fixtures: FixtureSet, record) -> None:
                lambda pres=pres, seed=fixtures.seed: _matching_entry(pres, seed))
 
 
-def _dual_equivalence_entry(n: int, pres) -> tuple[bool, Any]:
+def _dual_equivalence_entry(pres) -> tuple[bool, Any]:
+    # the Hall rank-m table against the greedy rank of the primal Hall table
     direct = dual_transversal(pres.base)
     generic = transversal_matroid(pres.base).dual()
-    return _first_disagreement(n, direct.indep, generic.indep)
+    return _first_disagreement(direct.independence_table(), generic.independence_table())
 
 
 def _basis_entry(n: int, s: int, oracle: MatroidOracle) -> tuple[bool, Any]:
+    # the interval-count test on every mask, one call each
+    size = 1 << n
+    counted = np.fromiter((psi_basis_test(n, s, mask) for mask in range(size)), bool, size)
     return _first_disagreement(
-        n,
-        lambda mask: psi_basis_test(n, s, mask),
-        lambda mask: mask.bit_count() == n // 2 and oracle.indep(mask),
+        counted, (bitset.set_sizes(n) == n // 2) & oracle.independence_table()
     )
 
 

@@ -9,7 +9,8 @@ fixture of the whole library.
 
 Up to the `bitset.lattice_cap` both oracles look X up in a Hall table of
 the presentation, built once over all 2^n masks from Hall's condition
-without any matching; above it they run Kuhn's augmenting paths per mask.
+without any matching, and hand that table over as their independence
+table; above it they run Kuhn's augmenting paths per mask.
 `max_matching` (augmenting paths, with a Hall witness) and
 `brute_force_matching_size` (Ore's defect formula) cross-check each other.
 """
@@ -206,25 +207,31 @@ def _dual_indep(pres: BipartitePresentation):
     return indep
 
 
-def _predicate(pres: BipartitePresentation, dual: bool):
-    """Independence in the presented matroid or its dual: a lookup in the
-    presentation's Hall table up to the `bitset.lattice_cap` (built on the
-    first call), augmenting paths above."""
+def _oracle(pres: BipartitePresentation, dual: bool, name: str) -> MatroidOracle:
+    """The presented matroid or its dual.  Up to the `bitset.lattice_cap`
+    independence is a lookup in the presentation's Hall table (built on
+    first use), which the oracle also takes as its independence table;
+    above it, augmenting paths per mask."""
     if pres.ground.n > bitset.lattice_cap():
-        return _dual_indep(pres) if dual else _primal_indep(pres)
+        return MatroidOracle(pres.ground, _dual_indep(pres) if dual else _primal_indep(pres), name)
     if dual:
-        return lambda mask: pres.dual_independent[mask]
-    return lambda mask: pres.independent[mask]
+        return MatroidOracle(
+            pres.ground, lambda mask: pres.dual_independent[mask], name,
+            table=lambda: pres.dual_independent,
+        )
+    return MatroidOracle(
+        pres.ground, lambda mask: pres.independent[mask], name, table=lambda: pres.independent
+    )
 
 
 def transversal_matroid(pres: BipartitePresentation) -> MatroidOracle:
     """X independent iff X has a complete matching into [m]."""
-    return MatroidOracle(pres.ground, _predicate(pres, False), name=f"transversal(m={pres.m})")
+    return _oracle(pres, False, f"transversal(m={pres.m})")
 
 
 def dual_transversal(pres: BipartitePresentation) -> MatroidOracle:
     """X independent iff [m] matches completely into E - X."""
-    return MatroidOracle(pres.ground, _predicate(pres, True), name=f"dual-transversal(m={pres.m})")
+    return _oracle(pres, True, f"dual-transversal(m={pres.m})")
 
 
 @dataclass(frozen=True)
@@ -308,8 +315,7 @@ def interval_presentation(n: int, s: int) -> MultiPathPresentation:
 
 def psi(n: int, s: int) -> MatroidOracle:
     """Dual of the interval-presented transversal matroid; rank n/2."""
-    pres = interval_presentation(n, s)
-    return MatroidOracle(pres.base.ground, _predicate(pres.base, True), name=f"psi({n},{s})")
+    return _oracle(interval_presentation(n, s).base, True, f"psi({n},{s})")
 
 
 def psi_basis_test(n: int, s: int, mask: int) -> bool:

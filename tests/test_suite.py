@@ -21,6 +21,7 @@ from cycmat.suite import run_suite
 from cycmat.transversal import (
     BipartitePresentation,
     MatchingResult,
+    dual_transversal,
     interval_presentation,
     max_matching,
 )
@@ -56,17 +57,19 @@ def test_report_hash(max_n, families, prefix, checks):
 
 
 def test_suite_builds_each_matroid_once(monkeypatch):
-    built, tables, ledgers = Counter(), Counter(), Counter()
+    built, tables, supplied, ledgers = Counter(), Counter(), Counter(), Counter()
     init, table = MatroidOracle.__init__, MatroidOracle._independence_table
     derive = counterexample.forced_dependents
 
-    def counting(self, ground, indep, name=""):
+    def counting(self, ground, indep, name="", table=None):
         built[name] += 1
-        init(self, ground, indep, name)
+        init(self, ground, indep, name, table=table)
 
     def counting_table(self):
         if self._independent is None:
-            tables[self.name] += 1
+            # tables handed over by the oracle's builder, and tables filled
+            # by asking the predicate mask by mask
+            (tables if self._table is None else supplied)[self.name] += 1
         return table(self)
 
     monkeypatch.setattr(MatroidOracle, "__init__", counting)
@@ -81,6 +84,10 @@ def test_suite_builds_each_matroid_once(monkeypatch):
     run_suite(max_n=12)
     assert sum(built.values()) <= 113, built.most_common(5)
     assert sum(tables.values()) <= 39, tables.most_common(5)
+    # only the wheels, whose graphic definition is the per-mask forest test,
+    # ask their predicate; every other table is supplied, duals included
+    assert set(tables) == {f"wheel({r})" for r in suite.WHEEL_GRID}, tables
+    assert sum(supplied.values()) == 75, supplied.most_common(5)
     # each oracle builds its dual at most once; labels such as transversal(m=4)
     # name several oracles
     duals = [label for label in built if label.startswith("dual(")]
@@ -97,6 +104,32 @@ def test_suite_builds_each_matroid_once(monkeypatch):
         assert built[label] == 1, (label, built[label])
     assert ledgers == Counter({(8, 4): 1, (12, 4): 1, (12, 5): 1})
     assert built["dual-transversal(m=6)"] <= 3
+
+
+@pytest.mark.parametrize("side", ["direct-dual", "basis-test"])
+@pytest.mark.parametrize("flipped", [(0b1011,), (0b1111_0000, 0b0011_1100), (0,)])
+def test_table_comparisons_name_the_lowest_flipped_mask(monkeypatch, side, flipped):
+    # one side of a comparison is wrong on the flipped masks only; the check
+    # must fail, and name the lowest of them
+    if side == "direct-dual":
+        def flipped_dual(base):
+            table = dual_transversal(base).independence_table().copy()
+            table[list(flipped)] ^= True
+            return MatroidOracle(base.ground, lambda m: bool(table[m]), table=lambda: table)
+
+        monkeypatch.setattr(suite, "dual_transversal", flipped_dual)
+        check, other = "dual-transversal-equivalence", "basis-characterization"
+    else:
+        basis = suite.psi_basis_test
+        monkeypatch.setattr(
+            suite, "psi_basis_test", lambda n, s, mask: basis(n, s, mask) != (mask in flipped)
+        )
+        check, other = "basis-characterization", "dual-transversal-equivalence"
+    report = run_suite(max_n=8, families=("psi",))
+    entries = {e["check"]: e for e in report["entries"] if e["params"] == {"n": 8, "s": 3}}
+    assert entries[check]["ok"] is False
+    assert entries[check]["witness"] == list(bitset.indices(min(flipped)))
+    assert entries[other]["ok"] is True
 
 
 def test_suite_reports_a_fixture_that_fails_to_build(monkeypatch, capsys):
