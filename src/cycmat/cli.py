@@ -9,7 +9,6 @@ be compared byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -148,7 +147,7 @@ def _cmd_gen(args) -> int:
     elif args.free_spike is not None:
         doc = documents.doc_construction("free_spike", args.free_spike)
     else:
-        payload = json.loads(_read(args.transversal))
+        payload = documents.decode(_read(args.transversal), "transversal file")
         documents.validate_matroid({"transversal": payload})
         doc = documents.doc_transversal(payload["n"], payload["neighborhoods"])
     if args.truncate is not None:

@@ -2,9 +2,10 @@
 
 A matroid is represented by its ground set and a deterministic independence
 predicate over bitmasks.  Rank, closure, circuits, cocircuits and duals are
-all derived from the predicate; circuits and cocircuits come from one table
-of independent sets per oracle.  Enumerations are capped so that
-exponential sweeps stay a deliberate choice rather than an accident.
+all derived from the predicate; circuits come from one table of independent
+sets per oracle, and cocircuits are the circuits of the dual.  Enumerations
+are capped so that exponential sweeps stay a deliberate choice rather than
+an accident.
 """
 
 from __future__ import annotations
@@ -95,9 +96,11 @@ class MatroidOracle:
     mask (a Hall table, a closed form); it is called once, on first use,
     in place of asking the predicate mask by mask.  The independence table
     (the predicate's answer on all 2^n subsets, which enumeration and the
-    exchange sweep share), the circuit families, the dual and the ordering
-    certificates are filled under `_lock`.  The memo caches single `indep`
-    queries only; it and the cached full rank are written without the
+    exchange sweep share), the circuits, the dual and the ordering
+    certificates are filled under `_lock`.  Every cocircuit question goes
+    to the dual: the cocircuits are its circuits, and its memo caches the
+    coindependence answers.  The memo caches single `indep` queries only;
+    it, the cached full rank and the cocircuits are written without the
     lock: two threads that race on an entry store the same value.  Oracles
     can be shared across threads, and all derived state is freed with the
     oracle.
@@ -172,13 +175,18 @@ class MatroidOracle:
     # -- circuits and cocircuits --------------------------------------------
 
     def is_circuit(self, mask: int) -> bool:
-        return _minimally_dependent(self.indep, mask)
+        """Is `mask` dependent, with every maximal proper subset independent?"""
+        if mask == 0 or self.indep(mask):
+            return False
+        return all(self.indep(mask ^ bit) for bit in bitset.singletons(mask))
 
     def is_coindependent(self, mask: int) -> bool:
+        """The dual's predicate; ask `dual().indep`, whose memo caches it."""
         return self.rank(self.ground.full & ~mask) == self.rank()
 
     def is_cocircuit(self, mask: int) -> bool:
-        return _minimally_dependent(self.is_coindependent, mask)
+        """Is `mask` a circuit of the dual?"""
+        return self.dual().is_circuit(mask)
 
     def circuits(self) -> CircuitFamily:
         with self._lock:
@@ -187,13 +195,11 @@ class MatroidOracle:
             return self._circuits
 
     def cocircuits(self) -> CircuitFamily:
-        """Minimal sets whose complement contains no basis."""
-        with self._lock:
-            if self._cocircuits is None:
-                rank = bitset.lattice_rank(self._independence_table())
-                # reversing a 2^n array maps mask X to its complement
-                self._cocircuits = _minimal_sets(self.n, (rank < rank[-1])[::-1])
-            return self._cocircuits
+        """The dual's circuits.  Filled without `_lock`, which `dual()` takes
+        and which is not re-entrant; racing threads store the same family."""
+        if self._cocircuits is None:
+            self._cocircuits = self.dual().circuits()
+        return self._cocircuits
 
     def independence_table(self) -> np.ndarray:
         """The predicate's answer on all 2^n masks (see `_independence_table`)."""
@@ -265,13 +271,6 @@ def oracle_from_circuits(
     )
     oracle._circuits = family
     return oracle
-
-
-def _minimally_dependent(indep: Callable[[int], bool], mask: int) -> bool:
-    """Is `mask` dependent under `indep`, with every maximal proper subset independent?"""
-    if mask == 0 or indep(mask):
-        return False
-    return all(indep(mask ^ bit) for bit in bitset.singletons(mask))
 
 
 def _minimal_sets(n: int, marked: np.ndarray) -> CircuitFamily:

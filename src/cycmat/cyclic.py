@@ -152,11 +152,11 @@ def _phase(starts: tuple[int, ...]) -> int | None:
     return None
 
 
-def _extensions(oracle: MatroidOracle, window: int, cocircuit: bool = False):
-    """The one-element extensions of `window` that are circuits (cocircuits)."""
-    test = oracle.is_cocircuit if cocircuit else oracle.is_circuit
+def _extensions(oracle: MatroidOracle, window: int):
+    """The one-element extensions of `window` that are circuits; pass
+    `oracle.dual()` for the cocircuits."""
     for bit in bitset.singletons(oracle.ground.full & ~window):
-        if test(window | bit):
+        if oracle.is_circuit(window | bit):
             yield window | bit
 
 
@@ -171,24 +171,20 @@ def _build_certificate(
             f"an (s,t)-structured matroid needs at least max(s,t)-1 elements, got n={n}"
         )
     failures: list[tuple[str, int]] = []
+    dual = oracle.dual()
 
-    # a window that wraps onto itself (n < length) has fewer than `length`
-    # distinct elements and never counts as a window circuit/cocircuit
-    circuit_starts = tuple(
-        i
-        for i in range(1, n + 1)
-        if (w := ordering.window(i, s)).bit_count() == s and oracle.is_circuit(w)
-    )
-    cocircuit_starts = tuple(
-        i
-        for i in range(1, n + 1)
-        if (w := ordering.window(i, t)).bit_count() == t and oracle.is_cocircuit(w)
-    )
+    def starts(matroid: MatroidOracle, size: int) -> tuple[int, ...]:
+        # a window that wraps onto itself (n < size) has fewer than `size`
+        # distinct elements and never counts as a window circuit
+        windows = ((i, ordering.window(i, size)) for i in range(1, n + 1))
+        return tuple(i for i, w in windows if w.bit_count() == size and matroid.is_circuit(w))
+
+    circuit_starts, cocircuit_starts = starts(oracle, s), starts(dual, t)
 
     for i in range(1, n + 1):
         if not any(_extensions(oracle, ordering.window(i, s - 1))):
             failures.append(("window-not-in-circuit", i))
-        if not any(_extensions(oracle, ordering.window(i, t - 1), cocircuit=True)):
+        if not any(_extensions(dual, ordering.window(i, t - 1))):
             failures.append(("window-not-in-cocircuit", i))
     nearly_ok = not failures
 
@@ -283,13 +279,14 @@ def find_orderings(
     cap = bitset.env_cap(SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP)
     bitset.require_cap("ordering search", n, cap, SEARCH_CAP_ENV)
     results: list[CyclicOrdering] = []
+    windows = ((params.s, oracle), (params.t, oracle.dual()))
 
     def prefix_ok(prefix: list[int]) -> bool:
         # the (s-1)- and (t-1)-windows the last element completes
-        for size, cocircuit in ((params.s, False), (params.t, True)):
+        for size, matroid in windows:
             if len(prefix) >= size - 1:
                 window = bitset.mask_of(prefix[len(prefix) - size + 1:])
-                if not any(_extensions(oracle, window, cocircuit)):
+                if not any(_extensions(matroid, window)):
                     return False
         return True
 
@@ -373,7 +370,7 @@ def check_window_structure(
             witnesses.append(("expected-cocircuit", i, cocirc_start))
         if not oracle.indep(ordering.window(i + 1, s)):
             witnesses.append(("expected-independent", i, i + 1))
-        if not oracle.is_coindependent(ordering.window(coindep_start, t)):
+        if not oracle.dual().indep(ordering.window(coindep_start, t)):
             witnesses.append(("expected-coindependent", i, coindep_start))
     return VerificationReport("window-structure", not witnesses, checked, tuple(witnesses))
 

@@ -63,11 +63,17 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def parse(text: str) -> dict:
+def decode(text: str, what: str) -> Any:
+    """The JSON value in `text`; malformed or too deeply nested text raises
+    ValueError naming `what` (the decoder recurses once per nesting level)."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"document is not valid JSON: {exc}") from exc
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def parse(text: str) -> dict:
+    doc = decode(text, "document")
     _validate(doc)
     return doc
 
@@ -186,10 +192,7 @@ def _build(body: dict) -> MatroidOracle:
 
 def parse_ordering(text: str, n: int) -> tuple[int, ...]:
     """An ordering or map file is a JSON array of 1-based indices, a permutation."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"ordering is not valid JSON: {exc}") from exc
+    data = decode(text, "ordering")
     if (
         not isinstance(data, list)
         or not all(_is_int(i) for i in data)

@@ -110,6 +110,29 @@ def test_bad_input_files_exit_2(capsys, tmp_path, command, payload):
     assert code == 2 and out == ""
 
 
+DEEP = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize("command", ["rank", "circuits", "verify-ordering", "weakmap", "gen"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, command):
+    # the decoder recurses once per level and gives up near the recursion limit
+    doc, deep = tmp_path / "m.json", tmp_path / "deep.json"
+    doc.write_text(documents.canonical_json(documents.doc_uniform(2, 4)))
+    deep.write_text(DEEP)
+    if command in ("rank", "circuits"):
+        doc.write_text('{"schema": 1, "matroid": ' + DEEP + "}")
+        argv = [command, str(doc)]
+    elif command == "verify-ordering":
+        argv = [command, str(doc), str(deep), "--s", "3", "--t", "3"]
+    elif command == "weakmap":
+        argv = [command, str(doc), str(doc), "--map", str(deep)]
+    else:
+        argv = [command, "--transversal", str(deep)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not valid JSON" in err
+
+
 @pytest.mark.parametrize("command", ["circuits", "rank"])
 def test_empty_circuit_document_exits_2(capsys, tmp_path, command):
     # the empty set as a circuit makes every set dependent; it is not a matroid

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycmat import bitset, psi, uniform, wheel, whirl
+from cycmat import GroundSet, bitset, psi, uniform, wheel, whirl
 from cycmat.constructions import free_spike, truncate
 from cycmat.core import CapExceeded
+from cycmat.transversal import BipartitePresentation, transversal_matroid
 from cycmat.cyclic import (
     FULL,
     NEARLY,
@@ -115,6 +116,39 @@ def test_full_certificates_have_single_parity(psi_oracles):
         assert cert.cocircuit_phase is not None
         expected_shift = 0 if s % 2 == 0 else 1
         assert (cert.circuit_phase - cert.cocircuit_phase) % 2 == expected_shift
+
+
+def _assert_dual_certificates(M, o, p):
+    # the t-cocircuit windows of M are the t-circuit windows of its dual
+    cert = certify(M, o, p)
+    dual = certify(M.dual(), o, STParams(p.t, p.s))
+    assert dual.kind == cert.kind, (o.order, p)
+    assert (dual.circuit_starts, dual.cocircuit_starts) == (cert.cocircuit_starts, cert.circuit_starts)
+    assert (dual.circuit_phase, dual.cocircuit_phase) == (cert.cocircuit_phase, cert.circuit_phase)
+
+
+def test_psi_certificates_swap_under_duality(psi_oracles):
+    for (n, s), M in psi_oracles.items():
+        odd_then_even = tuple(range(1, n + 1, 2)) + tuple(range(2, n + 1, 2))
+        for o in (natural_ordering(n), CyclicOrdering(odd_then_even)):
+            for t in (s - 1, s, s + 1):
+                _assert_dual_certificates(M, o, STParams(s, t))
+
+
+@st.composite
+def transversal_orderings(draw):
+    n = draw(st.integers(min_value=3, max_value=8))
+    nbrs = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=5))
+    s, t = (draw(st.integers(min_value=2, max_value=n + 1)) for _ in range(2))
+    order = CyclicOrdering(tuple(draw(st.permutations(range(1, n + 1)))))
+    return BipartitePresentation(GroundSet(n), tuple(nbrs)), order, STParams(s, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(transversal_orderings())
+def test_transversal_certificates_swap_under_duality(case):
+    pres, o, p = case
+    _assert_dual_certificates(transversal_matroid(pres), o, p)
 
 
 def test_full_implies_nearly_on_examples(psi_oracles):

@@ -82,12 +82,13 @@ def test_suite_builds_each_matroid_once(monkeypatch):
     for module in (suite, counterexample):
         monkeypatch.setattr(module, "forced_dependents", counting_ledger)
     run_suite(max_n=12)
-    assert sum(built.values()) <= 113, built.most_common(5)
+    # the ordering search asks each random fixture's dual about cocircuits
+    assert sum(built.values()) <= 133, built.most_common(5)
     assert sum(tables.values()) <= 39, tables.most_common(5)
     # only the wheels, whose graphic definition is the per-mask forest test,
     # ask their predicate; every other table is supplied, duals included
     assert set(tables) == {f"wheel({r})" for r in suite.WHEEL_GRID}, tables
-    assert sum(supplied.values()) == 75, supplied.most_common(5)
+    assert sum(supplied.values()) == 88, supplied.most_common(5)
     # each oracle builds its dual at most once; labels such as transversal(m=4)
     # name several oracles
     duals = [label for label in built if label.startswith("dual(")]
