@@ -167,6 +167,15 @@ def test_cocircuits_match_hyperplane_complements(small_fixtures):
         assert set(M.cocircuits().members) == hyperplane_cocircuits(M), name
 
 
+def test_cocircuits_equal_dual_circuits(small_fixtures):
+    # the dual's table is the greedy-rank array reversed; a fresh oracle on
+    # is_coindependent asks rank(E - X) = rank(E) one mask at a time
+    for name, M in small_fixtures.items():
+        fresh = MatroidOracle(M.ground, M.is_coindependent)
+        assert M.cocircuits() == fresh.circuits(), name
+        assert M.dual().circuits() == fresh.circuits(), name
+
+
 @st.composite
 def downward_closed(draw):
     """A ground set size and the maximal sets of a downward-closed family."""
