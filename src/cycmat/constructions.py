@@ -147,7 +147,12 @@ def free_spike(r: int, validate: bool = True) -> tuple[MatroidOracle, PairPartit
 
 
 def truncate(oracle: MatroidOracle, i: int) -> MatroidOracle:
-    """Drop the rank by i: independent sets keep only those of size <= r - i."""
+    """Drop the rank by i: independent sets keep only those of size <= r - i.
+
+    Its rank is min(r - i, parent rank), which is also what the greedy loop
+    returns on the truncated predicate, so the parent's supplied rank, if
+    any, carries over.
+    """
     r = oracle.rank()
     if not 0 <= i <= r:
         raise ValueError(f"truncation steps must satisfy 0 <= i <= rank, got i={i}, rank={r}")
@@ -159,6 +164,7 @@ def truncate(oracle: MatroidOracle, i: int) -> MatroidOracle:
         lambda mask: mask.bit_count() <= limit and oracle.indep(mask),
         name=f"T^{i}({oracle.name})",
         table=lambda: (bitset.set_sizes(oracle.n) <= limit) & oracle.independence_table(),
+        rank=lambda mask: min(limit, oracle.rank(mask)),
     )
 
 

@@ -94,7 +94,10 @@ class MatroidOracle:
     pure.  `table`, when given, is a zero-argument function returning the
     ``bool`` array over all 2^n masks that equals the predicate on every
     mask (a Hall table, a closed form); it is called once, on first use,
-    in place of asking the predicate mask by mask.  The independence table
+    in place of asking the predicate mask by mask.  `rank`, when given, is
+    the rank function of the same predicate (one maximum matching, a closed
+    form); `rank(mask)` returns it in place of the greedy loop, and it
+    writes no memo entry.  The independence table
     (the predicate's answer on all 2^n subsets, which enumeration and the
     exchange sweep share), the circuits, the dual and the ordering
     certificates are filled under `_lock`.  Every cocircuit question goes
@@ -112,11 +115,13 @@ class MatroidOracle:
         indep: Callable[[int], bool],
         name: str = "",
         table: Callable[[], np.ndarray] | None = None,
+        rank: Callable[[int], int] | None = None,
     ):
         self.ground = ground
         self.name = name or "matroid"
         self._indep = indep
         self._table = table
+        self._rank = rank
         self._memo: dict[int, bool] = {}
         self._lock = threading.Lock()
         self._circuits: CircuitFamily | None = None
@@ -143,7 +148,8 @@ class MatroidOracle:
         return cached
 
     def rank(self, mask: int | None = None) -> int:
-        """Size of a maximal independent subset, built greedily.
+        """Size of a maximal independent subset: the supplied `rank` when the
+        oracle's builder gave one, otherwise built greedily through the memo.
 
         Greedy extension is exact on matroids; the axiom sweep in
         `verify_matroid_axioms` is the guard that the predicate really is one.
@@ -152,6 +158,10 @@ class MatroidOracle:
             if self._rank_full is None:
                 self._rank_full = self.rank(self.ground.full)
             return self._rank_full
+        if self._rank is not None:
+            if mask & ~self.ground.full:
+                raise ValueError("subset is not contained in the ground set")
+            return self._rank(mask)
         current = 0
         for bit in bitset.singletons(mask):
             if self.indep(current | bit):

@@ -10,7 +10,10 @@ fixture of the whole library.
 Up to the `bitset.lattice_cap` both oracles look X up in a Hall table of
 the presentation, built once over all 2^n masks from Hall's condition
 without any matching, and hand that table over as their independence
-table; above it they run Kuhn's augmenting paths per mask.
+table.  Above it each independence or rank query runs one maximum matching
+(Kuhn's augmenting paths) of [m] into a set Y, whose size is the rank r(Y)
+of the presented matroid; the dual's rank follows from duality,
+r*(X) = |X| - r(E) + r(E - X).
 `max_matching` (augmenting paths, with a Hall witness) and
 `brute_force_matching_size` (Ore's defect formula) cross-check each other.
 """
@@ -18,7 +21,7 @@ table; above it they run Kuhn's augmenting paths per mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -133,9 +136,19 @@ def _augment(i: int, adjacency: list[int], match_of_right: dict[int, int], seen:
 
 
 def _matching(adjacency: list[int]) -> dict[int, int]:
-    """Kuhn's augmenting paths; left vertices processed in ascending order."""
+    """Kuhn's augmenting paths; left vertices processed in ascending order.
+
+    Once every right vertex is matched no path can augment, so the rest of
+    the left vertices are not searched; the matching is the same.
+    """
     match_of_right: dict[int, int] = {}
+    rights = 0
+    for adj in adjacency:
+        rights |= adj
+    room = rights.bit_count()
     for i in range(len(adjacency)):
+        if len(match_of_right) == room:
+            break
         _augment(i, adjacency, match_of_right, 0)
     return match_of_right
 
@@ -182,38 +195,35 @@ def brute_force_matching_size(pres: BipartitePresentation, avoid: int = 0) -> in
     )
 
 
-def _primal_indep(pres: BipartitePresentation):
-    """Predicate by augmenting paths: X matches completely into [m]."""
-    lefts_of = [0] * pres.ground.n
-    for i, nbr in enumerate(pres.neighborhoods):
-        for bit in bitset.singletons(nbr):
-            lefts_of[bit.bit_length() - 1] |= 1 << i
+def _matching_size(pres: BipartitePresentation):
+    """Size of a maximum matching of [m] into Y, as a function of Y: the rank
+    of Y in the presented transversal matroid.  Kuhn's augmenting paths."""
+    neighborhoods = pres.neighborhoods
 
-    def indep(mask: int) -> bool:
-        adjacency = [lefts_of[bit.bit_length() - 1] for bit in bitset.singletons(mask)]
-        return len(_matching(adjacency)) == len(adjacency)
+    def size(mask: int) -> int:
+        return len(_matching([nbr & mask for nbr in neighborhoods]))
 
-    return indep
-
-
-def _dual_indep(pres: BipartitePresentation):
-    """Predicate by augmenting paths: [m] matches completely into E - X."""
-    m = pres.m
-
-    def indep(mask: int) -> bool:
-        adjacency = [nbr & ~mask for nbr in pres.neighborhoods]
-        return len(_matching(adjacency)) == m
-
-    return indep
+    return size
 
 
 def _oracle(pres: BipartitePresentation, dual: bool, name: str) -> MatroidOracle:
     """The presented matroid or its dual.  Up to the `bitset.lattice_cap`
     independence is a lookup in the presentation's Hall table (built on
-    first use), which the oracle also takes as its independence table;
-    above it, augmenting paths per mask."""
+    first use), which the oracle also takes as its independence table.
+    Above it, independence and rank each take one maximum matching: r(X) is
+    its size on X, and the dual's rank is |X| - m + r(E - X) once [m]
+    matches into E (0 otherwise, where no set is independent)."""
     if pres.ground.n > bitset.lattice_cap():
-        return MatroidOracle(pres.ground, _dual_indep(pres) if dual else _primal_indep(pres), name)
+        size, full, m = _matching_size(pres), pres.ground.full, pres.m
+        if not dual:
+            return MatroidOracle(
+                pres.ground, lambda mask: size(mask) == mask.bit_count(), name, rank=size
+            )
+        complete = cache(lambda: size(full) == m)
+        return MatroidOracle(
+            pres.ground, lambda mask: size(full & ~mask) == m, name,
+            rank=lambda mask: mask.bit_count() - m + size(full & ~mask) if complete() else 0,
+        )
     if dual:
         return MatroidOracle(
             pres.ground, lambda mask: pres.dual_independent[mask], name,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cycmat import bitset, certify, natural_ordering, psi
@@ -11,7 +13,7 @@ from cycmat.constructions import (
     wheel,
     whirl,
 )
-from cycmat.core import validate_circuit_axioms
+from cycmat.core import GroundSet, MatroidOracle, validate_circuit_axioms
 from cycmat.cyclic import STParams
 
 
@@ -144,6 +146,19 @@ def test_truncation_circuits_cross_check():
     for M in (uniform(2, 4), psi(8, 3), wheel(4)):
         T = truncate(M, 1)
         assert set(T.circuits().members) == set(truncation_circuits(M, 1).members)
+
+
+def test_truncated_rank_is_the_greedy_rank_of_any_predicate():
+    # min(r - i, parent rank) equals the greedy rank of the truncated
+    # predicate whether or not the parent is a matroid
+    rng = random.Random(7)
+    for _ in range(20):
+        answers = [rng.random() < 0.6 for _ in range(1 << 6)]
+        M = MatroidOracle(GroundSet(6), answers.__getitem__)
+        for i in range(1, M.rank() + 1):
+            T = truncate(M, i)
+            greedy = MatroidOracle(T.ground, T._indep)  # the same predicate, no supplied rank
+            assert all(T.rank(mask) == greedy.rank(mask) for mask in range(1 << 6)), (answers, i)
 
 
 def test_swirl_small_circuits_are_consecutive_pair_unions():

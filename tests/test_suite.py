@@ -61,9 +61,9 @@ def test_suite_builds_each_matroid_once(monkeypatch):
     init, table = MatroidOracle.__init__, MatroidOracle._independence_table
     derive = counterexample.forced_dependents
 
-    def counting(self, ground, indep, name="", table=None):
+    def counting(self, ground, indep, name="", table=None, rank=None):
         built[name] += 1
-        init(self, ground, indep, name, table=table)
+        init(self, ground, indep, name, table=table, rank=rank)
 
     def counting_table(self):
         if self._independent is None:

@@ -5,11 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycmat import bitset, transversal
-from cycmat.core import CapExceeded, GroundSet, verify_matroid_axioms
+from cycmat.constructions import truncate
+from cycmat.core import CapExceeded, GroundSet, MatroidOracle, verify_matroid_axioms
 from cycmat.suite import PSI_GRID
 from cycmat.transversal import (
-    _dual_indep,
-    _primal_indep,
+    _matching_size,
     BipartitePresentation,
     MultiPathPresentation,
     brute_force_matching_size,
@@ -130,20 +130,51 @@ def presentations(draw):
 
 
 def _assert_tables_match_augmenting_paths(pres):
-    primal, dual = _primal_indep(pres), _dual_indep(pres)
+    size, full, m = _matching_size(pres), pres.ground.full, pres.m
     for mask in range(1 << pres.ground.n):
-        assert pres.independent[mask] == primal(mask), mask
-        assert pres.dual_independent[mask] == dual(mask), mask
+        assert pres.independent[mask] == (size(mask) == mask.bit_count()), mask
+        assert pres.dual_independent[mask] == (size(full & ~mask) == m), mask
+
+
+def _pinned(test):
+    """m > n with an empty neighbourhood, so [m] does not match into E, and
+    m > WORD_BITS twice."""
+    for pres in (
+        BipartitePresentation(GroundSet(4), (0b0011, 0b0110, 0, 0b1100, 0b1001, 0b1111)),
+        BipartitePresentation(GroundSet(10), tuple(range(bitset.WORD_BITS + 1))),
+        BipartitePresentation(GroundSet(10), (0,) + tuple(1 << i % 10 for i in range(69))),
+    ):
+        test = example(pres)(test)
+    return test
 
 
 @settings(max_examples=60, deadline=None)
 @given(presentations())
-# pinned: m > n with an empty neighbourhood, and m > WORD_BITS twice
-@example(BipartitePresentation(GroundSet(4), (0b0011, 0b0110, 0, 0b1100, 0b1001, 0b1111)))
-@example(BipartitePresentation(GroundSet(10), tuple(range(bitset.WORD_BITS + 1))))
-@example(BipartitePresentation(GroundSet(10), (0,) + tuple(1 << i % 10 for i in range(69))))
+@_pinned
 def test_hall_tables_match_augmenting_paths(pres):
     _assert_tables_match_augmenting_paths(pres)
+
+
+def _matching_oracles(pres):
+    """The transversal matroid and its dual as built above the lattice cap,
+    whatever n is: both supply their rank from one maximum matching."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitset, "lattice_cap", lambda: 0)
+        return transversal_matroid(pres), dual_transversal(pres)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations())
+@_pinned
+def test_matching_rank_equals_greedy_rank_on_the_hall_table(pres):
+    primal, dual = _matching_oracles(pres)
+    greedy_primal = MatroidOracle(pres.ground, pres.independent.__getitem__)
+    greedy_dual = MatroidOracle(pres.ground, pres.dual_independent.__getitem__)
+    for mask in range(1 << pres.ground.n):
+        assert primal.rank(mask) == greedy_primal.rank(mask), mask
+        assert dual.rank(mask) == greedy_dual.rank(mask), mask
+    # the supplied rank asks no predicate, so it leaves the memo empty
+    assert primal._memo == dual._memo == {}
 
 
 def test_hall_tables_are_read_only():
@@ -157,19 +188,25 @@ def test_hall_tables_are_read_only():
 def test_psi_grid_matches_augmenting_paths():
     for n, s in PSI_GRID:
         M = psi(n, s)
-        dual = _dual_indep(interval_presentation(n, s).base)
+        pres = interval_presentation(n, s).base
+        size, full, m = _matching_size(pres), pres.ground.full, pres.m
         for mask in range(1 << n):
-            assert M.indep(mask) == dual(mask), (n, s, mask)
+            assert M.indep(mask) == (size(full & ~mask) == m), (n, s, mask)
 
 
-def test_no_complete_matching_means_no_independent_set():
+def test_no_complete_matching_means_no_independent_set(monkeypatch):
     # two left vertices share the single element e1: [m] never matches
     pres = BipartitePresentation(GroundSet(3), (0b001, 0b001))
-    dual = _dual_indep(pres)
+    size = _matching_size(pres)
     assert not pres.dual_independent.any()
-    assert not any(dual(mask) for mask in range(1 << 3))
+    assert not any(size(pres.ground.full & ~mask) == pres.m for mask in range(1 << 3))
     assert not dual_transversal(pres).indep(0)
     _assert_tables_match_augmenting_paths(pres)
+    monkeypatch.setenv("CYCMAT_MAX_N", "2")
+    above = dual_transversal(pres)
+    assert not above.indep(0)
+    assert above.rank() == 0
+    assert all(above.rank(mask) == 0 for mask in range(1 << 3))
 
 
 def _no_augmenting_paths(adjacency):
@@ -199,8 +236,33 @@ def test_psi_above_table_cap_runs_augmenting_paths(monkeypatch):
     monkeypatch.delenv("CYCMAT_MAX_N", raising=False)
     assert 22 > bitset.LATTICE_CAP
     assert psi(22, 4).rank() == 11
-    assert calls
+    # one matching on E to see that [m] matches, one on E - X
+    assert 0 < len(calls) <= 2
+    calls.clear()
+    assert psi(22, 4).rank(bitset.mask_of([1, 2, 3, 4])) == 3  # an s-window is a circuit
+    assert 0 < len(calls) <= 2
     assert "dual_independent" not in vars(interval_presentation(22, 4).base)
+
+
+@pytest.mark.parametrize("n, s, cap", [(22, 4, None), (30, 5, None), (40, 6, None), (10, 3, "8")])
+def test_supplied_rank_above_the_cap_equals_greedy_rank(monkeypatch, n, s, cap):
+    if cap is None:
+        monkeypatch.delenv("CYCMAT_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("CYCMAT_MAX_N", cap)
+    assert n > bitset.lattice_cap()
+    rng = random.Random(n)
+    nbrs = tuple(rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randint(1, n)))
+    pres = BipartitePresentation(GroundSet(n), nbrs)
+    for M in (psi(n, s), truncate(psi(n, s), 1), transversal_matroid(pres), dual_transversal(pres)):
+        assert M._rank is not None, M
+        greedy = MatroidOracle(M.ground, M._indep)  # the same predicate, no supplied rank
+        assert M.rank() == greedy.rank(), M
+        for _ in range(30):
+            mask = rng.getrandbits(n)
+            assert M.rank(mask) == greedy.rank(mask), (M, mask)
+        with pytest.raises(ValueError):
+            M.rank(1 << n)
 
 
 def test_psi_at_the_lattice_cap_reads_the_hall_table(monkeypatch):
