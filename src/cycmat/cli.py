@@ -9,6 +9,7 @@ be compared byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -31,6 +32,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@functools.cache  # parse_args leaves the parser as it was; building it costs more than most requests
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cycmat",
@@ -76,10 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     weak = sub.add_parser("weakmap", help="test a weak map (or quotient) between documents")
     weak.add_argument("doc1")
     weak.add_argument("doc2")
-    weak.add_argument("--map", dest="mapping", default="identity",
-                      help="'identity' or a JSON array file mapping source to target indices")
-    weak.add_argument("--quotient", action="store_true",
-                      help="test the quotient relation instead (same ground set)")
+    relation = weak.add_mutually_exclusive_group()
+    relation.add_argument("--map", dest="mapping",
+                          help="'identity' (the default) or a JSON array file mapping source to target indices")
+    relation.add_argument("--quotient", action="store_true",
+                          help="test the quotient relation instead (same ground set)")
     _add_out(weak)
     weak.set_defaults(handler=_cmd_weakmap)
 
@@ -159,7 +162,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_rank(args) -> int:
     oracle = _load_oracle(args.doc)
-    if args.subset:
+    if args.subset is not None:
         elements = [int(x) for x in args.subset.split(",") if x.strip()]
         mask = oracle.ground.mask(elements)
         result = {"set": sorted(set(elements)), "rank": oracle.rank(mask)}
@@ -218,7 +221,7 @@ def _cmd_weakmap(args) -> int:
     if args.quotient:
         report = is_quotient(source, target)
     else:
-        if args.mapping == "identity":
+        if args.mapping in (None, "identity"):
             phi = ElementBijection.identity(source.n)
         else:
             phi = ElementBijection(documents.parse_ordering(_read(args.mapping), source.n))

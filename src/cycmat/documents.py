@@ -3,12 +3,18 @@
 Documents carry exactly one representation; set lists hold 1-based element
 indices.  Emission is canonical (sorted keys, two-space indent, trailing
 newline) so equal documents are byte-equal and goldens can be compared
-directly.
+directly.  `canonical_json` is the one emitter of every CLI output: its
+bytes equal ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, but it
+does not call that: with an indent the stdlib skips its C encoder for a
+pure-Python generator, several times slower than this emitter on a long
+circuit list.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import bitset
@@ -60,7 +66,42 @@ def doc_truncate(inner: dict, i: int) -> dict:
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+    Dict keys must be strings: any other key raises TypeError rather than
+    being coerced."""
+    return _emit(obj, "\n") + "\n"
+
+
+def _emit(obj: Any, newline: str) -> str:
+    """`obj` as indented JSON whose nested lines start with `newline`."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = newline + "  "
+        kinds = set(map(type, obj))
+        if kinds == {int}:  # bools are not exactly int
+            items = map(int.__repr__, obj)
+        elif kinds <= {list, tuple} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+            # nonempty int lists, such as a circuit family: one join per row and no call
+            deeper = inner + "  "
+            head, sep, tail = "[" + deeper, "," + deeper, inner + "]"
+            items = [head + sep.join(map(int.__repr__, row)) + tail for row in obj]
+        else:
+            items = [_emit(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict) and obj:  # a key that is not a str raises TypeError here
+        inner = newline + "  "
+        items = [encode_basestring_ascii(key) + ": " + _emit(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(obj)  # floats and empty containers; anything else raises TypeError
 
 
 def decode(text: str, what: str) -> Any:

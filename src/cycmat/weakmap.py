@@ -114,7 +114,9 @@ class IntervalRankOutcome:
     """Result of the consecutive-interval rank comparison.
 
     When the condition holds, the dual of the presentation is freer than the
-    compared matroid and the weak map below is asserted to hold.
+    compared matroid and the identity is a weak map from it.  `weak_map` is
+    the report confirming that map up to the lattice cap; it is None when
+    the condition fails and above the cap.
     """
 
     condition: bool
@@ -130,7 +132,10 @@ def interval_rank_condition(
     (`dual_transversal(pres.base)`, or `psi` for an interval presentation).
     If no union has larger rank in `oracle` (and the presentation covers
     every element), the identity map from the dual is a weak map onto
-    `oracle`."""
+    `oracle`.  Up to `bitset.lattice_cap` that weak map is confirmed by
+    listing the dual's circuits, and a failed confirmation raises
+    RuntimeError; above the cap the outcome carries no report, and the weak
+    map rests on the interval lemma alone."""
     if oracle.n != pres.n:
         raise ValueError("the compared matroid must share the ground set")
     if dual.n != pres.n:
@@ -143,6 +148,8 @@ def interval_rank_condition(
             union = pres.run_union(i, (i + k - 2) % m + 1)
             if oracle.rank(union) > dual.rank(union):
                 return IntervalRankOutcome(False, (i, k), None)
+    if pres.n > bitset.lattice_cap():
+        return IntervalRankOutcome(True, None, None)
     report = is_weak_map(dual, oracle)
     if not report.holds:
         raise RuntimeError(

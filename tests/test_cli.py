@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cycmat import documents
+from cycmat import cli, documents
 from cycmat.cli import main
 
 
@@ -43,6 +43,15 @@ def test_rank_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "rank", str(doc), "--set", "1,2,3")
     assert code == 0
     assert json.loads(out) == {"rank": 3, "set": [1, 2, 3]}
+
+
+@pytest.mark.parametrize("subset", ["", ","])
+def test_rank_of_the_empty_set(capsys, tmp_path, subset):
+    doc = tmp_path / "m.json"
+    doc.write_text(documents.canonical_json(documents.doc_psi(8, 3)))
+    code, out, _ = run_cli(capsys, "rank", str(doc), "--set", subset)
+    assert code == 0
+    assert json.loads(out) == {"rank": 0, "set": []}
 
 
 @pytest.mark.parametrize("text", [
@@ -250,6 +259,17 @@ def test_weakmap_quotient_flag(capsys, tmp_path):
     assert code == 0 and json.loads(out)["relation"] == "quotient"
 
 
+@pytest.mark.parametrize("mapping", ["identity", "missing.json"])
+def test_weakmap_quotient_and_map_exclude_each_other(capsys, tmp_path, mapping):
+    a = tmp_path / "a.json"
+    a.write_text(documents.canonical_json(documents.doc_psi(8, 3)))
+    with pytest.raises(SystemExit) as exc:
+        main(["weakmap", str(a), str(a), "--quotient", "--map", str(tmp_path / mapping)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_counterexample_command(capsys):
     code, out, _ = run_cli(capsys, "counterexample", "8", "4")
     assert code == 0
@@ -303,3 +323,29 @@ def test_suite_small_grid_passes_and_deterministic(capsys, tmp_path):
     assert main(argv + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    cli._build_parser.cache_clear()
+    suite = ["suite", "--max-n", "6", "--families", "uniform"]
+    code, first, _ = run_cli(capsys, *suite)
+    assert code == 0
+    assert run_cli(capsys, *suite, "--inject-mutant")[0] == 1
+    code, again, _ = run_cli(capsys, *suite)
+    assert code == 0 and again == first
+
+    doc = tmp_path / "psi.json"
+    doc.write_text(documents.canonical_json(documents.doc_psi(12, 4)))
+    find = ["find-orderings", str(doc), "--s", "4", "--t", "4"]
+    code, out, _ = run_cli(capsys, *find, "--limit", "3")
+    assert code == 0 and json.loads(out)["count"] == 3
+    code, out, _ = run_cli(capsys, *find)
+    assert code == 0 and json.loads(out)["count"] == 64
+
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", str(doc), "--set"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "rank", str(doc))
+    assert code == 0 and json.loads(out) == {"n": 12, "rank": 6}
+    assert cli._build_parser.cache_info().misses == 1

@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cycmat import documents, psi, uniform, wheel
 from cycmat.constructions import truncate
@@ -83,3 +87,41 @@ def test_parse_ordering():
     for text in ("[1, 1, 2]", "[1, 2]", '"x"', "[0, 1, 2]", "[true, 2, 3]"):
         with pytest.raises(ValueError):
             documents.parse_ordering(text, 3)
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2 ** 100), max_value=2 ** 100)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | st.lists(st.integers(min_value=-(2 ** 70), max_value=2 ** 70)),
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.tuples(children, children)
+        | st.dictionaries(st.text(max_size=4), children, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example([[]])
+@example([True, 1])
+@example({"a": [1, [2, "x"]]})
+@example([[1, 2], (3,), [2 ** 70, -1]])
+@example([[1, 2], [], [3]])
+@example([[1, True], [2]])
+def test_canonical_json_matches_indented_stdlib(value):
+    assert documents.canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {True: 0}, {"a": {None: 1}}, [{("a",): 1}], {1: 2, "a": 3}])
+def test_canonical_json_rejects_non_string_keys(value):
+    with pytest.raises(TypeError):
+        documents.canonical_json(value)

@@ -6,6 +6,7 @@ from cycmat.cyclic import STParams, natural_ordering
 from cycmat.transversal import dual_transversal, interval_presentation
 from cycmat.weakmap import (
     ElementBijection,
+    IntervalRankOutcome,
     interval_rank_condition,
     is_quotient,
     is_weak_map,
@@ -172,6 +173,27 @@ def test_interval_rank_condition_free_matroid_fails():
     outcome = interval_rank_condition(uniform(8, 8), interval_presentation(8, 3), psi(8, 3))
     assert not outcome.condition
     assert outcome.violation is not None
+
+
+def test_interval_rank_condition_above_the_cap_rests_on_the_lemma():
+    pres = interval_presentation(22, 4)
+    outcome = interval_rank_condition(truncate(psi(22, 4), 1), pres, psi(22, 4))
+    assert outcome == IntervalRankOutcome(True, None, None)
+
+
+def test_interval_rank_condition_above_the_cap_names_a_violation():
+    pres, dual, free = interval_presentation(22, 4), psi(22, 4), uniform(11, 22)
+    outcome = interval_rank_condition(free, pres, dual)
+    assert not outcome.condition and outcome.weak_map is None
+    i, k = outcome.violation
+    union = pres.run_union(i, (i + k - 2) % pres.m + 1)
+    assert free.rank(union) == 4 and dual.rank(union) == 3
+
+
+def test_interval_rank_condition_above_a_lowered_cap(monkeypatch):
+    monkeypatch.setenv("CYCMAT_MAX_N", "6")
+    outcome = interval_rank_condition(wheel(4), interval_presentation(8, 3), psi(8, 3))
+    assert outcome == IntervalRankOutcome(True, None, None)
 
 
 def test_interval_rank_condition_rejects_a_dual_of_the_wrong_size():
