@@ -11,7 +11,8 @@ in 62 bits, Python ints above, under the same numpy expressions.
 from __future__ import annotations
 
 import os
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -98,15 +99,27 @@ def subset_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), indices(mask))
 
 
-def canonical_sort(masks: Collection[int], n: int) -> list[int]:
-    """`masks` sorted by `subset_key`, without building index tuples.
+def canonical_sort(masks: Iterable[int] | np.ndarray, n: int) -> list[int]:
+    """The distinct `masks` in `subset_key` order, without building index tuples.
 
     Among sets of one size, ascending index order is descending order of
-    the mask with its bits reversed, so element 1 weighs most.  The width
-    is max(n, widest mask), so masks outside the n elements sort as well.
+    the mask with its bits reversed, so element 1 weighs most.  The size
+    and the reversed mask come from one shift loop over the bits of the
+    `mask_array`, then one ``np.lexsort``; masks wider than `WORD_BITS`
+    run the same expressions on an object array.  The width is
+    max(n, widest mask), so masks outside the n elements sort as well.
     """
-    fmt = f"0{max(n, max(masks, default=0).bit_length())}b"
-    return sorted(masks, key=lambda m: (m.bit_count(), -int(format(m, fmt)[::-1], 2)))
+    masks = mask_array(masks, n)
+    width = max_width(masks, n)
+    size, reversed_ = np.zeros_like(masks), np.zeros_like(masks)
+    for b in range(width):
+        bit = (masks >> b) & 1
+        size += bit
+        reversed_ |= bit << (width - 1 - b)
+    ordered = masks[np.lexsort((-reversed_, size))]
+    distinct = np.ones(len(ordered), dtype=bool)
+    distinct[1:] = ordered[1:] != ordered[:-1]  # equal masks sort next to each other
+    return ordered[distinct].tolist()
 
 
 def cyclic_interval(n: int, i: int, j: int) -> int:
@@ -205,11 +218,36 @@ def set_sizes(n: int) -> np.ndarray:
     return sizes
 
 
-def mask_array(masks: Sequence[int]) -> np.ndarray:
-    """Masks as a numpy array: int64 when all fit in 62 bits, else Python ints
-    (dtype object).  ``& | ^ - == !=`` give the same results on both."""
-    wide = max(masks, default=0).bit_length() > WORD_BITS
-    return np.array(masks, dtype=object if wide else np.int64)
+def mask_array(masks: Iterable[int] | np.ndarray, n: int = 0) -> np.ndarray:
+    """Masks as a numpy array: int64 when every mask and `n` fit in
+    `WORD_BITS`, else Python ints (dtype object).  ``& | ^ - >> << == !=``
+    give the same results on both.  An array of either kind is kept."""
+    if not isinstance(masks, np.ndarray):
+        masks = list(masks)
+        masks = np.array(masks, dtype=object if max(masks, default=0).bit_length() > WORD_BITS else np.int64)
+    if n > WORD_BITS and masks.dtype != object:
+        masks = masks.astype(object)
+    return masks
+
+
+def max_width(masks: np.ndarray, n: int = 0) -> int:
+    """max(n, bit length of the widest of the nonnegative `masks`)."""
+    return max(n, int(masks.max()).bit_length() if len(masks) else 0)
+
+
+def mask_rows(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """`mask_of` of each row of 1-based indices in 1..n, in one pass: each
+    index becomes its bit, and one ``bitwise_or.reduceat`` joins each row."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+    if len(flat) and (flat.min() < 1 or flat.max() > n):  # a shift cannot place them
+        raise ValueError(f"element indices must lie in 1..{n}")
+    bits = np.left_shift(np.ones(1, dtype=object if n > WORD_BITS else np.int64), flat - 1)
+    masks = np.zeros(len(rows), dtype=bits.dtype)
+    filled = lengths > 0
+    if filled.any():  # an empty row is the empty mask, and reduceat cannot end on one
+        masks[filled] = np.bitwise_or.reduceat(bits, (np.cumsum(lengths) - lengths)[filled])
+    return masks
 
 
 def row_blocks(rows: int, cols: int) -> Iterator[tuple[int, int]]:

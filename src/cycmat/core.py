@@ -49,8 +49,9 @@ class CircuitFamily:
     members: tuple[int, ...]
 
     @classmethod
-    def from_masks(cls, n: int, masks: Iterable[int]) -> "CircuitFamily":
-        return cls(n, tuple(bitset.canonical_sort(set(masks), n)))
+    def from_masks(cls, n: int, masks: Iterable[int] | np.ndarray) -> "CircuitFamily":
+        """The distinct `masks`, given as Python ints or as a numpy array."""
+        return cls(n, tuple(bitset.canonical_sort(masks, n)))
 
     def __iter__(self):
         return iter(self.members)
@@ -67,7 +68,30 @@ class CircuitFamily:
         return bitset.ContainmentTest(self.n, self.members)
 
     def as_indices(self) -> list[list[int]]:
-        return [list(bitset.indices(m)) for m in self.members]
+        """Each member's 1-based element indices, ascending.
+
+        The bits of all members are unpacked once, by a shift loop over the
+        `bitset.mask_array` (an object array above `bitset.WORD_BITS`), and
+        each run of members of one size is reshaped in one step: the
+        canonical order sorts by size first, so a family has one run per
+        size.
+        """
+        masks = bitset.mask_array(self.members, self.n)
+        width = bitset.max_width(masks, self.n)
+        bits = np.empty((len(masks), width), dtype=bool)
+        for b in range(width):
+            bits[:, b] = (masks >> b) & 1
+        elements = np.flatnonzero(bits) % width + 1  # row by row, ascending within a row
+        sizes = bits.sum(axis=1)
+        starts = np.flatnonzero(np.diff(sizes, prepend=-1))
+        ends = np.append(starts[1:], len(sizes))
+        out: list[list[int]] = []
+        offset = 0
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            count, size = hi - lo, int(sizes[lo])
+            out += elements[offset:offset + count * size].reshape(count, size).tolist()
+            offset += count * size
+        return out
 
 
 @dataclass(frozen=True)
@@ -263,21 +287,32 @@ class MatroidOracle:
 
 
 def oracle_from_circuits(
-    ground: GroundSet, circuits: Iterable[int], name: str = "", validate: bool = True
+    ground: GroundSet, circuits: Iterable[int] | np.ndarray, name: str = "", validate: bool = True
 ) -> MatroidOracle:
-    """Oracle with X independent iff X contains no listed circuit."""
+    """Oracle with X independent iff X contains no listed circuit.
+
+    `circuits` are masks, as Python ints or a numpy array.  The family's
+    `contains_member` test (its dependence table up to the lattice cap) is
+    built on the first predicate or table use, or by validation, not here:
+    listing the circuits needs none.
+    """
     family = CircuitFamily.from_masks(ground.n, circuits)
     if validate:
         report = validate_circuit_axioms(family, ground.n)
         if not report.ok:
             raise ValueError(f"circuit family fails the axioms: {report.violations[0]}")
-    contains_circuit = family.contains_member
-    dependent = contains_circuit.table
+
+    def independent() -> np.ndarray:
+        dependent = family.contains_member.table
+        if dependent is None:  # the test was built above a lower cap than today's
+            dependent = np.frombuffer(bitset.dependence_table(ground.n, family.members), dtype=np.uint8)
+        return dependent == 0
+
     oracle = MatroidOracle(
         ground,
-        lambda mask: not contains_circuit(mask),
+        lambda mask: not family.contains_member(mask),
         name=name or "from-circuits",
-        table=None if dependent is None else lambda: dependent == 0,
+        table=independent,
     )
     oracle._circuits = family
     return oracle
@@ -287,7 +322,7 @@ def _minimal_sets(n: int, marked: np.ndarray) -> CircuitFamily:
     """The minimal nonempty masks of a ``bool`` array over all 2^n masks."""
     minimal = marked & bitset.all_maximal_subsets(~marked)
     minimal[0] = False
-    return CircuitFamily.from_masks(n, map(int, np.flatnonzero(minimal)))
+    return CircuitFamily.from_masks(n, np.flatnonzero(minimal))
 
 
 def orthogonality_check(circuit: int, cocircuit: int) -> bool:

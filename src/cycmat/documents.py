@@ -13,7 +13,7 @@ circuit list.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -90,10 +90,13 @@ def _emit(obj: Any, newline: str) -> str:
         if kinds == {int}:  # bools are not exactly int
             items = map(int.__repr__, obj)
         elif kinds <= {list, tuple} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
-            # nonempty int lists, such as a circuit family: one join per row and no call
+            # nonempty int lists, such as a circuit family: one %-template per run of equal-length rows
             deeper = inner + "  "
-            head, sep, tail = "[" + deeper, "," + deeper, inner + "]"
-            items = [head + sep.join(map(int.__repr__, row)) + tail for row in obj]
+            items = []
+            for length, run in groupby(obj, len):
+                run = list(run)
+                row = "[" + deeper + ("," + deeper).join(["%d"] * length) + inner + "]"
+                items.append(("," + inner).join([row] * len(run)) % tuple(chain.from_iterable(run)))
         else:
             items = [_emit(value, inner) for value in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -181,13 +184,16 @@ def _expect_int_fields(payload: Any, *names: str) -> None:
 
 
 def _expect_index_lists(value: Any, n: int) -> None:
+    """A list of lists of JSON integers in 1..n: one type test over the
+    rows and one over their concatenation (bools are not exactly int),
+    then its min and max."""
     if not isinstance(value, list):
         raise ValueError("expected a list of index lists")
-    for entry in value:
-        if not isinstance(entry, list) or not all(
-            _is_int(i) and 1 <= i <= n for i in entry
-        ):
-            raise ValueError("set lists must hold 1-based element indices within the ground set")
+    if not set(map(type, value)) <= {list}:
+        raise ValueError("set lists must hold 1-based element indices within the ground set")
+    flat = list(chain.from_iterable(value))
+    if flat and (set(map(type, flat)) != {int} or min(flat) < 1 or max(flat) > n):
+        raise ValueError("set lists must hold 1-based element indices within the ground set")
 
 
 def to_oracle(doc: dict) -> MatroidOracle:
@@ -210,14 +216,14 @@ def _build(body: dict) -> MatroidOracle:
         ground = GroundSet(payload["n"])
         return oracle_from_circuits(
             ground,
-            [bitset.mask_of(c) for c in payload["circuits"]],
+            bitset.mask_rows(payload["circuits"], ground.n),
             name="document-circuits",
             validate=False,
         )
     if kind == "transversal":
         ground = GroundSet(payload["n"])
         pres = BipartitePresentation(
-            ground, tuple(bitset.mask_of(nb) for nb in payload["neighborhoods"])
+            ground, tuple(bitset.mask_rows(payload["neighborhoods"], ground.n).tolist())
         )
         return transversal_matroid(pres)
     if kind == "construction":

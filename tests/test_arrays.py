@@ -186,6 +186,19 @@ def test_family_built_under_a_lower_cap_still_validates(monkeypatch):
     assert validate_circuit_axioms(tabled, 10) == AxiomReport(True, ())
 
 
+def test_oracle_first_asked_under_a_lower_cap_still_fills_its_table(monkeypatch):
+    # the containment test is built on the first question, here above a lowered
+    # cap (a scan); the independence table asked after the cap is restored is full
+    source = psi(10, 3)
+    oracle = core.oracle_from_circuits(GroundSet(10), source.circuits().members, validate=False)
+    monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
+    assert oracle.rank() == 5
+    assert oracle.circuits().contains_member.table is None
+    monkeypatch.delenv(bitset.LATTICE_CAP_ENV)
+    assert np.array_equal(oracle.independence_table(), source.independence_table())
+    assert verify_matroid_axioms(oracle).ok
+
+
 def reference_circuits(oracle) -> CircuitFamily:
     """The k-subset loop: every `is_circuit` k-set, k up to rank + 1."""
     found = []

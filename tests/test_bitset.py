@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -68,3 +69,27 @@ def test_dependence_table_matches_direct_scan(case):
 @example(3, [0b10010, 0b101])  # {2, 5} reaches past n: reversed over its own width, {1, 3} would sort last
 def test_canonical_sort_is_subset_key_order(n, masks):
     assert bitset.canonical_sort(set(masks), n) == sorted(set(masks), key=bitset.subset_key)
+
+
+@st.composite
+def index_rows(draw):
+    n = draw(st.integers(min_value=1, max_value=80))
+    rows = draw(st.lists(st.lists(st.integers(min_value=1, max_value=n), max_size=6), max_size=12))
+    return n, rows
+
+
+@given(index_rows())
+@example((3, []))
+@example((3, [[], [1, 1], []]))  # empty rows and a repeated index
+@example((70, [[70], [], [1, 63, 64]]))  # above WORD_BITS: an object array
+def test_mask_rows_is_mask_of_each_row(case):
+    n, rows = case
+    masks = bitset.mask_rows(rows, n)
+    assert len(masks) == len(rows)
+    assert masks.tolist() == [bitset.mask_of(row) for row in rows]
+
+
+@pytest.mark.parametrize("rows", [[[0, 1]], [[1], [4]], [[-1]]])
+def test_mask_rows_rejects_indices_outside_the_ground_set(rows):
+    with pytest.raises(ValueError):
+        bitset.mask_rows(rows, 3)

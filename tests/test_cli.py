@@ -1,8 +1,10 @@
+import itertools
 import json
+import random
 
 import pytest
 
-from cycmat import cli, documents
+from cycmat import bitset, cli, documents
 from cycmat.cli import main
 
 
@@ -90,6 +92,36 @@ def test_circuits_command_keeps_listed_family_with_labels(capsys, tmp_path):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert len(json.loads(outputs[0])["circuits"]) == n
+
+
+@pytest.mark.parametrize("n", [12, 25])
+def test_circuits_document_builds_its_table_only_when_asked(capsys, tmp_path, monkeypatch, n):
+    # listing a document's circuits reads no dependence table; rank and indep build
+    # it on first use up to the lattice cap (20) and scan the members above it
+    built = []
+    original = bitset.dependence_table
+
+    def counting(size, generators):
+        built.append(size)
+        return original(size, generators)
+
+    monkeypatch.setattr(bitset, "dependence_table", counting)
+    rng = random.Random(n)
+    triples = [list(c) for c in itertools.combinations(range(1, n + 1), 3)]  # U(2, n)
+    shuffled = [rng.sample(c, 3) for c in triples]
+    rng.shuffle(shuffled)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"schema": 1, "matroid": {"circuits": {"n": n, "circuits": shuffled}}}))
+    code, out, _ = run_cli(capsys, "circuits", str(path))
+    assert code == 0 and json.loads(out) == {"n": n, "circuits": triples}
+    assert built == []
+    oracle = documents.to_oracle(documents.parse(path.read_text()))
+    assert oracle.circuits().as_indices() == triples and built == []
+    assert oracle.rank() == 2
+    assert oracle.indep(bitset.mask_of([1, n])) and not oracle.indep(bitset.mask_of([1, 2, n]))
+    tabled = n <= bitset.lattice_cap()
+    assert built == ([n] if tabled else [])
+    assert (oracle.circuits().contains_member.table is not None) == tabled
 
 
 @pytest.mark.parametrize("labels", [[1, 2, 3, 4], ["a", "a", "b", "c"], ["a", "b", "c"], []])

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from cycmat import (
 )
 from cycmat import bitset
 from cycmat.constructions import free_spike, whirl
+from cycmat.core import CircuitFamily
 
 
 def brute_rank(oracle, mask):
@@ -107,6 +109,47 @@ def test_circuit_family_canonical_order():
     fam = psi(8, 3).circuits()
     keys = [bitset.subset_key(m) for m in fam.members]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n, indices", [
+    (5, []),  # the empty family
+    (70, [[1, 70], [63, 64], [2], [1, 2, 3], [70], [2], [5, 6, 69]]),  # above WORD_BITS: object arrays
+    (70, [[2, 3], [1, 4], [1, 2], [3], [62]]),  # narrow masks, but n above WORD_BITS
+    (4, [[1, 9], [2, 3], [5], [1, 2, 4], [3, 4], [6, 7]]),  # members reaching past n
+    (3, [[1, 65], [2, 3], [64], [1, 2, 3]]),  # past n and past WORD_BITS
+    (4, [[], [1], []]),  # the empty set
+])
+def test_family_order_and_indices_match_the_definitions(n, indices):
+    masks = [bitset.mask_of(c) for c in indices]
+    expected = sorted(set(masks), key=bitset.subset_key)
+    assert bitset.canonical_sort(masks, n) == expected
+    family = CircuitFamily.from_masks(n, masks)
+    assert family.members == tuple(expected)
+    assert all(type(m) is int for m in family.members)
+    assert family.as_indices() == [list(bitset.indices(m)) for m in expected]
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=80),
+    st.lists(st.integers(min_value=0, max_value=(1 << 80) - 1) | st.integers(min_value=0, max_value=63),
+             max_size=40),
+)
+def test_family_order_and_indices_on_random_masks(n, masks):
+    family = CircuitFamily.from_masks(n, masks)
+    assert family.members == tuple(sorted(set(masks), key=bitset.subset_key))
+    assert family.as_indices() == [list(bitset.indices(m)) for m in family.members]
+
+
+@given(
+    st.integers(min_value=1, max_value=70),
+    st.lists(st.integers(min_value=0, max_value=(1 << bitset.WORD_BITS) - 1), max_size=40),
+)
+def test_family_from_an_int64_array_equals_family_from_ints(n, masks):
+    from_ints = CircuitFamily.from_masks(n, masks)
+    from_array = CircuitFamily.from_masks(n, np.array(masks, dtype=np.int64))
+    assert from_array == from_ints
+    assert all(type(m) is int for m in from_array.members)
 
 
 def test_circuits_cap():

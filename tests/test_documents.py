@@ -117,6 +117,9 @@ _JSON_VALUES = st.recursive(
 @example([[1, 2], (3,), [2 ** 70, -1]])
 @example([[1, 2], [], [3]])
 @example([[1, True], [2]])
+@example([[1, 2], [3], [4, 5, 6], [7], [8, 9]])  # rows of mixed lengths
+@example([[i, i + 1, i + 2] for i in range(300)])  # one long run of equal rows
+@example([[1, 2], [3, 4], [5, 6, 7], [8, 9], [10, 11]])  # a run split by a longer row
 def test_canonical_json_matches_indented_stdlib(value):
     assert documents.canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
@@ -125,3 +128,66 @@ def test_canonical_json_matches_indented_stdlib(value):
 def test_canonical_json_rejects_non_string_keys(value):
     with pytest.raises(TypeError):
         documents.canonical_json(value)
+
+
+def per_element_index_lists(value, n):
+    """The per-element rule the bulk `_expect_index_lists` replaced, kept as its reference."""
+    if not isinstance(value, list):
+        raise ValueError("expected a list of index lists")
+    for entry in value:
+        if not isinstance(entry, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= n for i in entry
+        ):
+            raise ValueError("set lists must hold 1-based element indices within the ground set")
+
+
+def _outcome(check, value, n):
+    try:
+        check(value, n)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_INDEX_LIKE = (
+    st.integers(min_value=-1, max_value=9)
+    | st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
+    | st.booleans()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=2)
+    | st.none()
+    | st.lists(st.integers(min_value=0, max_value=9), max_size=2)
+)
+_ROWS = st.lists(
+    st.lists(_INDEX_LIKE, max_size=5)
+    | _INDEX_LIKE
+    | st.dictionaries(st.text(max_size=2), st.integers(min_value=1, max_value=3), max_size=2),
+    max_size=6,
+)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=-1, max_value=9), _ROWS | _INDEX_LIKE)
+@example(3, [])  # the empty family
+@example(3, [[]])
+@example(3, [[1, 2], [], [3]])
+@example(3, [[0]])
+@example(3, [[4]])  # n + 1
+@example(3, [[1, 3], [1, 4]])
+@example(3, [[1, True]])
+@example(3, [[1], [False]])
+@example(3, [[1.0]])
+@example(3, [["1"]])
+@example(3, [[None]])
+@example(3, [[1, [2]]])  # a nested list
+@example(3, [[1], 2])  # a row that is not a list
+@example(3, [[1], {"a": 1}])
+@example(3, [[1], {}])  # an empty non-list row adds no index to test
+@example(3, [""])
+@example(3, [[1], None])
+@example(3, {"a": [1]})
+@example(3, None)
+@example(0, [[1]])
+@example(-1, [[]])
+def test_bulk_index_list_check_matches_per_element_rule(n, value):
+    assert _outcome(documents._expect_index_lists, value, n) == _outcome(per_element_index_lists, value, n)
