@@ -23,8 +23,6 @@ LATTICE_CAP = 20
 LATTICE_CAP_ENV = "CYCMAT_MAX_N"
 # widest mask held in an int64 array; wider masks use Python ints
 WORD_BITS = 62
-# cells per temporary in the blocked pairwise array operations (128 KB at int64)
-BLOCK_CELLS = 1 << 14
 
 
 class CapExceeded(ValueError):
@@ -174,6 +172,16 @@ def subset_sum(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def subset_or(values: np.ndarray) -> np.ndarray:
+    """In place: ``values[X]`` becomes the bitwise OR of ``values[Y]`` over
+    Y <= X (on masks, the union of the marked sets inside X).  Returns
+    `values`."""
+    for b in range(len(values).bit_length() - 1):
+        halves = values.reshape(-1, 2, 1 << b)
+        halves[:, 1] |= halves[:, 0]
+    return values
+
+
 def all_maximal_subsets(marked: np.ndarray) -> np.ndarray:
     """Bool array: is ``marked[X - e]`` set for every e in X (true at X = 0)?"""
     out = np.ones(len(marked), dtype=bool)
@@ -248,14 +256,6 @@ def mask_rows(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
     if filled.any():  # an empty row is the empty mask, and reduceat cannot end on one
         masks[filled] = np.bitwise_or.reduceat(bits, (np.cumsum(lengths) - lengths)[filled])
     return masks
-
-
-def row_blocks(rows: int, cols: int) -> Iterator[tuple[int, int]]:
-    """Row ranges ``[lo, hi)`` of a rows x cols pairwise array, each of at most
-    BLOCK_CELLS cells (one row at least), so each temporary stays bounded."""
-    step = max(1, BLOCK_CELLS // max(cols, 1))
-    for lo in range(0, rows, step):
-        yield lo, min(lo + step, rows)
 
 
 class ContainmentTest:

@@ -42,8 +42,36 @@ def _wheel_edges(r: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _forest_table(edges: list[tuple[int, int]], vertices: int) -> np.ndarray:
+    """``bool`` array over all 2^n edge masks (edge b + 1 is bit b): is the
+    edge set a forest?
+
+    Each mask carries a component label per vertex (uint8, so at most 256
+    vertices).  Edge b = (u, v) keeps a forest below 2^b a forest iff the
+    labels of u and v differ there, and then merges the two labels; one
+    numpy pass per edge, over the 2^b masks below it.
+    """
+    n = len(edges)
+    forest = np.zeros(1 << n, dtype=bool)
+    forest[0] = True
+    # labels are read only as the base of a later edge, so masks below 2^(n - 1)
+    labels = np.empty((1 << (n - 1), vertices), dtype=np.uint8)
+    labels[0] = np.arange(vertices)
+    for b, (u, v) in enumerate(edges):
+        low = 1 << b
+        below = labels[:low]
+        forest[low:2 * low] = forest[:low] & (below[:, u] != below[:, v])
+        if b < n - 1:
+            labels[low:2 * low] = np.where(below == below[:, v, None], below[:, u, None], below)
+    return forest
+
+
 def wheel(r: int) -> MatroidOracle:
-    """Graphic matroid of the r-spoke wheel; independence = forest."""
+    """Graphic matroid of the r-spoke wheel; independence = forest.
+
+    The predicate is a union-find forest test, for single queries; the
+    table is `_forest_table`, the same test on every mask in numpy passes.
+    """
     if r < 2:
         raise ValueError(f"wheel needs r >= 2, got r={r}")
     edges = _wheel_edges(r)
@@ -65,7 +93,9 @@ def wheel(r: int) -> MatroidOracle:
             parent[ra] = rb
         return True
 
-    return MatroidOracle(GroundSet(2 * r), indep, name=f"wheel({r})")
+    return MatroidOracle(
+        GroundSet(2 * r), indep, name=f"wheel({r})", table=lambda: _forest_table(edges, r + 1)
+    )
 
 
 def rim_mask(r: int) -> int:

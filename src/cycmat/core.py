@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -326,27 +326,50 @@ def _minimal_sets(n: int, marked: np.ndarray) -> CircuitFamily:
 
 
 def orthogonality_check(circuit: int, cocircuit: int) -> bool:
-    """A circuit and a cocircuit never meet in exactly one element."""
+    """A circuit and a cocircuit never meet in exactly one element.
+
+    The rule for one pair, which `orthogonality_violation` decides for whole
+    families; the tests' reference, and a name `perfbench/tracer.py` counts.
+    """
     return (circuit & cocircuit).bit_count() != 1
 
 
-def orthogonality_violations(
-    circuits: Iterable[int], cocircuits: Iterable[int]
-) -> Iterator[tuple[int, int]]:
-    """Circuit-cocircuit pairs that meet in exactly one element, in nested-loop
-    order (every cocircuit against the first circuit, then the next circuit).
+def orthogonality_violation(
+    circuits: Iterable[int] | np.ndarray, cocircuits: Iterable[int] | np.ndarray, n: int
+) -> tuple[int, int] | None:
+    """The first circuit-cocircuit pair that meets in exactly one element, in
+    nested-loop order (every cocircuit against the first circuit, then the
+    next circuit), or None when `orthogonality_check` holds on every pair.
 
-    `orthogonality_check` on each pair, as array operations over a block of
-    circuits at a time: ``x = C & D`` is one element iff x != 0 and
-    ``x & (x - 1) == 0``.
+    A lattice pass, not a walk over pairs: U[X], the union of the cocircuits
+    inside X, is a `bitset.subset_or` over all 2^n masks (int32, which holds
+    masks up to n = 31).  A circuit C meets some cocircuit in exactly e iff
+    e is in C and in U[(E - C) | e], so one pass per element marks every
+    circuit with such a partner; the first marked circuit is then tested
+    against each cocircuit.  O(n 2^n + n |circuits| + |cocircuits|).  Above
+    the `bitset.lattice_cap` it raises `CapExceeded`, and masks outside the
+    n elements raise `ValueError`.
     """
-    circuits, cocircuits = tuple(circuits), tuple(cocircuits)
+    bitset.require_cap("the orthogonality check", n, bitset.lattice_cap())
+    full = bitset.full_mask(n)
     cs, ds = bitset.mask_array(circuits), bitset.mask_array(cocircuits)
-    for lo, hi in bitset.row_blocks(len(cs), len(ds)):
-        meet = cs[lo:hi, None] & ds[None, :]
-        single = (meet != 0) & ((meet & (meet - 1)) == 0)
-        for i, j in zip(*np.nonzero(single)):
-            yield circuits[lo + int(i)], cocircuits[int(j)]
+    for masks in (cs, ds):
+        if len(masks) and (masks.min() < 0 or masks.max() > full):
+            raise ValueError(f"masks must lie inside the {n} elements")
+    cs, ds = cs.astype(np.int32), ds.astype(np.int32)
+    union = np.zeros(1 << n, dtype=np.int32)
+    union[ds] = ds
+    bitset.subset_or(union)
+    partnered = np.zeros(len(cs), dtype=bool)
+    for b in range(n):
+        holds = (cs >> b) & 1 == 1
+        partnered[holds] |= (union[(full ^ cs[holds]) | 1 << b] >> b) & 1 == 1
+    if not partnered.any():
+        return None
+    i = int(np.argmax(partnered))
+    meet = ds & cs[i]
+    j = int(np.argmax((meet != 0) & (meet & (meet - 1) == 0)))
+    return int(cs[i]), int(ds[j])
 
 
 def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> AxiomReport:

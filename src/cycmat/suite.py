@@ -25,7 +25,7 @@ from .constructions import free_spike, truncate, truncation_circuits, uniform, w
 from .core import (
     GroundSet,
     MatroidOracle,
-    orthogonality_violations,
+    orthogonality_violation,
     validate_circuit_axioms,
     verify_matroid_axioms,
 )
@@ -59,7 +59,7 @@ from .transversal import (
     interval_presentation,
     max_matching,
     psi,
-    psi_basis_test,
+    psi_basis_table,
     self_duality_map,
     transversal_matroid,
 )
@@ -304,7 +304,8 @@ def _exchange_entry(fx: Fixture) -> tuple[bool, Any]:
 
 
 def _orthogonality_entry(fx: Fixture) -> tuple[bool, Any]:
-    pair = next(orthogonality_violations(fx.oracle.circuits(), fx.oracle.cocircuits()), None)
+    oracle = fx.oracle
+    pair = orthogonality_violation(oracle.circuits(), oracle.cocircuits(), oracle.n)
     if pair is None:
         return True, None
     return False, _mask_list(pair)
@@ -354,11 +355,8 @@ def _dual_equivalence_entry(pres) -> tuple[bool, Any]:
 
 
 def _basis_entry(n: int, s: int, oracle: MatroidOracle) -> tuple[bool, Any]:
-    # the interval-count test on every mask, one call each
-    size = 1 << n
-    counted = np.fromiter((psi_basis_test(n, s, mask) for mask in range(size)), bool, size)
     return _first_disagreement(
-        counted, (bitset.set_sizes(n) == n // 2) & oracle.independence_table()
+        psi_basis_table(n, s), (bitset.set_sizes(n) == n // 2) & oracle.independence_table()
     )
 
 

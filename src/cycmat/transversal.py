@@ -328,22 +328,38 @@ def psi(n: int, s: int) -> MatroidOracle:
     return _oracle(interval_presentation(n, s).base, True, f"psi({n},{s})")
 
 
-def psi_basis_test(n: int, s: int, mask: int) -> bool:
-    """Interval-count basis test for psi(n, s), independent of the matching oracle.
-
-    X is a basis iff |X| = n/2 and every window of s + 2k consecutive
-    elements starting at an odd position contains fewer than s + k elements
-    of X, for 0 <= k <= n/2 - s.
-    """
+@cache
+def _basis_windows(n: int, s: int) -> tuple[tuple[int, int], ...]:
+    """(window, bound) pairs of the interval-count basis test for psi(n, s):
+    each window of s + 2k consecutive elements starting at an odd position,
+    for 0 <= k <= n/2 - s, with its bound s + k.  X is a basis iff
+    |X| = n/2 and X has fewer than `bound` elements in every `window`.
+    Independent of the matching oracle."""
     interval_presentation(n, s)  # validate parameters
-    if mask.bit_count() != n // 2:
-        return False
-    for i in range(1, n + 1, 2):
-        for k in range(0, n // 2 - s + 1):
-            window = bitset.cyclic_interval(n, i, i + s - 1 + 2 * k)
-            if (mask & window).bit_count() >= s + k:
-                return False
-    return True
+    return tuple(
+        (bitset.cyclic_interval(n, i, i + s - 1 + 2 * k), s + k)
+        for i in range(1, n + 1, 2)
+        for k in range(0, n // 2 - s + 1)
+    )
+
+
+def psi_basis_test(n: int, s: int, mask: int) -> bool:
+    """Is `mask` a basis of psi(n, s), by the interval-count rule of `_basis_windows`?"""
+    windows = _basis_windows(n, s)
+    return mask.bit_count() == n // 2 and all(
+        (mask & window).bit_count() < bound for window, bound in windows
+    )
+
+
+def psi_basis_table(n: int, s: int) -> np.ndarray:
+    """``bool`` array over all 2^n masks: `psi_basis_test` on each, one numpy
+    pass per window of `_basis_windows`."""
+    sizes = bitset.set_sizes(n)
+    masks = np.arange(1 << n)
+    bases = sizes == n // 2
+    for window, bound in _basis_windows(n, s):
+        bases &= sizes[masks & window] < bound
+    return bases
 
 
 def self_duality_map(n: int, s: int) -> tuple[int, ...]:

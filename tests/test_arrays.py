@@ -2,12 +2,12 @@
 references.
 
 `validate_circuit_axioms` decides a family on its dependence table and walks
-pairs only to list violations; `orthogonality_violations` tests circuit
-pairs as numpy arrays, a bounded block of rows at a time.  Circuits,
-cocircuits and the matroid-axiom sweep are transforms of a table over all
-2^n subsets.  The routes they replaced stay here as the references: same
-families, same report, same violation order, same first witness, and
-bounded memory.
+pairs only to list violations; `orthogonality_violation` finds the first
+circuit-cocircuit pair meeting in one element by a subset-OR transform.
+Circuits, cocircuits and the matroid-axiom sweep are transforms of a table
+over all 2^n subsets.  The routes they replaced stay here as the
+references: same families, same report, same violation order, same first
+witness, and bounded memory.
 """
 
 import itertools
@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 
 from cycmat import (
     AxiomReport,
+    CapExceeded,
     CircuitFamily,
     GroundSet,
     MatroidOracle,
     orthogonality_check,
-    orthogonality_violations,
+    orthogonality_violation,
     psi,
     validate_circuit_axioms,
     verify_matroid_axioms,
@@ -244,8 +245,9 @@ def reference_verify_matroid_axioms(oracle) -> tuple[bool, tuple]:
             if sx <= sy:
                 continue
             xs = bitset.mask_array(by_size[sx])
-            for lo, hi in bitset.row_blocks(len(ys), len(xs)):
-                hits = (ys[lo:hi, None] & xs[None, :]) == 0
+            step = max(1, (1 << 14) // len(xs))  # rows per block of at most 2^14 cells
+            for lo in range(0, len(ys), step):
+                hits = (ys[lo:lo + step, None] & xs[None, :]) == 0
                 if hits.any():
                     yi, xi = np.argwhere(hits)[0]
                     return False, (("exchange",
@@ -325,29 +327,66 @@ def test_sweep_matches_reference_flipped_uniform(case, circuits_first):
     _assert_sweep_matches_reference(*case, circuits_first)
 
 
-def _nested_loop_violations(circuits, cocircuits):
-    return [(c, d) for c in circuits for d in cocircuits if not orthogonality_check(c, d)]
+def reference_orthogonality_violation(circuits, cocircuits):
+    """The nested loop: the first (circuit, cocircuit) pair, circuits outer,
+    that fails `orthogonality_check`, or None."""
+    return next(
+        ((c, d) for c in circuits for d in cocircuits if not orthogonality_check(c, d)), None
+    )
 
 
 def test_orthogonality_violations_agree_with_pair_check():
     M = psi(8, 3)
     circuits, cocircuits = M.circuits(), M.cocircuits()
-    assert list(orthogonality_violations(circuits, cocircuits)) == []
-    # circuits against circuits do meet in single elements: same pairs, same order
-    expected = _nested_loop_violations(circuits, circuits)
-    assert expected
-    assert list(orthogonality_violations(circuits, circuits)) == expected
+    assert orthogonality_violation(circuits, cocircuits, 8) is None
+    assert reference_orthogonality_violation(circuits, cocircuits) is None
+    # circuits against circuits do meet in single elements: the same first pair
+    expected = reference_orthogonality_violation(circuits, circuits)
+    assert expected is not None
+    assert orthogonality_violation(circuits, circuits, 8) == expected
 
 
 def test_orthogonality_first_witness_on_corrupted_cocircuit():
+    # the mutation check of the orthogonality entry: one bad cocircuit is caught
     M = psi(8, 3)
     circuits = M.circuits().members
     cocircuits = list(M.cocircuits().members)
     middle = len(cocircuits) // 2
     cocircuits[middle] ^= 1  # toggle e1 in one cocircuit
-    expected = _nested_loop_violations(circuits, cocircuits)
-    assert expected and all(d == cocircuits[middle] for _, d in expected)
-    assert next(orthogonality_violations(circuits, cocircuits)) == expected[0]
+    expected = reference_orthogonality_violation(circuits, cocircuits)
+    assert expected is not None and expected[1] == cocircuits[middle]
+    assert orthogonality_violation(circuits, cocircuits, 8) == expected
+
+
+@st.composite
+def mask_lists(draw, max_n: int = 10):
+    """(n, circuits, cocircuits): arbitrary masks over n elements, each list
+    possibly empty, with repeats and the empty mask."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    masks = st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=16)
+    return n, draw(masks), draw(masks)
+
+
+@settings(max_examples=400)
+@given(mask_lists())
+@example((4, [0b0011, 0b0011, 0], [0, 0b0110, 0b0110]))  # repeats and empty masks
+@example((3, [0b001], [0b001]))  # one element each
+@example((4, [0b0111], [0b1000]))  # disjoint
+@example((2, [], [0b01]))
+def test_orthogonality_violation_matches_nested_loop(case):
+    n, circuits, cocircuits = case
+    expected = reference_orthogonality_violation(circuits, cocircuits)
+    assert orthogonality_violation(circuits, cocircuits, n) == expected
+    assert orthogonality_violation(np.array(circuits, dtype=np.int64), cocircuits, n) == expected
+
+
+def test_orthogonality_violation_refuses_masks_outside_the_ground_set_and_the_cap():
+    with pytest.raises(ValueError, match="inside the 3 elements"):
+        orthogonality_violation([0b1000], [0b0001], 3)
+    with pytest.raises(ValueError, match="inside the 3 elements"):
+        orthogonality_violation([0b0001], [-1], 3)
+    with pytest.raises(CapExceeded):
+        orthogonality_violation([1], [1], bitset.LATTICE_CAP + 1)
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,7 @@ from cycmat.transversal import (
     dual_transversal,
     interval_presentation,
     max_matching,
+    psi_basis_table,
 )
 
 # a report row that runs every family with the injected mutant
@@ -84,11 +85,10 @@ def test_suite_builds_each_matroid_once(monkeypatch):
     run_suite(max_n=12)
     # the ordering search asks each random fixture's dual about cocircuits
     assert sum(built.values()) <= 133, built.most_common(5)
-    assert sum(tables.values()) <= 39, tables.most_common(5)
-    # only the wheels, whose graphic definition is the per-mask forest test,
-    # ask their predicate; every other table is supplied, duals included
-    assert set(tables) == {f"wheel({r})" for r in suite.WHEEL_GRID}, tables
-    assert sum(supplied.values()) == 88, supplied.most_common(5)
+    # no oracle asks its predicate mask by mask: every table is supplied,
+    # the wheels' forest tables and the duals' included
+    assert not tables, tables
+    assert sum(supplied.values()) == 92, supplied.most_common(5)
     # each oracle builds its dual at most once; labels such as transversal(m=4)
     # name several oracles
     duals = [label for label in built if label.startswith("dual(")]
@@ -121,10 +121,12 @@ def test_table_comparisons_name_the_lowest_flipped_mask(monkeypatch, side, flipp
         monkeypatch.setattr(suite, "dual_transversal", flipped_dual)
         check, other = "dual-transversal-equivalence", "basis-characterization"
     else:
-        basis = suite.psi_basis_test
-        monkeypatch.setattr(
-            suite, "psi_basis_test", lambda n, s, mask: basis(n, s, mask) != (mask in flipped)
-        )
+        def flipped_bases(n, s):
+            table = psi_basis_table(n, s)
+            table[list(flipped)] ^= True
+            return table
+
+        monkeypatch.setattr(suite, "psi_basis_table", flipped_bases)
         check, other = "basis-characterization", "dual-transversal-equivalence"
     report = run_suite(max_n=8, families=("psi",))
     entries = {e["check"]: e for e in report["entries"] if e["params"] == {"n": 8, "s": 3}}

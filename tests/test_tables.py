@@ -6,6 +6,7 @@ builds the oracles, fills every table (which must write no memo entry,
 here or in a parent), then asks `indep` on all 2^n masks.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -76,10 +77,19 @@ def test_uniform_tables_are_their_predicates(rn):
 
 def test_construction_tables_are_their_predicates():
     spikes = [free_spike(r)[0] for r in (3, 4, 5)]
-    graphic = wheel(4)  # asks its predicate; its truncation and duals are supplied
-    _assert_tables_are_predicates(
-        [*spikes, truncate(spikes[0], 2), truncate(graphic, 1)], others=[graphic]
-    )
+    graphic = wheel(4)
+    _assert_tables_are_predicates([*spikes, truncate(spikes[0], 2), graphic, truncate(graphic, 1)])
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_wheel_forest_table_is_the_union_find_predicate(r):
+    # r = 2 has two parallel rim edges between its two rim vertices
+    oracle = wheel(r)
+    table = oracle.independence_table()
+    assert not oracle._memo
+    assert table.dtype == bool and len(table) == 1 << (2 * r)
+    assert table.tolist() == [oracle.indep(m) for m in range(1 << (2 * r))]
+    assert len(oracle.circuits()) == r * r - r + 1  # the cycles of the wheel
 
 
 @settings(max_examples=200, deadline=None)

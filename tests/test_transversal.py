@@ -18,6 +18,7 @@ from cycmat.transversal import (
     interval_presentation,
     max_matching,
     psi,
+    psi_basis_table,
     psi_basis_test,
     self_duality_map,
     transversal_matroid,
@@ -393,6 +394,13 @@ def test_basis_characterization_agrees_with_matching(psi_oracles):
             lhs = psi_basis_test(n, s, mask)
             rhs = mask.bit_count() == half and M.indep(mask)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("n, s", [(n, s) for n, s in PSI_GRID if n <= 12])
+def test_basis_table_is_the_basis_test_on_every_mask(n, s):
+    table = psi_basis_table(n, s)
+    assert table.dtype == bool and len(table) == 1 << n
+    assert table.tolist() == [psi_basis_test(n, s, mask) for mask in range(1 << n)]
 
 
 def test_self_duality_map_shape():
