@@ -5,7 +5,9 @@ throughout) occupies bit ``i - 1``.  Python integers are arbitrary precision,
 so the same representation covers both the machine-word fast path and any
 larger ground set without a separate code path.  Array operations over many
 masks hold them in a numpy array (`mask_array`): int64 while every mask fits
-in 62 bits, Python ints above, under the same numpy expressions.
+in 62 bits, Python ints above, under the same numpy expressions.  Arrays
+indexed by all 2^n masks are transformed over the subset lattice by one
+loop, `subset_reduce`, which takes the ufunc that joins two subsets.
 """
 
 from __future__ import annotations
@@ -140,45 +142,31 @@ def permute(mask: int, perm: tuple[int, ...]) -> int:
 def dependence_table(n: int, generators: Iterable[int]) -> bytearray:
     """Table ``t`` with ``t[mask] = 1`` iff mask contains some generator.
 
-    The `subset_max` of the generators, as a ``bytearray`` of 2^n bytes: a
-    single lookup is a plain int, and ``np.frombuffer(t, np.uint8)`` views it
-    as an array without a copy.
+    The `subset_reduce` of the generators by ``np.maximum``, as a
+    ``bytearray`` of 2^n bytes: a single lookup is a plain int, and
+    ``np.frombuffer(t, np.uint8)`` views it as an array without a copy.
     """
     table = bytearray(1 << n)
     cells = np.frombuffer(table, dtype=np.uint8)
     cells[np.fromiter(generators, dtype=np.int64)] = 1
-    subset_max(cells)
+    subset_reduce(cells, np.maximum)
     return table
 
 
-# Transforms of an array indexed by all 2^n masks, one numpy operation per
-# bit b (Yates' algorithm): ``a.reshape(-1, 2, 1 << b)`` pairs each mask
-# without b with the same mask plus b.  O(n * 2^n), so callers keep n small.
-def subset_max(values: np.ndarray) -> np.ndarray:
-    """In place: ``values[X]`` becomes the largest ``values[Y]`` over Y <= X
-    (on a bool array, "some subset is marked").  Returns `values`."""
+def subset_reduce(values: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """In place: ``values[X]`` becomes ``values[Y]`` over all Y <= X, joined
+    by the binary ufunc `op`.  ``np.maximum`` gives the largest (on a bool
+    array, "some subset is marked"), ``np.add`` the sum and
+    ``np.bitwise_or`` the OR (on masks, the union of the marked sets
+    inside X).  Returns `values`.
+
+    Yates' algorithm, one numpy operation per bit b:
+    ``values.reshape(-1, 2, 1 << b)`` pairs each mask without b with the
+    same mask plus b.  O(n * 2^n), so callers keep n small.
+    """
     for b in range(len(values).bit_length() - 1):
         halves = values.reshape(-1, 2, 1 << b)
-        np.maximum(halves[:, 1], halves[:, 0], out=halves[:, 1])
-    return values
-
-
-def subset_sum(values: np.ndarray) -> np.ndarray:
-    """In place: ``values[X]`` becomes the sum of ``values[Y]`` over Y <= X.
-    Returns `values`."""
-    for b in range(len(values).bit_length() - 1):
-        halves = values.reshape(-1, 2, 1 << b)
-        halves[:, 1] += halves[:, 0]
-    return values
-
-
-def subset_or(values: np.ndarray) -> np.ndarray:
-    """In place: ``values[X]`` becomes the bitwise OR of ``values[Y]`` over
-    Y <= X (on masks, the union of the marked sets inside X).  Returns
-    `values`."""
-    for b in range(len(values).bit_length() - 1):
-        halves = values.reshape(-1, 2, 1 << b)
-        halves[:, 1] |= halves[:, 0]
+        op(halves[:, 1], halves[:, 0], out=halves[:, 1])
     return values
 
 
@@ -194,7 +182,7 @@ def lattice_rank(independent: np.ndarray) -> np.ndarray:
     """Rank of every mask, from a ``bool`` array over all 2^n masks that marks
     the independent ones: the size of its largest independent subset."""
     sizes = set_sizes(len(independent).bit_length() - 1)
-    return subset_max(np.where(independent, sizes, 0))
+    return subset_reduce(np.where(independent, sizes, 0), np.maximum)
 
 
 def greedy_rank(independent: np.ndarray) -> np.ndarray:

@@ -342,11 +342,11 @@ def orthogonality_violation(
     next circuit), or None when `orthogonality_check` holds on every pair.
 
     A lattice pass, not a walk over pairs: U[X], the union of the cocircuits
-    inside X, is a `bitset.subset_or` over all 2^n masks (int32, which holds
-    masks up to n = 31).  A circuit C meets some cocircuit in exactly e iff
-    e is in C and in U[(E - C) | e], so one pass per element marks every
-    circuit with such a partner; the first marked circuit is then tested
-    against each cocircuit.  O(n 2^n + n |circuits| + |cocircuits|).  Above
+    inside X, is a `bitset.subset_reduce` by ``np.bitwise_or`` over all 2^n
+    masks (int32, which holds masks up to n = 31).  A circuit C meets some
+    cocircuit in exactly e iff e is in C and in U[(E - C) | e], so one pass
+    per element marks every circuit with such a partner; the first marked
+    circuit is then tested against each cocircuit.  O(n 2^n + n |circuits| + |cocircuits|).  Above
     the `bitset.lattice_cap` it raises `CapExceeded`, and masks outside the
     n elements raise `ValueError`.
     """
@@ -359,7 +359,7 @@ def orthogonality_violation(
     cs, ds = cs.astype(np.int32), ds.astype(np.int32)
     union = np.zeros(1 << n, dtype=np.int32)
     union[ds] = ds
-    bitset.subset_or(union)
+    bitset.subset_reduce(union, np.bitwise_or)
     partnered = np.zeros(len(cs), dtype=bool)
     for b in range(n):
         holds = (cs >> b) & 1 == 1

@@ -8,6 +8,12 @@ module certifies both properties, searches for orderings, and machine-checks
 the window-level consequences (flanking cocircuits, parity structure,
 closure, window ranks, the rank formula, uniqueness, and the
 nearly-to-fully upgrade at the proven size bounds).
+
+Each window check takes a whole ordering and returns one
+`VerificationReport` over every window start (and every window length the
+statement covers), its witnesses in start-then-length order.  The four
+checks that need a full certificate on n > s + t - 2 elements pass one
+gate, `_full_certificate`.
 """
 
 from __future__ import annotations
@@ -324,15 +330,24 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _full_certificate(
+    oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams, what: str
+) -> OrderingCertificate:
+    """The certificate of `ordering`, which `what` needs to be full on
+    n > s + t - 2 elements, where every window has distinct elements."""
+    cert = certify(oracle, ordering, params)
+    _require(cert.full, f"{what} needs a fully structured ordering")
+    _require(cert.n > cert.s + cert.t - 2, f"{what} needs n > s + t - 2, got n={cert.n}")
+    return cert
+
+
 def check_adjacent_windows(
     oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams
 ) -> VerificationReport:
     """Each circuit window is flanked by cocircuit windows at distance t on
-    both sides, and dually.  Requires a full certificate on n > s + t - 2."""
-    cert = certify(oracle, ordering, params)
-    n, s, t = cert.n, cert.s, cert.t
-    _require(cert.full, "adjacent-window check needs a fully structured ordering")
-    _require(n > s + t - 2, f"adjacent-window check needs n > s + t - 2, got n={n}")
+    both sides, and dually."""
+    cert = _full_certificate(oracle, ordering, params, "adjacent-window check")
+    s, t = cert.s, cert.t
     witnesses = []
     checked = 0
     for i in cert.circuit_starts:
@@ -354,10 +369,8 @@ def check_window_structure(
     """Parity structure at each circuit window: for even s, t the cocircuit
     window shares the start; for odd s, t it is shifted by one.  The shifted
     s-window is independent and the appropriate t-window coindependent."""
-    cert = certify(oracle, ordering, params)
-    n, s, t = cert.n, cert.s, cert.t
-    _require(cert.full, "window-structure check needs a fully structured ordering")
-    _require(n > s + t - 2, f"window-structure check needs n > s + t - 2, got n={n}")
+    cert = _full_certificate(oracle, ordering, params, "window-structure check")
+    s, t = cert.s, cert.t
     _require((s - t) % 2 == 0, "window-structure check needs s = t mod 2")
     even = s % 2 == 0
     witnesses = []
@@ -376,51 +389,49 @@ def check_window_structure(
 
 
 def check_window_closure(
-    oracle: MatroidOracle,
-    ordering: CyclicOrdering,
-    params: STParams,
-    i: int,
-    k: int,
-) -> tuple[bool, bool]:
-    """Both closure biconditionals at (i, k): the next element enters the
-    closure of the k-window iff the trailing s-window is a circuit, and the
-    preceding element does iff the leading s-window is one."""
-    cert = certify(oracle, ordering, params)
+    oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams
+) -> VerificationReport:
+    """Both closure biconditionals at every start i and s-1 <= k <= n-t: the
+    next element enters the closure of the k-window iff the trailing
+    s-window is a circuit, and the preceding element does iff the leading
+    s-window is one."""
+    cert = _full_certificate(oracle, ordering, params, "closure check")
     n, s, t = cert.n, cert.s, cert.t
-    _require(cert.full, "closure check needs a fully structured ordering")
-    _require(n > s + t - 2, f"closure check needs n > s + t - 2, got n={n}")
-    _require(s - 1 <= k <= n - t, f"closure check needs s-1 <= k <= n-t, got k={k}")
-    window = ordering.window(i, k)
-    ahead = oracle.in_closure(ordering.element_at(i + k), window) == cert.circuit_at(i + k - s + 1)
-    behind = oracle.in_closure(ordering.element_at(i - 1), window) == cert.circuit_at(i - 1)
-    return ahead, behind
+    ks = range(s - 1, n - t + 1)
+    witnesses = []
+    for i in range(1, n + 1):
+        for k in ks:
+            window = ordering.window(i, k)
+            if oracle.in_closure(ordering.element_at(i + k), window) != cert.circuit_at(i + k - s + 1):
+                witnesses.append(("closure-ahead", i, k))
+            if oracle.in_closure(ordering.element_at(i - 1), window) != cert.circuit_at(i - 1):
+                witnesses.append(("closure-behind", i, k))
+    return VerificationReport("window-closure", not witnesses, 2 * n * len(ks), tuple(witnesses))
 
 
 def window_rank_prediction(
-    oracle: MatroidOracle,
-    ordering: CyclicOrdering,
-    params: STParams,
-    i: int,
-    k: int,
-) -> tuple[int, int]:
-    """Predicted vs oracle rank of the k-window at position i.
+    oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams
+) -> VerificationReport:
+    """Predicted against oracle rank of the k-window at every start i, for
+    1 <= k <= n-t+1.
 
     Below s the window is independent; from s on the rank is
     floor((s+k-1)/2) when the leading s-window is a circuit and the ceiling
-    otherwise.
+    otherwise.  A witness is (i, k, predicted, actual).
     """
-    cert = certify(oracle, ordering, params)
+    cert = _full_certificate(oracle, ordering, params, "window-rank check")
     n, s, t = cert.n, cert.s, cert.t
-    _require(cert.full, "window-rank check needs a fully structured ordering")
-    _require(n > s + t - 2, f"window-rank check needs n > s + t - 2, got n={n}")
-    _require(1 <= k <= n - t + 1, f"window-rank check needs 1 <= k <= n-t+1, got k={k}")
-    if k < s:
-        predicted = k
-    elif cert.circuit_at(i):
-        predicted = (s + k - 1) // 2
-    else:
-        predicted = (s + k) // 2
-    return predicted, oracle.rank(ordering.window(i, k))
+    witnesses = []
+    for i in range(1, n + 1):
+        for k in range(1, n - t + 2):
+            if k < s:
+                predicted = k
+            else:
+                predicted = (s + k - 1) // 2 if cert.circuit_at(i) else (s + k) // 2
+            actual = oracle.rank(ordering.window(i, k))
+            if predicted != actual:
+                witnesses.append(("window-rank", i, k, predicted, actual))
+    return VerificationReport("window-rank", not witnesses, n * (n - t + 1), tuple(witnesses))
 
 
 def check_rank_formula(oracle: MatroidOracle, params: STParams) -> bool:

@@ -167,6 +167,7 @@ def validate_matroid(body: Any) -> None:
         _expect_int_fields(payload, "n")
         _expect_index_lists(payload.get("neighborhoods"), payload["n"])
     elif kind == "construction":
+        _expect_int_fields(payload)  # an object, before its kind is read
         if payload.get("kind") not in _CONSTRUCTION_KINDS:
             raise ValueError(f"unknown construction kind {payload.get('kind')!r}")
         _expect_int_fields(payload, "r")

@@ -217,6 +217,10 @@ def _mask_list(masks) -> list[list[int]]:
     return [list(bitset.indices(m)) for m in masks]
 
 
+def _report_entry(report) -> tuple[bool, Any]:
+    return report.ok, list(report.witnesses[:1]) or None
+
+
 def run_suite(
     max_n: int = DEFAULT_MAX_N,
     seed: int = DEFAULT_SEED,
@@ -287,7 +291,7 @@ def _structural_checks(fixtures: FixtureSet, record) -> None:
         record("dual-rank-sum", params, lambda fx=fx: (
             fx.oracle.rank() + fx.oracle.dual().rank() == fx.oracle.n, None))
         record("circuit-axioms", params, lambda fx=fx: _axioms_entry(fx))
-        record("exchange-sweep", params, lambda fx=fx: _exchange_entry(fx))
+        record("exchange-sweep", params, lambda fx=fx: _report_entry(verify_matroid_axioms(fx.oracle)))
         record("orthogonality", params, lambda fx=fx: _orthogonality_entry(fx))
         if fx.oracle.n <= 8:
             record("dual-involution", params, lambda fx=fx: _dual_involution_entry(fx))
@@ -296,11 +300,6 @@ def _structural_checks(fixtures: FixtureSet, record) -> None:
 def _axioms_entry(fx: Fixture) -> tuple[bool, Any]:
     report = validate_circuit_axioms(fx.oracle.circuits(), fx.oracle.n)
     return report.ok, report.violations[:1] or None
-
-
-def _exchange_entry(fx: Fixture) -> tuple[bool, Any]:
-    report = verify_matroid_axioms(fx.oracle)
-    return report.ok, report.witnesses[:1] or None
 
 
 def _orthogonality_entry(fx: Fixture) -> tuple[bool, Any]:
@@ -362,14 +361,20 @@ def _basis_entry(n: int, s: int, oracle: MatroidOracle) -> tuple[bool, Any]:
 
 def _self_duality_entry(n: int, s: int, oracle: MatroidOracle) -> tuple[bool, Any]:
     perm = self_duality_map(n, s)
-    mapped = {bitset.permute(c, perm) for c in oracle.circuits()}
-    actual = set(oracle.cocircuits().members)
-    if mapped != actual:
-        return False, {
-            "missing": _mask_list(sorted(actual - mapped)[:2]),
-            "extra": _mask_list(sorted(mapped - actual)[:2]),
-        }
-    return True, None
+    return _family_difference(
+        set(oracle.cocircuits().members), {bitset.permute(c, perm) for c in oracle.circuits()}
+    )
+
+
+def _family_difference(expected: set[int], actual: set[int]) -> tuple[bool, Any]:
+    """Entry comparing two families of masks; the witness lists up to two
+    members of each side that the other lacks, in mask order."""
+    if expected == actual:
+        return True, None
+    return False, {
+        "missing": _mask_list(sorted(expected - actual)[:2]),
+        "extra": _mask_list(sorted(actual - expected)[:2]),
+    }
 
 
 def _classification_entry(pres, oracle: MatroidOracle) -> tuple[bool, Any]:
@@ -427,10 +432,10 @@ def _window_checks(fixtures: FixtureSet, record) -> None:
             if (st.s - st.t) % 2 == 0:
                 record("window-structure", params, lambda fx=fx, o=ordering, st=st: _report_entry(
                     check_window_structure(fx.oracle, o, st)))
-            record("window-closure", params, lambda fx=fx, o=ordering, st=st: _closure_entry(
-                fx.oracle, o, st))
-            record("window-rank", params, lambda fx=fx, o=ordering, st=st: _window_rank_entry(
-                fx.oracle, o, st))
+            record("window-closure", params, lambda fx=fx, o=ordering, st=st: _report_entry(
+                check_window_closure(fx.oracle, o, st)))
+            record("window-rank", params, lambda fx=fx, o=ordering, st=st: _report_entry(
+                window_rank_prediction(fx.oracle, o, st)))
         if n >= st.s + st.t:
             record("odd-start-upgrade", params, lambda fx=fx, o=ordering, st=st: (
                 full_from_odd_circuits(fx.oracle, o, st).full, None))
@@ -455,30 +460,6 @@ def _window_checks(fixtures: FixtureSet, record) -> None:
         record("size-bounds", params, lambda n=n, s=s, t=t, a=nearly_ok, b=full_ok: (
             (lambda rep: rep.nearly_allowed == a and rep.full_allowed == b)(
                 size_bounds(n, STParams(s, t))), None))
-
-
-def _report_entry(report) -> tuple[bool, Any]:
-    return report.ok, list(report.witnesses[:1]) or None
-
-
-def _closure_entry(oracle, ordering, st) -> tuple[bool, Any]:
-    n = oracle.n
-    for i in range(1, n + 1):
-        for k in range(st.s - 1, n - st.t + 1):
-            ahead, behind = check_window_closure(oracle, ordering, st, i, k)
-            if not (ahead and behind):
-                return False, {"i": i, "k": k}
-    return True, None
-
-
-def _window_rank_entry(oracle, ordering, st) -> tuple[bool, Any]:
-    n = oracle.n
-    for i in range(1, n + 1):
-        for k in range(1, n - st.t + 2):
-            predicted, actual = window_rank_prediction(oracle, ordering, st, i, k)
-            if predicted != actual:
-                return False, {"i": i, "k": k, "predicted": predicted, "actual": actual}
-    return True, None
 
 
 def _ordering_checks(fixtures: FixtureSet, record) -> None:
@@ -556,8 +537,9 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
             params = {"matroid": fx.label}
             record("quotient-truncation", params, lambda fx=fx: (
                 is_quotient(fx.oracle, fixtures.truncation(fx)).holds, None))
-            record("truncation-circuits", params, lambda fx=fx: _truncation_circuits_entry(
-                fx.oracle, fixtures.truncation(fx)))
+            record("truncation-circuits", params, lambda fx=fx: _family_difference(
+                set(truncation_circuits(fx.oracle, 1).members),
+                set(fixtures.truncation(fx).circuits().members)))
 
 
 def _pipeline_entry(fixtures: FixtureSet, oracle: MatroidOracle, st: STParams) -> tuple[bool, Any]:
@@ -573,19 +555,6 @@ def _interval_rank_entry(
     outcome = interval_rank_condition(oracle, interval_presentation(8, 3), fixtures.psi(8, 3))
     if outcome.condition != expected:
         return False, {"condition": outcome.condition}
-    return True, None
-
-
-def _truncation_circuits_entry(
-    oracle: MatroidOracle, truncated: MatroidOracle
-) -> tuple[bool, Any]:
-    expected = set(truncation_circuits(oracle, 1).members)
-    actual = set(truncated.circuits().members)
-    if expected != actual:
-        return False, {
-            "missing": _mask_list(sorted(expected - actual)[:2]),
-            "extra": _mask_list(sorted(actual - expected)[:2]),
-        }
     return True, None
 
 

@@ -85,10 +85,10 @@ class BipartitePresentation:
         matching; callers build it only for n up to the `bitset.lattice_cap`.
         """
         n = self.ground.n
-        inside = bitset.subset_sum(np.bincount(self.neighborhoods, minlength=1 << n))
+        inside = bitset.subset_reduce(np.bincount(self.neighborhoods, minlength=1 << n), np.add)
         # reversing a 2^n array maps mask Y to its complement E - Y
         deficient = self.m - inside[::-1] < bitset.set_sizes(n)
-        return _read_only(~bitset.subset_max(deficient))
+        return _read_only(~bitset.subset_reduce(deficient, np.maximum))
 
     @cached_property
     def dual_independent(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import random
@@ -131,6 +132,18 @@ def test_bad_labels_exit_2(capsys, tmp_path, labels):
     path.write_text(documents.canonical_json(dict(documents.doc_uniform(2, 4), labels=labels)))
     code, out, _ = run_cli(capsys, "circuits", str(path))
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("matroid", [
+    {"construction": [1]},
+    {"construction": "wheel"},
+    {"truncate": {"i": 1, "inner": {"construction": 7}}},
+])
+def test_construction_payload_that_is_not_an_object_exits_2(capsys, monkeypatch, matroid):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"schema": 1, "matroid": matroid})))
+    code, out, err = run_cli(capsys, "rank", "-")
+    assert code == 2 and out == ""
+    assert "representation payload must be a JSON object" in err
 
 
 @pytest.mark.parametrize("command, payload", [

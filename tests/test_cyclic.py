@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from cycmat import GroundSet, bitset, psi, uniform, wheel, whirl
 from cycmat.constructions import free_spike, truncate
-from cycmat.core import CapExceeded
+from cycmat.core import CapExceeded, MatroidOracle
 from cycmat.transversal import BipartitePresentation, transversal_matroid
 from cycmat.cyclic import (
     FULL,
@@ -24,6 +24,7 @@ from cycmat.cyclic import (
     upgrade_from_nearly,
     window_rank_prediction,
 )
+from cycmat.suite import run_suite
 
 ST33 = STParams(3, 3)
 
@@ -290,30 +291,85 @@ def test_window_structure_even_and_odd(psi_oracles):
 
 def test_window_closure_examples(psi_oracles):
     M = psi_oracles[(8, 3)]
-    o = natural_ordering(8)
-    assert check_window_closure(M, o, ST33, 1, 2) == (True, True)
+    report = check_window_closure(M, natural_ordering(8), ST33)
+    # starts 1..8, k = 2..5, two biconditionals each
+    assert (report.ok, report.checked, report.witnesses) == (True, 64, ())
     assert M.in_closure(3, bitset.mask_of([1, 2]))
     assert not M.in_closure(4, bitset.mask_of([2, 3]))
-    with pytest.raises(ValueError):
-        check_window_closure(M, o, ST33, 1, 7)
 
 
 def test_window_closure_sweep(psi_oracles):
-    M = psi_oracles[(12, 4)]
-    o = natural_ordering(12)
-    p = STParams(4, 4)
-    for i in range(1, 13):
-        for k in range(3, 9):
-            assert check_window_closure(M, o, p, i, k) == (True, True)
+    report = check_window_closure(psi_oracles[(12, 4)], natural_ordering(12), STParams(4, 4))
+    # starts 1..12, k = 3..8
+    assert (report.ok, report.checked, report.witnesses) == (True, 144, ())
 
 
 def test_window_rank_examples(psi_oracles):
     M = psi_oracles[(8, 3)]
     o = natural_ordering(8)
+    report = window_rank_prediction(M, o, ST33)
+    # starts 1..8, k = 1..6
+    assert (report.ok, report.checked, report.witnesses) == (True, 48, ())
     # circuit phase start: floor((3+5-1)/2) = 3; off-phase: ceil = 4
-    assert window_rank_prediction(M, o, ST33, 1, 5) == (3, 3)
-    assert window_rank_prediction(M, o, ST33, 2, 5) == (4, 4)
-    assert window_rank_prediction(M, o, ST33, 1, 2) == (2, 2)
+    assert M.rank(o.window(1, 5)) == 3
+    assert M.rank(o.window(2, 5)) == 4
+    assert M.rank(o.window(1, 2)) == 2
+
+
+def test_window_reports_need_a_full_ordering():
+    M = psi(8, 3)
+    o = CyclicOrdering((1, 3, 2, 4, 5, 6, 7, 8))
+    assert not certify(M, o, ST33).full
+    for check in (check_window_closure, window_rank_prediction):
+        with pytest.raises(ValueError, match="needs a fully structured ordering"):
+            check(M, o, ST33)
+
+
+# psi(8,3) under its natural ordering: the window e_3..e_6 at (i, k) = (3, 4),
+# and e_7, the element after it
+FLIP_WINDOW = bitset.mask_of([3, 4, 5, 6])
+
+
+def _flip_closure(monkeypatch):
+    in_closure = MatroidOracle.in_closure
+
+    def flipped(self, element, mask):
+        answer = in_closure(self, element, mask)
+        return not answer if (self.name, element, mask) == ("psi(8,3)", 7, FLIP_WINDOW) else answer
+
+    monkeypatch.setattr(MatroidOracle, "in_closure", flipped)
+    return ("closure-ahead", 3, 4)
+
+
+def _flip_rank(monkeypatch):
+    rank = MatroidOracle.rank
+
+    def flipped(self, mask=None):
+        answer = rank(self, mask)
+        return answer + 1 if (self.name, mask) == ("psi(8,3)", FLIP_WINDOW) else answer
+
+    monkeypatch.setattr(MatroidOracle, "rank", flipped)
+    # start 3 is on the circuit phase, so the predicted rank is floor((3+4-1)/2) = 3
+    return ("window-rank", 3, 4, 3, 4)
+
+
+@pytest.mark.parametrize("check, name, flip", [
+    (check_window_closure, "window-closure", _flip_closure),
+    (window_rank_prediction, "window-rank", _flip_rank),
+])
+def test_window_report_names_a_flipped_answer(monkeypatch, check, name, flip):
+    # fresh oracles: a flipped rank could reach a shared oracle's dual memo
+    M = psi(8, 3)
+    o = natural_ordering(8)
+    assert certify(M, o, ST33).full
+    witness = flip(monkeypatch)
+    report = check(M, o, ST33)
+    assert not report.ok
+    assert report.witnesses == (witness,)
+    params = {"matroid": "psi(8,3)", "s": 3, "t": 3}
+    entries = run_suite(8, families=("psi",))["entries"]
+    [entry] = [e for e in entries if (e["check"], e["params"]) == (name, params)]
+    assert (entry["ok"], entry["witness"]) == (False, [witness])
 
 
 def test_rank_formula(psi_oracles):

@@ -37,6 +37,9 @@ def test_parse_rejects_malformed():
         '{"schema": 1, "matroid": {"uniform": {"r": 1, "n": 2}, "psi": {"n": 8, "s": 3}}}',
         '{"schema": 1, "matroid": {"circuits": {"n": 3, "circuits": [[0]]}}}',
         '{"schema": 1, "matroid": {"construction": {"kind": "mystery", "r": 3}}}',
+        '{"schema": 1, "matroid": {"construction": [1]}}',
+        '{"schema": 1, "matroid": {"construction": "wheel"}}',
+        '{"schema": 1, "matroid": {"truncate": {"i": 1, "inner": {"construction": 7}}}}',
     ]
     for text in bad:
         with pytest.raises(ValueError):

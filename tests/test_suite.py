@@ -24,6 +24,7 @@ from cycmat.transversal import (
     dual_transversal,
     interval_presentation,
     max_matching,
+    psi,
     psi_basis_table,
 )
 
@@ -174,3 +175,24 @@ def test_matching_cross_check_rejects_a_witness_short_of_the_maximum(monkeypatch
     ok, witness = suite._matching_entry(pres, seed)
     assert not ok
     assert witness == {"avoid": [1, 2, 3, 5, 6, 7], "witness": [1]}
+
+
+def test_self_duality_reports_what_a_wrong_map_misses_and_adds(monkeypatch):
+    # the identity does not map psi(8,3)'s circuits onto its cocircuits
+    monkeypatch.setattr(suite, "self_duality_map", lambda n, s: tuple(range(1, n + 1)))
+    report = run_suite(max_n=8, families=("psi",))
+    [entry] = [e for e in report["entries"]
+               if (e["check"], e["params"]) == ("self-duality", {"n": 8, "s": 3})]
+    oracle = psi(8, 3)
+    mapped = set(oracle.circuits().members)
+    actual = set(oracle.cocircuits().members)
+    assert mapped != actual
+    assert entry == {
+        "check": "self-duality",
+        "params": {"n": 8, "s": 3},
+        "ok": False,
+        "witness": {
+            "missing": [list(bitset.indices(m)) for m in sorted(actual - mapped)[:2]],
+            "extra": [list(bitset.indices(m)) for m in sorted(mapped - actual)[:2]],
+        },
+    }
