@@ -35,8 +35,8 @@ from .cyclic import (
 )
 from .transversal import (
     BipartitePresentation,
+    IntervalPresentation,
     MatchingResult,
-    MultiPathPresentation,
     classify_circuit,
     dual_transversal,
     interval_presentation,

@@ -56,12 +56,6 @@ class BipartitePresentation:
             out |= self.neighborhoods[i - 1]
         return out
 
-    def covered(self) -> int:
-        return self.neighborhood_union(range(1, self.m + 1))
-
-    def loop_free(self) -> bool:
-        return self.covered() == self.ground.full
-
     @cached_property
     def unions(self) -> tuple[int, ...]:
         """N(J) for every J of left vertices, indexed by J's mask (bit i - 1 for i).
@@ -121,18 +115,28 @@ class MatchingResult:
         return self.witness is None
 
 
-def _augment(i: int, adjacency: list[int], match_of_right: dict[int, int], seen: int) -> tuple[bool, int]:
-    for bit in bitset.singletons(adjacency[i] & ~seen):
+def _augment(root: int, adjacency: list[int], match_of_right: dict[int, int]) -> bool:
+    """Depth-first search for an augmenting path from `root` on an explicit
+    stack, flipped into `match_of_right` when found.  Each frame fixes its
+    candidate rights on entry: its adjacency minus the rights seen so far."""
+    seen = 0
+    stack = [(root, bitset.singletons(adjacency[root]))]
+    path: list[int] = []  # the right each frame below the top is trying
+    while stack:
+        bit = next(stack[-1][1], None)
+        if bit is None:
+            stack.pop()
+            del path[-1:]
+            continue
         seen |= bit
+        path.append(bit)
         holder = match_of_right.get(bit)
         if holder is None:
-            match_of_right[bit] = i
-            return True, seen
-        ok, seen = _augment(holder, adjacency, match_of_right, seen)
-        if ok:
-            match_of_right[bit] = i
-            return True, seen
-    return False, seen
+            for (left, _), right in zip(stack, path):
+                match_of_right[right] = left
+            return True
+        stack.append((holder, bitset.singletons(adjacency[holder] & ~seen)))
+    return False
 
 
 def _matching(adjacency: list[int]) -> dict[int, int]:
@@ -149,7 +153,7 @@ def _matching(adjacency: list[int]) -> dict[int, int]:
     for i in range(len(adjacency)):
         if len(match_of_right) == room:
             break
-        _augment(i, adjacency, match_of_right, 0)
+        _augment(i, adjacency, match_of_right)
     return match_of_right
 
 
@@ -245,50 +249,54 @@ def dual_transversal(pres: BipartitePresentation) -> MatroidOracle:
 
 
 @dataclass(frozen=True)
-class MultiPathPresentation:
-    """Presentation whose neighbourhoods are cyclic intervals sigma(x_i, y_i).
+class IntervalPresentation:
+    """N(i) = {e_{2i-1}, ..., e_{2i+s-2}} = sigma(x_i, y_i) for i in [n/2],
+    derived from (n, s) alone: distinct intervals with monotone endpoints,
+    an antichain by construction.  Requires n even and n >= 2s - 2; below
+    that floor the intervals wrap onto themselves and are rejected."""
 
-    The interval endpoints must be monotone around the cycle and the
-    intervals must form an antichain; both are checked at construction.
-    """
-
-    base: BipartitePresentation
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
+    n: int
+    s: int
 
     def __post_init__(self) -> None:
-        n = self.base.ground.n
-        m = self.base.m
-        if len(self.xs) != m or len(self.ys) != m:
-            raise ValueError("endpoint lists must have one entry per neighbourhood")
-        if len(set(self.xs)) != m or len(set(self.ys)) != m:
-            raise ValueError("interval endpoints must be distinct")
-        for i in range(m):
-            expected = bitset.cyclic_interval(n, self.xs[i], self.ys[i])
-            if expected != self.base.neighborhoods[i]:
-                raise ValueError(f"neighbourhood {i + 1} is not the interval sigma(x,y)")
-        # cyclic monotonicity is vacuous for fewer than three intervals
-        for i in range(m if m > 2 else 0):
-            prev_x, next_x = self.xs[(i - 1) % m], self.xs[(i + 1) % m]
-            prev_y, next_y = self.ys[(i - 1) % m], self.ys[(i + 1) % m]
-            if not bitset.cyclic_interval(n, prev_x, next_x) >> (self.xs[i] - 1) & 1:
-                raise ValueError("start points are not cyclically monotone")
-            if not bitset.cyclic_interval(n, prev_y, next_y) >> (self.ys[i] - 1) & 1:
-                raise ValueError("end points are not cyclically monotone")
-        for i in range(m):
-            for j in range(m):
-                if i != j and bitset.is_subset(
-                    self.base.neighborhoods[i], self.base.neighborhoods[j]
-                ):
-                    raise ValueError("intervals must form an antichain")
+        n, s = self.n, self.s
+        if n % 2:
+            raise ValueError(f"ground set size must be even, got n={n}")
+        if s < 2:
+            raise ValueError(f"interval length must be at least 2, got s={s}")
+        if n < 2 * s - 2:
+            raise ValueError(f"need n >= 2s - 2 to avoid wrap-around degeneracy, got n={n}, s={s}")
 
     @property
     def m(self) -> int:
-        return self.base.m
+        return self.n // 2
 
-    @property
-    def n(self) -> int:
-        return self.base.ground.n
+    @cached_property
+    def xs(self) -> tuple[int, ...]:
+        return tuple(range(1, self.n, 2))
+
+    @cached_property
+    def ys(self) -> tuple[int, ...]:
+        return tuple((x + self.s - 2) % self.n + 1 for x in self.xs)
+
+    @cached_property
+    def base(self) -> BipartitePresentation:
+        nbrs = (bitset.cyclic_interval(self.n, x, y) for x, y in zip(self.xs, self.ys))
+        return BipartitePresentation(GroundSet(self.n), tuple(nbrs))
+
+    @cached_property
+    def basis_windows(self) -> tuple[tuple[int, int], ...]:
+        """(window, bound) pairs of the interval-count basis test for psi(n, s):
+        each window of s + 2k consecutive elements starting at an odd position,
+        for 0 <= k <= n/2 - s, with its bound s + k.  X is a basis iff
+        |X| = n/2 and X has fewer than `bound` elements in every `window`.
+        Independent of the matching oracle."""
+        n, s = self.n, self.s
+        return tuple(
+            (bitset.cyclic_interval(n, x, x + s - 1 + 2 * k), s + k)
+            for x in self.xs
+            for k in range(0, self.m - s + 1)
+        )
 
     def run_union(self, i: int, j: int) -> int:
         """Union of neighbourhoods over the cyclic run [i, j] of left vertices."""
@@ -300,27 +308,10 @@ class MultiPathPresentation:
 
 
 @lru_cache(maxsize=None)
-def interval_presentation(n: int, s: int) -> MultiPathPresentation:
-    """The presentation with N(i) = {e_{2i-1}, ..., e_{2i+s-2}} for i in [n/2].
-
-    Requires n even and n >= 2s - 2; below that floor the intervals wrap onto
-    themselves and the construction is rejected rather than guessed at.
-    """
-    if n % 2:
-        raise ValueError(f"ground set size must be even, got n={n}")
-    if s < 2:
-        raise ValueError(f"interval length must be at least 2, got s={s}")
-    if n < 2 * s - 2:
-        raise ValueError(f"need n >= 2s - 2 to avoid wrap-around degeneracy, got n={n}, s={s}")
-    ground = GroundSet(n)
-    m = n // 2
-    xs = tuple(2 * i - 1 for i in range(1, m + 1))
-    ys = tuple((2 * i + s - 3) % n + 1 for i in range(1, m + 1))
-    neighborhoods = tuple(
-        bitset.cyclic_interval(n, xs[i], ys[i]) for i in range(m)
-    )
-    base = BipartitePresentation(ground, neighborhoods)
-    return MultiPathPresentation(base, xs, ys)
+def interval_presentation(n: int, s: int) -> IntervalPresentation:
+    """The shared `IntervalPresentation(n, s)`: every psi oracle of one (n, s)
+    reads its neighbourhoods, Hall tables and basis windows."""
+    return IntervalPresentation(n, s)
 
 
 def psi(n: int, s: int) -> MatroidOracle:
@@ -328,24 +319,10 @@ def psi(n: int, s: int) -> MatroidOracle:
     return _oracle(interval_presentation(n, s).base, True, f"psi({n},{s})")
 
 
-@cache
-def _basis_windows(n: int, s: int) -> tuple[tuple[int, int], ...]:
-    """(window, bound) pairs of the interval-count basis test for psi(n, s):
-    each window of s + 2k consecutive elements starting at an odd position,
-    for 0 <= k <= n/2 - s, with its bound s + k.  X is a basis iff
-    |X| = n/2 and X has fewer than `bound` elements in every `window`.
-    Independent of the matching oracle."""
-    interval_presentation(n, s)  # validate parameters
-    return tuple(
-        (bitset.cyclic_interval(n, i, i + s - 1 + 2 * k), s + k)
-        for i in range(1, n + 1, 2)
-        for k in range(0, n // 2 - s + 1)
-    )
-
-
 def psi_basis_test(n: int, s: int, mask: int) -> bool:
-    """Is `mask` a basis of psi(n, s), by the interval-count rule of `_basis_windows`?"""
-    windows = _basis_windows(n, s)
+    """Is `mask` a basis of psi(n, s), by the interval-count rule of
+    `IntervalPresentation.basis_windows`?"""
+    windows = interval_presentation(n, s).basis_windows
     return mask.bit_count() == n // 2 and all(
         (mask & window).bit_count() < bound for window, bound in windows
     )
@@ -353,11 +330,11 @@ def psi_basis_test(n: int, s: int, mask: int) -> bool:
 
 def psi_basis_table(n: int, s: int) -> np.ndarray:
     """``bool`` array over all 2^n masks: `psi_basis_test` on each, one numpy
-    pass per window of `_basis_windows`."""
+    pass per window of `IntervalPresentation.basis_windows`."""
     sizes = bitset.set_sizes(n)
     masks = np.arange(1 << n)
     bases = sizes == n // 2
-    for window, bound in _basis_windows(n, s):
+    for window, bound in interval_presentation(n, s).basis_windows:
         bases &= sizes[masks & window] < bound
     return bases
 
@@ -393,10 +370,11 @@ class CircuitClassification:
 
 
 def classify_circuit(
-    oracle: MatroidOracle, pres: MultiPathPresentation, circuit: int
+    oracle: MatroidOracle, pres: IntervalPresentation, circuit: int
 ) -> CircuitClassification:
-    """Classify a circuit of `oracle`, the dual of the matroid `pres` presents
-    (`dual_transversal(pres.base)`, or `psi` for an interval presentation)."""
+    """Classify a circuit of `oracle`, psi(n, s) for `pres` =
+    `interval_presentation(n, s)`, or the same matroid as
+    `dual_transversal(pres.base)`."""
     if oracle.n != pres.n:
         raise ValueError("the classified matroid must share the presentation's ground set")
     if not oracle.is_circuit(circuit):

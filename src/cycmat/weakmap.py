@@ -16,7 +16,7 @@ import numpy as np
 from . import bitset
 from .core import MatroidOracle
 from .cyclic import CyclicOrdering, STParams, certify, natural_ordering
-from .transversal import MultiPathPresentation
+from .transversal import IntervalPresentation
 
 
 @dataclass(frozen=True)
@@ -125,14 +125,14 @@ class IntervalRankOutcome:
 
 
 def interval_rank_condition(
-    oracle: MatroidOracle, pres: MultiPathPresentation, dual: MatroidOracle
+    oracle: MatroidOracle, pres: IntervalPresentation, dual: MatroidOracle
 ) -> IntervalRankOutcome:
     """Compare ranks of every union of consecutive presentation intervals in
     `oracle` against `dual`, the dual of the matroid `pres` presents
-    (`dual_transversal(pres.base)`, or `psi` for an interval presentation).
-    If no union has larger rank in `oracle` (and the presentation covers
-    every element), the identity map from the dual is a weak map onto
-    `oracle`.  Up to `bitset.lattice_cap` that weak map is confirmed by
+    (psi(n, s), or `dual_transversal(pres.base)`).  The intervals cover
+    every element, so the presented matroid is loop-free; if no union has
+    larger rank in `oracle`, the identity map from the dual is a weak map
+    onto `oracle`.  Up to `bitset.lattice_cap` that weak map is confirmed by
     listing the dual's circuits, and a failed confirmation raises
     RuntimeError; above the cap the outcome carries no report, and the weak
     map rests on the interval lemma alone."""
@@ -140,8 +140,6 @@ def interval_rank_condition(
         raise ValueError("the compared matroid must share the ground set")
     if dual.n != pres.n:
         raise ValueError("the dual must share the presentation's ground set")
-    if not pres.base.loop_free():
-        raise ValueError("the presented matroid must be loop-free")
     m = pres.m
     for i in range(1, m + 1):
         for k in range(1, m + 1):

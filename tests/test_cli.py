@@ -146,6 +146,17 @@ def test_construction_payload_that_is_not_an_object_exits_2(capsys, monkeypatch,
     assert "representation payload must be a JSON object" in err
 
 
+def test_rank_follows_an_augmenting_path_of_1500_vertices(capsys, monkeypatch):
+    # N(i) = {i, i+1} for i < 1500 and N(1500) = {1}: the last vertex's
+    # augmenting path runs back through every other vertex
+    nbrs = [[i, i + 1] for i in range(1, 1500)] + [[1]]
+    doc = documents.doc_transversal(1501, nbrs)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, "rank", "-")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 1501, "rank": 1500}
+
+
 @pytest.mark.parametrize("command, payload", [
     ("gen", {"neighborhoods": [[1, 2]]}),  # no "n"
     ("gen", [1]),

@@ -325,32 +325,31 @@ def test_window_reports_need_a_full_ordering():
             check(M, o, ST33)
 
 
-# psi(8,3) under its natural ordering: the window e_3..e_6 at (i, k) = (3, 4),
-# and e_7, the element after it
+# psi(8,3) under its natural ordering: the window e_3..e_6 at (i, k) = (3, 4)
 FLIP_WINDOW = bitset.mask_of([3, 4, 5, 6])
 
 
-def _flip_closure(monkeypatch):
-    in_closure = MatroidOracle.in_closure
-
-    def flipped(self, element, mask):
-        answer = in_closure(self, element, mask)
-        return not answer if (self.name, element, mask) == ("psi(8,3)", 7, FLIP_WINDOW) else answer
-
-    monkeypatch.setattr(MatroidOracle, "in_closure", flipped)
-    return ("closure-ahead", 3, 4)
-
-
-def _flip_rank(monkeypatch):
+def _flip_rank_of(monkeypatch, window):
     rank = MatroidOracle.rank
 
     def flipped(self, mask=None):
         answer = rank(self, mask)
-        return answer + 1 if (self.name, mask) == ("psi(8,3)", FLIP_WINDOW) else answer
+        return answer + 1 if (self.name, mask) == ("psi(8,3)", window) else answer
 
     monkeypatch.setattr(MatroidOracle, "rank", flipped)
+
+
+def _flip_closure(monkeypatch):
+    # r(e_3..e_6) reads 4, not 3, so e_7 leaves its closure and e_2 enters
+    # it; e_3..e_6 is also the (k+1)-window behind e_4..e_6 at (i, k) = (4, 3)
+    _flip_rank_of(monkeypatch, FLIP_WINDOW)
+    return (("closure-ahead", 3, 4), ("closure-behind", 3, 4), ("closure-behind", 4, 3))
+
+
+def _flip_rank(monkeypatch):
+    _flip_rank_of(monkeypatch, FLIP_WINDOW)
     # start 3 is on the circuit phase, so the predicted rank is floor((3+4-1)/2) = 3
-    return ("window-rank", 3, 4, 3, 4)
+    return (("window-rank", 3, 4, 3, 4),)
 
 
 @pytest.mark.parametrize("check, name, flip", [
@@ -362,14 +361,37 @@ def test_window_report_names_a_flipped_answer(monkeypatch, check, name, flip):
     M = psi(8, 3)
     o = natural_ordering(8)
     assert certify(M, o, ST33).full
-    witness = flip(monkeypatch)
+    witnesses = flip(monkeypatch)
     report = check(M, o, ST33)
     assert not report.ok
-    assert report.witnesses == (witness,)
+    assert report.witnesses == witnesses
     params = {"matroid": "psi(8,3)", "s": 3, "t": 3}
     entries = run_suite(8, families=("psi",))["entries"]
     [entry] = [e for e in entries if (e["check"], e["params"]) == (name, params)]
-    assert (entry["ok"], entry["witness"]) == (False, [witness])
+    assert (entry["ok"], entry["witness"]) == (False, [witnesses[0]])
+
+
+@pytest.mark.parametrize("check, windows", [
+    # lengths s-1..n-t+1 = 3..11 and 1..11 at each of the 14 starts
+    (check_window_closure, 14 * 9),
+    (window_rank_prediction, 14 * 11),
+])
+def test_window_reports_ask_each_window_rank_once(monkeypatch, check, windows):
+    M = psi(14, 4)
+    o = natural_ordering(14)
+    params = STParams(4, 4)
+    assert certify(M, o, params).full
+    rank = MatroidOracle.rank
+    asked = []
+
+    def counted(self, mask=None):
+        asked.append(mask)
+        return rank(self, mask)
+
+    monkeypatch.setattr(MatroidOracle, "rank", counted)
+    assert check(M, o, params).ok
+    assert len(asked) <= windows
+    assert len(set(asked)) == len(asked)
 
 
 def test_rank_formula(psi_oracles):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from cycmat.suite import PSI_GRID
 from cycmat.transversal import (
     _matching_size,
     BipartitePresentation,
-    MultiPathPresentation,
+    IntervalPresentation,
     brute_force_matching_size,
     classify_circuit,
     dual_transversal,
@@ -48,9 +49,49 @@ def test_interval_presentation_shape():
 
 
 def test_interval_presentation_rejects_bad_params():
-    for n, s in ((9, 3), (8, 1), (4, 4)):
-        with pytest.raises(ValueError):
-            interval_presentation(n, s)
+    messages = {
+        (9, 3): "ground set size must be even, got n=9",
+        (7, 3): "ground set size must be even, got n=7",
+        (8, 1): "interval length must be at least 2, got s=1",
+        (4, 4): "need n >= 2s - 2 to avoid wrap-around degeneracy, got n=4, s=4",
+        (6, 5): "need n >= 2s - 2 to avoid wrap-around degeneracy, got n=6, s=5",
+    }
+    for (n, s), message in messages.items():
+        for build in (IntervalPresentation, interval_presentation):
+            with pytest.raises(ValueError) as info:
+                build(n, s)
+            assert str(info.value) == message
+
+
+def test_interval_presentation_holds_only_n_and_s():
+    assert [field.name for field in dataclasses.fields(IntervalPresentation)] == ["n", "s"]
+    pres = interval_presentation(8, 3)
+    assert pres == IntervalPresentation(8, 3) and pres is interval_presentation(8, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pres.xs = (1, 2, 3, 4)
+
+
+def _cyclically_increasing(seq):
+    """Distinct, and increasing once rotated to start at the minimum."""
+    wraps = sum(a > b for a, b in zip(seq, seq[1:] + seq[:1]))
+    return len(set(seq)) == len(seq) and wraps <= 1
+
+
+@pytest.mark.parametrize("n", range(2, 41, 2))
+def test_derived_intervals_are_odd_start_s_windows_in_cyclic_order(n):
+    for s in range(2, n // 2 + 2):
+        pres = IntervalPresentation(n, s)
+        nbrs = pres.base.neighborhoods
+        assert pres.m == len(nbrs) == len(pres.xs) == len(pres.ys) == n // 2
+        for x, y, nbr in zip(pres.xs, pres.ys, nbrs):
+            assert x % 2 == 1
+            assert nbr == bitset.mask_of([(x - 1 + k) % n + 1 for k in range(s)])
+            assert nbr.bit_count() == s
+            assert y == (x + s - 2) % n + 1
+        for i, a in enumerate(nbrs):
+            for j, b in enumerate(nbrs):
+                assert i == j or a & ~b, (n, s, i, j)
+        assert _cyclically_increasing(pres.xs) and _cyclically_increasing(pres.ys), (n, s)
 
 
 def test_max_matching_complete():
@@ -95,6 +136,56 @@ def reference_matching_size(pres, avoid):
         return out
 
     return best(0, 0)
+
+
+def reference_matching(adjacency):
+    """Kuhn's augmenting paths as a recursive search, the form the explicit
+    stack of `transversal._augment` replaced; left vertices ascending."""
+
+    def augment(i, match_of_right, seen):
+        for bit in bitset.singletons(adjacency[i] & ~seen):
+            seen |= bit
+            holder = match_of_right.get(bit)
+            if holder is None:
+                match_of_right[bit] = i
+                return True, seen
+            ok, seen = augment(holder, match_of_right, seen)
+            if ok:
+                match_of_right[bit] = i
+                return True, seen
+        return False, seen
+
+    match_of_right = {}
+    room = 0
+    for adj in adjacency:
+        room |= adj
+    for i in range(len(adjacency)):
+        if len(match_of_right) == room.bit_count():
+            break
+        augment(i, match_of_right, 0)
+    return match_of_right
+
+
+def test_iterative_augmenting_paths_equal_the_recursive_search():
+    rng = random.Random(20261019)
+    for _ in range(1500):
+        n, m = rng.randint(1, 24), rng.randint(1, 16)
+        adjacency = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)]
+        want = reference_matching(adjacency)
+        got = transversal._matching(adjacency)
+        # the same pairs, inserted in the same order
+        assert list(got.items()) == list(want.items()), adjacency
+
+
+def test_augmenting_path_longer_than_the_recursion_limit():
+    # N(i) = {e_i, e_{i+1}} for i < 1500 and N(1500) = {e_1}: vertex 1500's
+    # augmenting path runs through all 1499 earlier vertices
+    n = 1501
+    nbrs = [bitset.mask_of([i, i + 1]) for i in range(1, 1500)] + [bitset.mask_of([1])]
+    pres = BipartitePresentation(GroundSet(n), tuple(nbrs))
+    result = max_matching(pres)
+    assert result.complete and result.size == 1500
+    assert result.pairs == tuple((i, i + 1) for i in range(1, 1500)) + ((1500, 1),)
 
 
 @st.composite
@@ -474,17 +565,7 @@ def test_circuit_size_dichotomy(psi_oracles):
             assert c.bit_count() == n - m + 1 or c.bit_count() in interval_sizes
 
 
-def test_multipath_validation_rejects_nested_intervals():
-    ground = GroundSet(6)
-    nbrs = (
-        bitset.cyclic_interval(6, 1, 4),
-        bitset.cyclic_interval(6, 2, 3),
-    )
-    with pytest.raises(ValueError):
-        MultiPathPresentation(BipartitePresentation(ground, nbrs), (1, 2), (4, 3))
-
-
-def test_multipath_run_union():
+def test_interval_run_union():
     pres = interval_presentation(8, 3)
     assert pres.run_union(1, 2) == bitset.cyclic_interval(8, 1, 5)
     assert pres.run_union(4, 1) == bitset.cyclic_interval(8, 7, 3)
