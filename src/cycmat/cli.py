@@ -9,6 +9,7 @@ be compared byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -179,25 +180,11 @@ def _cmd_circuits(args) -> int:
     return 0
 
 
-def _certificate_json(cert) -> dict:
-    return {
-        "kind": cert.kind,
-        "n": cert.n,
-        "s": cert.s,
-        "t": cert.t,
-        "circuit_starts": list(cert.circuit_starts),
-        "cocircuit_starts": list(cert.cocircuit_starts),
-        "circuit_phase": cert.circuit_phase,
-        "cocircuit_phase": cert.cocircuit_phase,
-        "failures": [list(f) for f in cert.failures],
-    }
-
-
 def _cmd_verify(args) -> int:
     oracle = _load_oracle(args.doc)
     order = documents.parse_ordering(_read(args.ordering), oracle.n)
     cert = certify(oracle, CyclicOrdering(order), STParams(args.s, args.t))
-    _write(args, canonical_json(_certificate_json(cert)))
+    _write(args, canonical_json(dataclasses.asdict(cert)))
     meets = cert.full if args.mode == FULL else cert.nearly
     return 0 if meets else 1
 

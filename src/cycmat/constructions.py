@@ -107,7 +107,9 @@ def whirl(r: int) -> MatroidOracle:
     each rim-plus-spoke set becomes a circuit.
 
     The wheel's other circuits are listed directly: each proper cyclic arc
-    of rim edges with its two bounding spokes, r(r - 1) of them.
+    of rim edges with its two bounding spokes, r(r - 1) of them.  The list
+    is not re-proved here (the tests and the suite check it): above the
+    lattice cap the axiom check walks all pairs of its r^2 circuits.
     """
     if r < 2:
         raise ValueError(f"whirl needs r >= 2, got r={r}")
@@ -120,7 +122,7 @@ def whirl(r: int) -> MatroidOracle:
         for length in range(1, r):
             arc |= rims[(i + length - 1) % r]
             circuits.append(spokes[i] | arc | spokes[(i + length) % r])
-    return oracle_from_circuits(GroundSet(2 * r), circuits, name=f"whirl({r})", validate=True)
+    return oracle_from_circuits(GroundSet(2 * r), circuits, name=f"whirl({r})", validate=False)
 
 
 @dataclass(frozen=True)

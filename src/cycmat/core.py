@@ -59,9 +59,6 @@ class CircuitFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.members
-
     @cached_property
     def contains_member(self) -> bitset.ContainmentTest:
         """Does a mask contain some member?  Built once per family."""
@@ -199,12 +196,6 @@ class MatroidOracle:
             if self.rank(mask | bit) == base:
                 out |= bit
         return out
-
-    def in_closure(self, element: int, mask: int) -> bool:
-        bit = 1 << (element - 1)
-        if bit & mask:
-            return True
-        return self.rank(mask | bit) == self.rank(mask)
 
     # -- circuits and cocircuits --------------------------------------------
 

@@ -150,9 +150,6 @@ class ForcedLedger:
     s: int
     entries: dict = field(default_factory=dict)
 
-    def __contains__(self, key: tuple) -> bool:
-        return key in self.entries
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -18,7 +18,9 @@ gate, `_full_certificate`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import bitset
 from .core import MatroidOracle, VerificationReport
@@ -88,14 +90,9 @@ class CyclicOrdering:
     def reversed_order(self) -> "CyclicOrdering":
         return CyclicOrdering(tuple(reversed(self.order)))
 
-    def element_at(self, position: int) -> int:
-        return self.order[(position - 1) % self.n]
-
-    def interval(self, i: int, j: int) -> int:
-        """Mask of the elements at cyclic positions i..j (wrapping when i > j)."""
-        return self.window(i, (j - i) % self.n + 1)
-
     def window(self, start: int, length: int) -> int:
+        """Mask of the `length` elements from cyclic position `start` on,
+        wrapping past position n."""
         mask = 0
         for k in range(length):
             mask |= 1 << (self.order[(start - 1 + k) % self.n] - 1)
@@ -194,23 +191,17 @@ def _build_certificate(
             failures.append(("window-not-in-cocircuit", i))
     nearly_ok = not failures
 
-    full_ok = True
-    if not (1 in circuit_starts or 2 in circuit_starts):
-        failures.append(("no-leading-circuit-window", 1))
-        full_ok = False
-    if not (1 in cocircuit_starts or 2 in cocircuit_starts):
-        failures.append(("no-leading-cocircuit-window", 1))
-        full_ok = False
-    for i in circuit_starts:
-        if (i + 1) % n + 1 not in circuit_starts:
-            failures.append(("circuit-window-step", i))
-            full_ok = False
-    for i in cocircuit_starts:
-        if (i + 1) % n + 1 not in cocircuit_starts:
-            failures.append(("cocircuit-window-step", i))
-            full_ok = False
+    # full structure, per side: a window at position 1 or 2, and each window
+    # followed by another two positions on; leading failures precede steps
+    leading: list[tuple[str, int]] = []
+    steps: list[tuple[str, int]] = []
+    for side, found in (("circuit", circuit_starts), ("cocircuit", cocircuit_starts)):
+        if not (1 in found or 2 in found):
+            leading.append((f"no-leading-{side}-window", 1))
+        steps += [(f"{side}-window-step", i) for i in found if (i + 1) % n + 1 not in found]
+    failures += leading + steps
 
-    kind = FULL if (full_ok and nearly_ok) else NEARLY if nearly_ok else NEITHER
+    kind = FULL if not failures else NEARLY if nearly_ok else NEITHER
     phase = cophase = None
     if kind == FULL and n > s + t - 2:
         phase = _phase(circuit_starts)
@@ -275,7 +266,9 @@ def find_orderings(
     meets `mode`, in lexicographic order of their canonical form.
 
     Backtracking over positions: a prefix dies as soon as a completed
-    (s-1)- or (t-1)-window is in no s-circuit / t-cocircuit.
+    (s-1)- or (t-1)-window is in no s-circuit / t-cocircuit.  Leaves are
+    generated lazily, so taking the first `limit` accepted ones is the
+    search's one stop rule.
     """
     if mode not in (NEARLY, FULL):
         raise ValueError(f"mode must be '{NEARLY}' or '{FULL}'")
@@ -284,10 +277,9 @@ def find_orderings(
     n = oracle.n
     cap = bitset.env_cap(SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP)
     bitset.require_cap("ordering search", n, cap, SEARCH_CAP_ENV)
-    results: list[CyclicOrdering] = []
     windows = ((params.s, oracle), (params.t, oracle.dual()))
 
-    def prefix_ok(prefix: list[int]) -> bool:
+    def prefix_ok(prefix: tuple[int, ...]) -> bool:
         # the (s-1)- and (t-1)-windows the last element completes
         for size, matroid in windows:
             if len(prefix) >= size - 1:
@@ -296,33 +288,24 @@ def find_orderings(
                     return False
         return True
 
-    def extend(prefix: list[int], used: int) -> bool:
-        if limit is not None and len(results) >= limit:
-            return True
+    def leaves(prefix: tuple[int, ...], used: int) -> Iterator[CyclicOrdering]:
+        """The complete orderings below `prefix`, depth first with e ascending."""
         if len(prefix) == n:
-            if n > 2 and prefix[1] > prefix[-1]:
-                return False  # reflection twin; its mirror was emitted already
-            ordering = CyclicOrdering(tuple(prefix))
-            # each leaf is visited once, so memoising it would only grow the
-            # oracle's certificate table by up to (n-1)!/2 entries
-            cert = _build_certificate(oracle, ordering, params)
-            if cert.nearly if mode == NEARLY else cert.full:
-                results.append(ordering)
-            return limit is not None and len(results) >= limit
+            if n <= 2 or prefix[1] < prefix[-1]:  # else a reflection twin of one yielded already
+                yield CyclicOrdering(prefix)
+            return
         for e in range(1, n + 1):
             bit = 1 << (e - 1)
-            if used & bit:
-                continue
-            prefix.append(e)
-            if prefix_ok(prefix):
-                if extend(prefix, used | bit):
-                    prefix.pop()
-                    return True
-            prefix.pop()
-        return False
+            if not used & bit and prefix_ok(child := prefix + (e,)):
+                yield from leaves(child, used | bit)
 
-    extend([1], 1)
-    return results
+    def accepted(ordering: CyclicOrdering) -> bool:
+        # each leaf is visited once, so memoising it would only grow the
+        # oracle's certificate table by up to (n-1)!/2 entries
+        cert = _build_certificate(oracle, ordering, params)
+        return cert.nearly if mode == NEARLY else cert.full
+
+    return list(islice(filter(accepted, leaves((1,), 1)), limit))
 
 
 def _require(condition: bool, message: str) -> None:

@@ -47,9 +47,6 @@ class BipartitePresentation:
     def m(self) -> int:
         return len(self.neighborhoods)
 
-    def neighborhood(self, i: int) -> int:
-        return self.neighborhoods[i - 1]
-
     def neighborhood_union(self, lefts) -> int:
         out = 0
         for i in lefts:

@@ -235,6 +235,35 @@ def test_verify_ordering_mode_unmet(capsys, tmp_path):
     assert json.loads(out)["kind"] == "neither"
 
 
+def test_verify_ordering_every_failure_kind(capsys, tmp_path):
+    # the certificate document, byte for byte, of an ordering that breaks
+    # every nearly and full rule
+    doc, order = _write_fixture(tmp_path, documents.doc_psi(8, 3), [3, 4, 1, 2, 8, 7, 6, 5])
+    code, out, _ = run_cli(capsys, "verify-ordering", doc, order, "--s", "3", "--t", "3")
+    assert code == 1
+    expected = {
+        "circuit_phase": None,
+        "circuit_starts": [6, 8],
+        "cocircuit_phase": None,
+        "cocircuit_starts": [3, 5],
+        "failures": [
+            ["window-not-in-circuit", 2],
+            ["window-not-in-cocircuit", 2],
+            ["window-not-in-circuit", 4],
+            ["window-not-in-cocircuit", 8],
+            ["no-leading-circuit-window", 1],
+            ["no-leading-cocircuit-window", 1],
+            ["circuit-window-step", 8],
+            ["cocircuit-window-step", 5],
+        ],
+        "kind": "neither",
+        "n": 8,
+        "s": 3,
+        "t": 3,
+    }
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 def test_verify_ordering_malformed(capsys, tmp_path):
     doc, order = _write_fixture(tmp_path, documents.doc_psi(8, 3), [1, 1, 2, 3, 4, 5, 6, 7])
     code, _, err = run_cli(capsys, "verify-ordering", doc, order, "--s", "3", "--t", "3")

@@ -417,6 +417,7 @@ def test_oracle_shared_across_threads():
 
 def test_oracle_from_circuits_builds_one_table(monkeypatch):
     # validation and the independence predicate share one dependence table
+    circuits = whirl(6).circuits().members
     sizes = []
     original = bitset.dependence_table
 
@@ -425,5 +426,6 @@ def test_oracle_from_circuits_builds_one_table(monkeypatch):
         return original(n, generators)
 
     monkeypatch.setattr(bitset, "dependence_table", counting)
-    whirl(6)
+    M = oracle_from_circuits(GroundSet(12), circuits, validate=True)
+    assert M.indep(bitset.mask_of([1, 3, 5]))
     assert sizes == [12]

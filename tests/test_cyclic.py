@@ -43,15 +43,15 @@ def test_ordering_must_be_permutation():
 
 def test_interval_positions():
     o = natural_ordering(8)
-    assert o.interval(7, 2) == bitset.mask_of([7, 8, 1, 2])
-    assert o.interval(3, 3) == bitset.mask_of([3])
-    assert natural_ordering(12).interval(1, 5) == bitset.mask_of([1, 2, 3, 4, 5])
+    assert o.window(7, 4) == bitset.mask_of([7, 8, 1, 2])
+    assert o.window(3, 1) == bitset.mask_of([3])
+    assert natural_ordering(12).window(1, 5) == bitset.mask_of([1, 2, 3, 4, 5])
 
 
 def test_interval_respects_permutation():
     o = CyclicOrdering((3, 1, 4, 2))
-    assert o.interval(1, 2) == bitset.mask_of([3, 1])
-    assert o.interval(4, 1) == bitset.mask_of([2, 3])
+    assert o.window(1, 2) == bitset.mask_of([3, 1])
+    assert o.window(4, 2) == bitset.mask_of([2, 3])
 
 
 permutations8 = st.permutations(range(1, 9))
@@ -246,17 +246,48 @@ def naive_orderings(oracle, params, mode):
     return out
 
 
-def test_search_matches_naive_enumeration():
-    fixtures = [
+def search_fixtures():
+    return [
         (uniform(2, 4), ST33, NEARLY),
         (uniform(2, 5), STParams(3, 4), FULL),
         (whirl(3), ST33, NEARLY),
         (whirl(3), ST33, FULL),
         (free_spike(3)[0], STParams(4, 4), NEARLY),
     ]
-    for oracle, params, mode in fixtures:
+
+
+def test_search_matches_naive_enumeration():
+    for oracle, params, mode in search_fixtures():
         fast = [o.canonical for o in find_orderings(oracle, params, mode=mode)]
         assert fast == naive_orderings(oracle, params, mode)
+
+
+def test_search_limit_takes_a_prefix():
+    # limit k gives the first k orderings of the unlimited search, for every
+    # k up to one past the count
+    for oracle, params, mode in search_fixtures():
+        full = find_orderings(oracle, params, mode=mode)
+        for k in range(1, len(full) + 2):
+            limited = find_orderings(oracle, params, mode=mode, limit=k)
+            assert [o.order for o in limited] == [o.order for o in full[:k]], (oracle.name, mode, k)
+
+
+def test_certificate_failure_order(psi_oracles):
+    # one ordering that breaks all six rule kinds: the nearly failures
+    # interleaved by position, then both leading rules, then the circuit
+    # steps, then the cocircuit steps
+    cert = certify(psi_oracles[(8, 3)], CyclicOrdering((3, 4, 1, 2, 8, 7, 6, 5)), ST33)
+    assert cert.kind == "neither"
+    assert cert.failures == (
+        ("window-not-in-circuit", 2),
+        ("window-not-in-cocircuit", 2),
+        ("window-not-in-circuit", 4),
+        ("window-not-in-cocircuit", 8),
+        ("no-leading-circuit-window", 1),
+        ("no-leading-cocircuit-window", 1),
+        ("circuit-window-step", 8),
+        ("cocircuit-window-step", 5),
+    )
 
 
 def test_find_orderings_deterministic(psi_oracles):
@@ -294,8 +325,8 @@ def test_window_closure_examples(psi_oracles):
     report = check_window_closure(M, natural_ordering(8), ST33)
     # starts 1..8, k = 2..5, two biconditionals each
     assert (report.ok, report.checked, report.witnesses) == (True, 64, ())
-    assert M.in_closure(3, bitset.mask_of([1, 2]))
-    assert not M.in_closure(4, bitset.mask_of([2, 3]))
+    assert M.closure(bitset.mask_of([1, 2])) & bitset.mask_of([3])
+    assert not M.closure(bitset.mask_of([2, 3])) & bitset.mask_of([4])
 
 
 def test_window_closure_sweep(psi_oracles):

@@ -43,8 +43,8 @@ def hall_indep(pres, mask):
 def test_interval_presentation_shape():
     pres = interval_presentation(8, 3)
     assert pres.m == 4
-    assert pres.base.neighborhood(1) == bitset.mask_of([1, 2, 3])
-    assert pres.base.neighborhood(4) == bitset.mask_of([7, 8, 1])
+    assert pres.base.neighborhoods[0] == bitset.mask_of([1, 2, 3])
+    assert pres.base.neighborhoods[3] == bitset.mask_of([7, 8, 1])
     assert pres.xs == (1, 3, 5, 7)
 
 
@@ -387,7 +387,7 @@ def test_matching_pairs_respect_neighborhoods():
     pres = interval_presentation(10, 3)
     result = max_matching(pres.base, avoid=bitset.mask_of([2, 3]))
     for left, elem in result.pairs:
-        assert pres.base.neighborhood(left) >> (elem - 1) & 1
+        assert pres.base.neighborhoods[left - 1] >> (elem - 1) & 1
 
 
 def test_transversal_matroid_single_block():
