@@ -8,7 +8,6 @@ of the rank-(n/2 + 1) quotient question.
 """
 
 from .core import (
-    AxiomReport,
     CapExceeded,
     CircuitFamily,
     GroundSet,
@@ -48,7 +47,6 @@ from .transversal import (
 )
 from .weakmap import (
     ElementBijection,
-    WeakMapReport,
     is_quotient,
     is_weak_map,
     weak_image_of_truncated_psi,

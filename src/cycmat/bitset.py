@@ -170,6 +170,16 @@ def subset_reduce(values: np.ndarray, op: np.ufunc) -> np.ndarray:
     return values
 
 
+def member_unions(n: int, masks: Sequence[int] | np.ndarray) -> np.ndarray:
+    """``int32`` array over all 2^n masks: the union of the `masks` inside
+    each one (0 where none is).  The `subset_reduce` of the masks by
+    ``np.bitwise_or``; int32 holds masks up to n = 31."""
+    masks = np.asarray(masks, dtype=np.int32)
+    union = np.zeros(1 << n, dtype=np.int32)
+    union[masks] = masks
+    return subset_reduce(union, np.bitwise_or)
+
+
 def all_maximal_subsets(marked: np.ndarray) -> np.ndarray:
     """Bool array: is ``marked[X - e]`` set for every e in X (true at X = 0)?"""
     out = np.ones(len(marked), dtype=bool)

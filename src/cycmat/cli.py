@@ -214,14 +214,12 @@ def _cmd_weakmap(args) -> int:
             phi = ElementBijection(documents.parse_ordering(_read(args.mapping), source.n))
         report = is_weak_map(source, target, phi)
     payload = {
-        "relation": "quotient" if args.quotient else "weak-map",
-        "holds": report.holds,
-        "violating_circuit": None
-        if report.violating_circuit is None
-        else list(bitset.indices(report.violating_circuit)),
+        "relation": report.check,
+        "holds": report.ok,
+        "violating_circuit": list(bitset.indices(report.witnesses[0])) if report.witnesses else None,
     }
     _write(args, canonical_json(payload))
-    return 0 if report.holds else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_suite(args) -> int:

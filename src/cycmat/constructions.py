@@ -167,7 +167,7 @@ def free_spike(r: int, validate: bool = True) -> tuple[MatroidOracle, PairPartit
     if validate:
         report = validate_circuit_axioms(oracle.circuits(), 2 * r)
         if not report.ok:
-            raise RuntimeError(f"spike circuit family fails the axioms: {report.violations[0]}")
+            raise RuntimeError(f"spike circuit family fails the axioms: {report.witnesses[0]}")
         for a in range(r):
             for b in range(a + 1, r):
                 union = partition.pairs[a] | partition.pairs[b]

@@ -92,14 +92,9 @@ class CircuitFamily:
 
 
 @dataclass(frozen=True)
-class AxiomReport:
-    ok: bool
-    violations: tuple[tuple[str, tuple], ...]
-
-
-@dataclass(frozen=True)
 class VerificationReport:
-    """Pass/fail record of one structural check, with counterwitnesses."""
+    """Pass/fail record of one check, with counterwitnesses: the one result
+    of every pass/fail check in the package."""
 
     check: str
     ok: bool
@@ -291,7 +286,7 @@ def oracle_from_circuits(
     if validate:
         report = validate_circuit_axioms(family, ground.n)
         if not report.ok:
-            raise ValueError(f"circuit family fails the axioms: {report.violations[0]}")
+            raise ValueError(f"circuit family fails the axioms: {report.witnesses[0]}")
 
     def independent() -> np.ndarray:
         dependent = family.contains_member.table
@@ -333,9 +328,8 @@ def orthogonality_violation(
     next circuit), or None when `orthogonality_check` holds on every pair.
 
     A lattice pass, not a walk over pairs: U[X], the union of the cocircuits
-    inside X, is a `bitset.subset_reduce` by ``np.bitwise_or`` over all 2^n
-    masks (int32, which holds masks up to n = 31).  A circuit C meets some
-    cocircuit in exactly e iff e is in C and in U[(E - C) | e], so one pass
+    inside X, is `bitset.member_unions` over all 2^n masks.  A circuit C
+    meets some cocircuit in exactly e iff e is in C and in U[(E - C) | e], so one pass
     per element marks every circuit with such a partner; the first marked
     circuit is then tested against each cocircuit.  O(n 2^n + n |circuits| + |cocircuits|).  Above
     the `bitset.lattice_cap` it raises `CapExceeded`, and masks outside the
@@ -348,9 +342,7 @@ def orthogonality_violation(
         if len(masks) and (masks.min() < 0 or masks.max() > full):
             raise ValueError(f"masks must lie inside the {n} elements")
     cs, ds = cs.astype(np.int32), ds.astype(np.int32)
-    union = np.zeros(1 << n, dtype=np.int32)
-    union[ds] = ds
-    bitset.subset_reduce(union, np.bitwise_or)
+    union = bitset.member_unions(n, ds)
     partnered = np.zeros(len(cs), dtype=bool)
     for b in range(n):
         holds = (cs >> b) & 1 == 1
@@ -363,8 +355,11 @@ def orthogonality_violation(
     return int(cs[i]), int(ds[j])
 
 
-def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> AxiomReport:
+def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> VerificationReport:
     """Check antichain, non-emptiness and weak elimination for a family.
+
+    The report's `checked` is the number of members and its witnesses are
+    the violations, each a (kind, details) pair.
 
     Weak elimination: for distinct members C1, C2 and e in their
     intersection, some member lies inside (C1 | C2) - e.  Up to the
@@ -390,7 +385,7 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ax
     else:
         contains_member = bitset.ContainmentTest(n, members)
     if not violations and _is_circuit_table(members, contains_member):
-        return AxiomReport(ok=True, violations=())
+        return VerificationReport("circuit-axioms", True, len(members))
     antichain: list[tuple[str, tuple]] = []
     elimination: list[tuple[str, tuple]] = []
     for a, b in itertools.combinations(members, 2):
@@ -406,7 +401,7 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ax
                     ("elimination", (bitset.indices(a), bitset.indices(b), bit.bit_length()))
                 )
     violations += antichain + elimination
-    return AxiomReport(ok=not violations, violations=tuple(violations))
+    return VerificationReport("circuit-axioms", not violations, len(members), tuple(violations))
 
 
 def _is_circuit_table(members: tuple[int, ...], contains_member: bitset.ContainmentTest) -> bool:

@@ -24,7 +24,15 @@ from .transversal import BipartitePresentation, psi, transversal_matroid
 
 SCHEMA_VERSION = 1
 
-_REPRESENTATIONS = ("uniform", "psi", "circuits", "transversal", "construction", "truncate")
+# each representation and the fields its payload may carry
+_REPRESENTATIONS = {
+    "uniform": {"r", "n"},
+    "psi": {"n", "s"},
+    "circuits": {"n", "circuits"},
+    "transversal": {"n", "neighborhoods"},
+    "construction": {"kind", "r"},
+    "truncate": {"inner", "i"},
+}
 _CONSTRUCTION_KINDS = ("wheel", "whirl", "free_spike")
 
 
@@ -154,6 +162,8 @@ def validate_matroid(body: Any) -> None:
         raise ValueError("matroid body must carry exactly one known representation")
     kind = keys[0]
     payload = body[kind]
+    if isinstance(payload, dict) and set(payload) - _REPRESENTATIONS[kind]:
+        raise ValueError(f"{kind} payload carries unknown fields")
     if kind == "uniform":
         _expect_int_fields(payload, "r", "n")
     elif kind == "psi":

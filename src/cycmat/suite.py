@@ -90,11 +90,9 @@ FAMILY_NAMES = (
 
 @dataclass
 class Fixture:
-    family: str
     label: str
     oracle: MatroidOracle
     st: STParams | None = None
-    psi_params: tuple[int, int] | None = None
 
 
 class FixtureSet:
@@ -125,9 +123,9 @@ class FixtureSet:
             return []
         if family not in self._built:
             self._built[family] = []
-            for label, build, st, psi_params in self._grid(family):
+            for label, build, st in self._grid(family):
                 try:
-                    self._built[family].append(Fixture(family, label, build(), st, psi_params))
+                    self._built[family].append(Fixture(label, build(), st))
                 except Exception as exc:  # a broken fixture is a failed entry, not a dead run
                     self.broken[label] = f"error: {exc}"
         return self._built[family]
@@ -160,30 +158,29 @@ class FixtureSet:
         return self.oracle(f"spike({r})", lambda: free_spike(r)[0])
 
     def _grid(self, family: str):
-        """(label, build, st, psi_params) for each fixture of `family` in the grid."""
+        """(label, build, st) for each fixture of `family` in the grid."""
         if family == "psi":
             for n, s in PSI_GRID:
                 if n <= self.max_n:
-                    yield f"psi({n},{s})", partial(self.psi, n, s), STParams(s, s), (n, s)
+                    yield f"psi({n},{s})", partial(self.psi, n, s), STParams(s, s)
         elif family == "truncation":
             for n, s, t in TRUNCATION_GRID:
                 if n <= self.max_n:
                     i = (t - s) // 2
-                    yield (f"T^{i}(psi({n},{s}))", partial(self.truncated_psi, n, s, i),
-                           STParams(s, t), (n, s))
+                    yield f"T^{i}(psi({n},{s}))", partial(self.truncated_psi, n, s, i), STParams(s, t)
         elif family == "uniform":
             for r, n, s, t in UNIFORM_GRID:
                 if n <= self.max_n:
-                    yield f"U({r},{n})", partial(self.uniform, r, n), STParams(s, t), None
+                    yield f"U({r},{n})", partial(self.uniform, r, n), STParams(s, t)
         elif family in ("wheel", "whirl", "spike"):
             st = STParams(4, 4) if family == "spike" else STParams(3, 3)
             for r in SPIKE_GRID if family == "spike" else WHEEL_GRID:
                 if 2 * r <= self.max_n:
-                    yield f"{family}({r})", partial(getattr(self, family), r), st, None
+                    yield f"{family}({r})", partial(getattr(self, family), r), st
         elif family == "random":
             rng = random.Random(self.seed)
             for idx in range(RANDOM_COUNT):
-                yield f"random-{idx}", partial(random_transversal, rng, 8), None, None
+                yield f"random-{idx}", partial(random_transversal, rng, 8), None
 
     def all_oracles(self) -> list[Fixture]:
         out: list[Fixture] = []
@@ -281,8 +278,7 @@ def run_suite(
 
 def _mutant_check() -> tuple[bool, Any]:
     full = [bitset.mask_of(c) for c in ([1, 2, 3], [1, 2, 4], [1, 3, 4])]
-    report = validate_circuit_axioms(full, 4)
-    return report.ok, report.violations[:1] or None
+    return _report_entry(validate_circuit_axioms(full, 4))
 
 
 def _structural_checks(fixtures: FixtureSet, record) -> None:
@@ -290,16 +286,12 @@ def _structural_checks(fixtures: FixtureSet, record) -> None:
         params = {"matroid": fx.label}
         record("dual-rank-sum", params, lambda fx=fx: (
             fx.oracle.rank() + fx.oracle.dual().rank() == fx.oracle.n, None))
-        record("circuit-axioms", params, lambda fx=fx: _axioms_entry(fx))
+        record("circuit-axioms", params, lambda fx=fx: _report_entry(
+            validate_circuit_axioms(fx.oracle.circuits(), fx.oracle.n)))
         record("exchange-sweep", params, lambda fx=fx: _report_entry(verify_matroid_axioms(fx.oracle)))
         record("orthogonality", params, lambda fx=fx: _orthogonality_entry(fx))
         if fx.oracle.n <= 8:
             record("dual-involution", params, lambda fx=fx: _dual_involution_entry(fx))
-
-
-def _axioms_entry(fx: Fixture) -> tuple[bool, Any]:
-    report = validate_circuit_axioms(fx.oracle.circuits(), fx.oracle.n)
-    return report.ok, report.violations[:1] or None
 
 
 def _orthogonality_entry(fx: Fixture) -> tuple[bool, Any]:
@@ -328,7 +320,7 @@ def _dual_involution_entry(fx: Fixture) -> tuple[bool, Any]:
 
 def _transversal_checks(fixtures: FixtureSet, record) -> None:
     for fx in fixtures.group("psi"):
-        n, s = fx.psi_params
+        n, s = fx.oracle.n, fx.st.s
         params = {"n": n, "s": s}
         pres = interval_presentation(n, s)
         if n <= 12:
@@ -536,7 +528,7 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
         if fx.oracle.n <= 10 and fx.oracle.rank() >= 1:
             params = {"matroid": fx.label}
             record("quotient-truncation", params, lambda fx=fx: (
-                is_quotient(fx.oracle, fixtures.truncation(fx)).holds, None))
+                is_quotient(fx.oracle, fixtures.truncation(fx)).ok, None))
             record("truncation-circuits", params, lambda fx=fx: _family_difference(
                 set(truncation_circuits(fx.oracle, 1).members),
                 set(fixtures.truncation(fx).circuits().members)))
@@ -545,16 +537,15 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
 def _pipeline_entry(fixtures: FixtureSet, oracle: MatroidOracle, st: STParams) -> tuple[bool, Any]:
     target = fixtures.truncated_psi(oracle.n, st.s, (st.t - st.s) // 2)
     report = weak_image_of_truncated_psi(oracle, natural_ordering(oracle.n), st, target)
-    witness = None if report.holds else _mask_list([report.violating_circuit])
-    return report.holds, witness
+    return report.ok, _mask_list(report.witnesses) or None
 
 
 def _interval_rank_entry(
     fixtures: FixtureSet, oracle: MatroidOracle, expected: bool
 ) -> tuple[bool, Any]:
-    outcome = interval_rank_condition(oracle, interval_presentation(8, 3), fixtures.psi(8, 3))
-    if outcome.condition != expected:
-        return False, {"condition": outcome.condition}
+    report = interval_rank_condition(oracle, interval_presentation(8, 3), fixtures.psi(8, 3))
+    if report.ok != expected:
+        return False, {"condition": report.ok}
     return True, None
 
 

@@ -2,19 +2,22 @@
 
 A bijection is a weak map when every circuit image contains a circuit of the
 target (equivalently, independent sets pull back independent).  Quotients are
-recognised by the union-of-circuits criterion.  The canonical-image pipeline
-shows a fully structured matroid is a weak-map image of the truncated dual
-interval matroid on the same parameters, after aligning the circuit phase.
+recognised by the union-of-circuits criterion, in one subset-OR pass over
+the lower matroid's circuits.  The canonical-image pipeline shows a fully
+structured matroid is a weak-map image of the truncated dual interval
+matroid on the same parameters, after aligning the circuit phase.  Every
+check returns a `core.VerificationReport`; the witnesses of the weak-map and
+quotient checks are circuit masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bitset
-from .core import MatroidOracle
+from .core import MatroidOracle, VerificationReport
 from .cyclic import CyclicOrdering, STParams, certify, natural_ordering
 from .transversal import IntervalPresentation
 
@@ -44,31 +47,26 @@ class ElementBijection:
         return bitset.permute(mask, self.mapping)
 
 
-@dataclass(frozen=True)
-class WeakMapReport:
-    holds: bool
-    violating_circuit: int | None = None
-    note: str = ""
-
-
 def is_weak_map(
     source: MatroidOracle, target: MatroidOracle, phi: ElementBijection | None = None
-) -> WeakMapReport:
-    """Does every circuit of `source` map onto a dependent set of `target`?"""
+) -> VerificationReport:
+    """Does every circuit of `source` map onto a dependent set of `target`?
+    The witness is the first source circuit, in canonical order, that does not."""
     if source.n != target.n:
         raise ValueError("weak maps need ground sets of equal size")
     phi = phi or ElementBijection.identity(source.n)
     if len(phi.mapping) != source.n:
         raise ValueError("bijection size must match the ground sets")
-    for circuit in source.circuits():
+    circuits = source.circuits()
+    for circuit in circuits:
         if target.indep(phi.apply(circuit)):
-            return WeakMapReport(False, circuit)
-    return WeakMapReport(True)
+            return VerificationReport("weak-map", False, len(circuits), (circuit,))
+    return VerificationReport("weak-map", True, len(circuits))
 
 
 def is_weak_map_by_independence(
     source: MatroidOracle, target: MatroidOracle, phi: ElementBijection | None = None
-) -> WeakMapReport:
+) -> VerificationReport:
     """Equivalent test through independent sets: phi^{-1} of every independent
     set of the target is independent in the source.  Exhaustive over both
     oracles' independence tables, so it refuses ground sets above the
@@ -85,57 +83,48 @@ def is_weak_map_by_independence(
     for b, j in enumerate(phi.inverse().mapping):
         image.reshape(-1, 2, 1 << b)[:, 1] |= 1 << (j - 1)
     failing = np.flatnonzero(target.independence_table() & ~source.independence_table()[image])
-    if len(failing):
-        return WeakMapReport(False, int(image[failing[0]]))
-    return WeakMapReport(True)
+    witnesses = (int(image[failing[0]]),) if len(failing) else ()
+    return VerificationReport("weak-map", not witnesses, len(image), witnesses)
 
 
-def is_quotient(upper: MatroidOracle, lower: MatroidOracle) -> WeakMapReport:
+def is_quotient(upper: MatroidOracle, lower: MatroidOracle) -> VerificationReport:
     """`lower` is a quotient of `upper` iff every circuit of `upper` is a
-    union of circuits of `lower` (equivalently each of its elements is covered
-    by a `lower` circuit inside it)."""
+    union of circuits of `lower`.
+
+    One lattice pass, not a walk over pairs: with U[X] the union of the
+    `lower` circuits inside X (`bitset.member_unions`), the test is
+    U[C] == C for every circuit C of `upper`.  The witness is the first C,
+    in canonical order, that fails.  Above the `bitset.lattice_cap` it
+    raises `CapExceeded`.
+    """
     if upper.n != lower.n:
         raise ValueError("quotients need a common ground set")
-    lower_circuits = lower.circuits().members
-    for circuit in upper.circuits():
-        covered = 0
-        for c in lower_circuits:
-            if bitset.is_subset(c, circuit):
-                covered |= c
-                if covered == circuit:
-                    break
-        if covered != circuit:
-            return WeakMapReport(False, circuit)
-    return WeakMapReport(True)
-
-
-@dataclass(frozen=True)
-class IntervalRankOutcome:
-    """Result of the consecutive-interval rank comparison.
-
-    When the condition holds, the dual of the presentation is freer than the
-    compared matroid and the identity is a weak map from it.  `weak_map` is
-    the report confirming that map up to the lattice cap; it is None when
-    the condition fails and above the cap.
-    """
-
-    condition: bool
-    violation: tuple[int, int] | None
-    weak_map: WeakMapReport | None
+    bitset.require_cap("the quotient test", upper.n, bitset.lattice_cap())
+    circuits = upper.circuits().members
+    union = bitset.member_unions(upper.n, lower.circuits().members)
+    cs = np.array(circuits, dtype=np.int64)
+    failing = np.flatnonzero(union[cs] != cs)
+    witnesses = (circuits[failing[0]],) if len(failing) else ()
+    return VerificationReport("quotient", not witnesses, len(circuits), witnesses)
 
 
 def interval_rank_condition(
     oracle: MatroidOracle, pres: IntervalPresentation, dual: MatroidOracle
-) -> IntervalRankOutcome:
+) -> VerificationReport:
     """Compare ranks of every union of consecutive presentation intervals in
     `oracle` against `dual`, the dual of the matroid `pres` presents
     (psi(n, s), or `dual_transversal(pres.base)`).  The intervals cover
     every element, so the presented matroid is loop-free; if no union has
     larger rank in `oracle`, the identity map from the dual is a weak map
-    onto `oracle`.  Up to `bitset.lattice_cap` that weak map is confirmed by
-    listing the dual's circuits, and a failed confirmation raises
-    RuntimeError; above the cap the outcome carries no report, and the weak
-    map rests on the interval lemma alone."""
+    onto `oracle`.
+
+    The report checks the m * m unions, m = `pres.m`; its witness is the
+    first (start i, run length k) whose union has larger rank in `oracle`.
+    When the condition holds, up to `bitset.lattice_cap` the weak map is
+    confirmed by `is_weak_map(dual, oracle)`, and a failed confirmation
+    raises RuntimeError; above the cap the weak map rests on the interval
+    lemma alone.
+    """
     if oracle.n != pres.n:
         raise ValueError("the compared matroid must share the ground set")
     if dual.n != pres.n:
@@ -145,16 +134,13 @@ def interval_rank_condition(
         for k in range(1, m + 1):
             union = pres.run_union(i, (i + k - 2) % m + 1)
             if oracle.rank(union) > dual.rank(union):
-                return IntervalRankOutcome(False, (i, k), None)
-    if pres.n > bitset.lattice_cap():
-        return IntervalRankOutcome(True, None, None)
-    report = is_weak_map(dual, oracle)
-    if not report.holds:
+                return VerificationReport("interval-rank", False, m * m, ((i, k),))
+    if pres.n <= bitset.lattice_cap() and not is_weak_map(dual, oracle).ok:
         raise RuntimeError(
             "interval rank condition held but the weak map failed; "
             "this cannot happen for a loop-free interval presentation"
         )
-    return IntervalRankOutcome(True, None, report)
+    return VerificationReport("interval-rank", True, m * m)
 
 
 def _require_target(target: MatroidOracle, n: int, s: int, t: int) -> None:
@@ -182,7 +168,7 @@ def truncated_psi_certificate(target: MatroidOracle, s: int, t: int):
 
 def weak_image_of_truncated_psi(
     oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams, target: MatroidOracle
-) -> WeakMapReport:
+) -> VerificationReport:
     """A fully (s, t)-structured matroid on n >= s + t - 1 elements is a
     weak-map image of `target`, the ((t-s)/2)-th truncation of psi(n, s).
 
@@ -207,5 +193,4 @@ def weak_image_of_truncated_psi(
     rotation = 0 if cert.circuit_phase == 1 else 1
     aligned = ordering.rotated(rotation)
     phi = ElementBijection(aligned.order)
-    report = is_weak_map(target, oracle, phi)
-    return WeakMapReport(report.holds, report.violating_circuit, note=f"rotation={rotation}")
+    return replace(is_weak_map(target, oracle, phi), note=f"rotation={rotation}")

@@ -19,11 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycmat import (
-    AxiomReport,
     CapExceeded,
     CircuitFamily,
     GroundSet,
     MatroidOracle,
+    VerificationReport,
     orthogonality_check,
     orthogonality_violation,
     psi,
@@ -40,7 +40,7 @@ from cycmat.transversal import BipartitePresentation, transversal_matroid
 PEAK_BYTES = 8 << 20
 
 
-def reference_validate_circuit_axioms(family, n: int) -> AxiomReport:
+def reference_validate_circuit_axioms(family, n: int) -> VerificationReport:
     """The pure-Python pairwise loops, with containment as a direct scan."""
     members = tuple(family.members if isinstance(family, CircuitFamily) else family)
     violations = []
@@ -54,7 +54,7 @@ def reference_validate_circuit_axioms(family, n: int) -> AxiomReport:
         if bitset.is_subset(a, b) or bitset.is_subset(b, a):
             violations.append(("antichain", (bitset.indices(a), bitset.indices(b))))
     if any(kind == "out-of-range" for kind, _ in violations):
-        return AxiomReport(ok=False, violations=tuple(violations))
+        return VerificationReport("circuit-axioms", False, len(members), tuple(violations))
     for a, b in itertools.combinations(members, 2):
         common = a & b
         if not common:
@@ -65,7 +65,7 @@ def reference_validate_circuit_axioms(family, n: int) -> AxiomReport:
                 violations.append(
                     ("elimination", (bitset.indices(a), bitset.indices(b), bit.bit_length()))
                 )
-    return AxiomReport(ok=not violations, violations=tuple(violations))
+    return VerificationReport("circuit-axioms", not violations, len(members), tuple(violations))
 
 
 @st.composite
@@ -174,7 +174,7 @@ def test_family_built_under_a_lower_cap_still_validates(monkeypatch):
     scanned = CircuitFamily.from_masks(10, members)
     assert scanned.contains_member.table is None  # built above the lowered cap
     monkeypatch.delenv(bitset.LATTICE_CAP_ENV)
-    assert validate_circuit_axioms(scanned, 10) == AxiomReport(True, ())
+    assert validate_circuit_axioms(scanned, 10) == VerificationReport("circuit-axioms", True, len(members))
     broken = CircuitFamily.from_masks(10, members[1:])
     monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
     broken.contains_member  # built under the lowered cap, validated above it
@@ -184,7 +184,7 @@ def test_family_built_under_a_lower_cap_still_validates(monkeypatch):
     tabled = CircuitFamily.from_masks(10, members)
     assert tabled.contains_member.table is not None
     monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
-    assert validate_circuit_axioms(tabled, 10) == AxiomReport(True, ())
+    assert validate_circuit_axioms(tabled, 10) == VerificationReport("circuit-axioms", True, len(members))
 
 
 def test_oracle_first_asked_under_a_lower_cap_still_fills_its_table(monkeypatch):

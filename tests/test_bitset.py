@@ -93,3 +93,20 @@ def test_mask_rows_is_mask_of_each_row(case):
 def test_mask_rows_rejects_indices_outside_the_ground_set(rows):
     with pytest.raises(ValueError):
         bitset.mask_rows(rows, 3)
+
+
+@given(
+    st.integers(min_value=0, max_value=7),
+    st.lists(st.integers(min_value=0, max_value=(1 << 7) - 1), max_size=12),
+)
+@example(3, [])
+def test_member_unions_is_the_union_of_the_masks_inside(n, masks):
+    masks = [m & bitset.full_mask(n) for m in masks]
+    union = bitset.member_unions(n, masks)
+    assert union.dtype == "int32"
+    for x in range(1 << n):
+        want = 0
+        for m in masks:
+            if bitset.is_subset(m, x):
+                want |= m
+        assert union[x] == want

@@ -146,6 +146,20 @@ def test_construction_payload_that_is_not_an_object_exits_2(capsys, monkeypatch,
     assert "representation payload must be a JSON object" in err
 
 
+@pytest.mark.parametrize("matroid", [
+    {"psi": {"n": 8, "s": 3, "x": 1}},
+    {"uniform": {"r": 2, "n": 4, "s": 3}},
+    {"construction": {"kind": "wheel", "r": 4, "rim": True}},
+    {"truncate": {"i": 1, "inner": {"psi": {"n": 8, "s": 3}}, "j": 0}},
+    {"truncate": {"i": 1, "inner": {"circuits": {"n": 3, "circuits": [[1, 2]], "m": 1}}}},
+])
+def test_payload_with_unknown_fields_exits_2(capsys, monkeypatch, matroid):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"schema": 1, "matroid": matroid})))
+    code, out, err = run_cli(capsys, "rank", "-")
+    assert code == 2 and out == ""
+    assert "payload carries unknown fields" in err
+
+
 def test_rank_follows_an_augmenting_path_of_1500_vertices(capsys, monkeypatch):
     # N(i) = {i, i+1} for i < 1500 and N(1500) = {1}: the last vertex's
     # augmenting path runs back through every other vertex
@@ -162,6 +176,7 @@ def test_rank_follows_an_augmenting_path_of_1500_vertices(capsys, monkeypatch):
     ("gen", [1]),
     ("weakmap", [1.0, 2.0, 3.0, 4.0]),
     ("weakmap", 5),
+    ("gen", {"n": 2, "neighborhoods": [[1, 2]], "m": 1}),  # an unknown field
 ])
 def test_bad_input_files_exit_2(capsys, tmp_path, command, payload):
     path = tmp_path / "input.json"

@@ -310,7 +310,7 @@ def test_validate_circuit_axioms_rejects_nested():
     fam = [bitset.mask_of([1, 2]), bitset.mask_of([1, 2, 3])]
     report = validate_circuit_axioms(fam, 3)
     assert not report.ok
-    assert report.violations[0][0] == "antichain"
+    assert report.checked == 2 and report.witnesses[0][0] == "antichain"
 
 
 def test_validate_circuit_axioms_rejects_broken_elimination():
@@ -318,19 +318,19 @@ def test_validate_circuit_axioms_rejects_broken_elimination():
     fam = [bitset.mask_of(c) for c in ([1, 2, 3], [1, 2, 4], [1, 3, 4])]
     report = validate_circuit_axioms(fam, 4)
     assert not report.ok
-    assert any(v[0] == "elimination" for v in report.violations)
+    assert any(v[0] == "elimination" for v in report.witnesses)
 
 
 def test_validate_circuit_axioms_reports_out_of_range():
     report = validate_circuit_axioms([0b10011], 4)
     assert not report.ok
-    assert report.violations == (("out-of-range", ((1, 2, 5),)),)
+    assert report.witnesses == (("out-of-range", ((1, 2, 5),)),)
     # with a pair to eliminate, on the dependence-table path and the scan path
     for n in (4, 19):
         fam = [bitset.mask_of([1, 2, n + 1]), bitset.mask_of([1, 3])]
         report = validate_circuit_axioms(fam, n)
         assert not report.ok
-        assert report.violations[0] == ("out-of-range", ((1, 2, n + 1),))
+        assert report.witnesses[0] == ("out-of-range", ((1, 2, n + 1),))
 
 
 def test_validate_circuit_axioms_spike():

@@ -1,12 +1,29 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cycmat import CapExceeded, GroundSet, MatroidOracle, bitset, psi, uniform, wheel, whirl
+from cycmat import (
+    CapExceeded,
+    GroundSet,
+    MatroidOracle,
+    VerificationReport,
+    bitset,
+    oracle_from_circuits,
+    psi,
+    uniform,
+    wheel,
+    whirl,
+)
 from cycmat.constructions import free_spike, truncate
 from cycmat.cyclic import STParams, natural_ordering
-from cycmat.transversal import dual_transversal, interval_presentation
+from cycmat.transversal import (
+    BipartitePresentation,
+    dual_transversal,
+    interval_presentation,
+    transversal_matroid,
+)
 from cycmat.weakmap import (
     ElementBijection,
-    IntervalRankOutcome,
     interval_rank_condition,
     is_quotient,
     is_weak_map,
@@ -26,21 +43,21 @@ def test_bijection_validation():
 
 def test_identity_self_weak_map():
     M = uniform(2, 4)
-    assert is_weak_map(M, M).holds
+    assert is_weak_map(M, M).ok
 
 
 def test_whirl_to_wheel_weak_map():
     # adding the rim circuit makes the wheel a weak-map image of the whirl
     report = is_weak_map(whirl(4), wheel(4))
-    assert report.holds
-    assert not is_weak_map(wheel(4), whirl(4)).holds
+    assert report.ok
+    assert not is_weak_map(wheel(4), whirl(4)).ok
 
 
 def test_rank_increase_blocks_weak_map():
     report = is_weak_map(uniform(1, 4), uniform(2, 4))
-    assert not report.holds
-    assert report.violating_circuit is not None
-    assert report.violating_circuit.bit_count() == 2
+    assert not report.ok
+    assert report.checked == 6 and len(report.witnesses) == 1  # the six pairs of U(1,4)
+    assert report.witnesses[0].bit_count() == 2
 
 
 def test_weak_map_routes_agree():
@@ -52,7 +69,7 @@ def test_weak_map_routes_agree():
         (free_spike(3)[0], uniform(3, 6)),
     ]
     for source, target in pairs:
-        assert is_weak_map(source, target).holds == is_weak_map_by_independence(source, target).holds
+        assert is_weak_map(source, target).ok == is_weak_map_by_independence(source, target).ok
 
 
 def _first_pullback_failure(source, target, phi):
@@ -78,14 +95,14 @@ def test_weak_map_by_independence_witness_matches_the_mask_loop(source, target):
                 ElementBijection(tuple(range(source.n, 0, -1)))):
         report = is_weak_map_by_independence(source, target, phi)
         expected = _first_pullback_failure(source, target, phi)
-        assert report.holds == (expected is None)
-        assert report.violating_circuit == expected
+        assert report.ok == (expected is None)
+        assert report.witnesses == (() if expected is None else (expected,))
 
 
 def test_weak_map_by_independence_fills_no_memo():
     source, target = psi(12, 4), truncate(psi(12, 4), 1)
-    assert is_weak_map_by_independence(target, source).holds is False
-    assert is_weak_map_by_independence(source, target).holds
+    assert is_weak_map_by_independence(target, source).ok is False
+    assert is_weak_map_by_independence(source, target).ok
     assert source._memo == {} and target._memo == {}
 
 
@@ -107,8 +124,8 @@ def test_weak_maps_compose():
     chain = [uniform(4, 8), wheel(4), truncate(wheel(4), 1)]
     first = is_weak_map(chain[0], chain[1])
     second = is_weak_map(chain[1], chain[2])
-    assert first.holds and second.holds
-    assert is_weak_map(chain[0], chain[2]).holds
+    assert first.ok and second.ok
+    assert is_weak_map(chain[0], chain[2]).ok
 
 
 def test_size_mismatch_rejected():
@@ -118,7 +135,7 @@ def test_size_mismatch_rejected():
 
 def test_quotient_truncation():
     for M in (uniform(2, 4), psi(8, 3), wheel(4), free_spike(4)[0]):
-        assert is_quotient(M, truncate(M, 1)).holds
+        assert is_quotient(M, truncate(M, 1)).ok
 
 
 def rank_route_quotient(upper, lower):
@@ -147,53 +164,99 @@ def test_quotient_routes_agree():
         (free_spike(3)[0], truncate(free_spike(3)[0], 1)),
     ]
     for upper, lower in pairs:
-        assert is_quotient(upper, lower).holds == rank_route_quotient(upper, lower)
+        assert is_quotient(upper, lower).ok == rank_route_quotient(upper, lower)
+
+
+def reference_is_quotient(upper, lower):
+    """The pairwise loop `is_quotient` replaced: the first circuit of `upper`,
+    in canonical order, that is not a union of `lower` circuits, or None."""
+    lower_circuits = lower.circuits().members
+    for circuit in upper.circuits():
+        covered = 0
+        for c in lower_circuits:
+            if bitset.is_subset(c, circuit):
+                covered |= c
+        if covered != circuit:
+            return circuit
+    return None
+
+
+@st.composite
+def transversal_truncations(draw, max_n: int = 8):
+    """(a random transversal matroid, one of its truncations)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    neighborhoods = draw(st.lists(
+        st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=5))
+    upper = transversal_matroid(BipartitePresentation(GroundSet(n), tuple(neighborhoods)))
+    return upper, truncate(upper, draw(st.integers(min_value=0, max_value=upper.rank())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(transversal_truncations())
+def test_quotient_matches_the_pairwise_reference(pair):
+    # a truncation is a quotient; the reverse direction fails unless it is trivial
+    for upper, lower in (pair, pair[::-1]):
+        expected = reference_is_quotient(upper, lower)
+        report = is_quotient(upper, lower)
+        assert report.ok == (expected is None)
+        assert report.witnesses == (() if expected is None else (expected,))
+        assert report.checked == len(upper.circuits())
+
+
+def test_quotient_refuses_above_the_cap():
+    # circuits listed by hand need no table, but the quotient pass builds one
+    n = bitset.LATTICE_CAP + 1
+    listed = oracle_from_circuits(GroundSet(n), [bitset.mask_of([1, 2])], validate=False)
+    with pytest.raises(CapExceeded):
+        is_quotient(listed, listed)
 
 
 def test_quotient_examples():
-    assert is_quotient(uniform(2, 4), uniform(1, 4)).holds
-    assert is_quotient(uniform(2, 4), uniform(2, 4)).holds
+    assert is_quotient(uniform(2, 4), uniform(1, 4)).ok
+    assert is_quotient(uniform(2, 4), uniform(2, 4)).ok
     report = is_quotient(uniform(1, 4), uniform(2, 4))
-    assert not report.holds and report.violating_circuit.bit_count() == 2
+    assert not report.ok and report.witnesses[0].bit_count() == 2
 
 
 def test_interval_rank_condition_wheel():
-    outcome = interval_rank_condition(wheel(4), interval_presentation(8, 3), psi(8, 3))
-    assert outcome.condition
-    assert outcome.weak_map is not None and outcome.weak_map.holds
+    wheel4, dual = wheel(4), psi(8, 3)
+    report = interval_rank_condition(wheel4, interval_presentation(8, 3), dual)
+    assert report == VerificationReport("interval-rank", True, 16)
+    assert is_weak_map(dual, wheel4).ok
 
 
 def test_interval_rank_condition_self():
     pres = interval_presentation(8, 3)
-    outcome = interval_rank_condition(psi(8, 3), pres, dual_transversal(pres.base))
-    assert outcome.condition
+    report = interval_rank_condition(psi(8, 3), pres, dual_transversal(pres.base))
+    assert report.ok
 
 
 def test_interval_rank_condition_free_matroid_fails():
-    outcome = interval_rank_condition(uniform(8, 8), interval_presentation(8, 3), psi(8, 3))
-    assert not outcome.condition
-    assert outcome.violation is not None
+    report = interval_rank_condition(uniform(8, 8), interval_presentation(8, 3), psi(8, 3))
+    assert not report.ok
+    assert report.checked == 16 and len(report.witnesses) == 1
 
 
 def test_interval_rank_condition_above_the_cap_rests_on_the_lemma():
     pres = interval_presentation(22, 4)
-    outcome = interval_rank_condition(truncate(psi(22, 4), 1), pres, psi(22, 4))
-    assert outcome == IntervalRankOutcome(True, None, None)
+    report = interval_rank_condition(truncate(psi(22, 4), 1), pres, psi(22, 4))
+    assert report == VerificationReport("interval-rank", True, 121)
 
 
 def test_interval_rank_condition_above_the_cap_names_a_violation():
     pres, dual, free = interval_presentation(22, 4), psi(22, 4), uniform(11, 22)
-    outcome = interval_rank_condition(free, pres, dual)
-    assert not outcome.condition and outcome.weak_map is None
-    i, k = outcome.violation
+    report = interval_rank_condition(free, pres, dual)
+    assert not report.ok
+    (i, k), = report.witnesses
     union = pres.run_union(i, (i + k - 2) % pres.m + 1)
     assert free.rank(union) == 4 and dual.rank(union) == 3
 
 
 def test_interval_rank_condition_above_a_lowered_cap(monkeypatch):
+    # the weak-map confirmation lists circuits, which the lowered cap refuses
     monkeypatch.setenv("CYCMAT_MAX_N", "6")
-    outcome = interval_rank_condition(wheel(4), interval_presentation(8, 3), psi(8, 3))
-    assert outcome == IntervalRankOutcome(True, None, None)
+    report = interval_rank_condition(wheel(4), interval_presentation(8, 3), psi(8, 3))
+    assert report == VerificationReport("interval-rank", True, 16)
 
 
 def test_interval_rank_condition_rejects_a_dual_of_the_wrong_size():
@@ -224,7 +287,7 @@ def test_pipeline_wheel():
     report = weak_image_of_truncated_psi(
         wheel(4), natural_ordering(8), STParams(3, 3), truncate(psi(8, 3), 0)
     )
-    assert report.holds and report.note == "rotation=0"
+    assert report.ok and report.note == "rotation=0"
 
 
 def test_pipeline_spike():
@@ -232,7 +295,7 @@ def test_pipeline_spike():
     report = weak_image_of_truncated_psi(
         M, natural_ordering(8), STParams(4, 4), truncate(psi(8, 4), 0)
     )
-    assert report.holds
+    assert report.ok
 
 
 def test_pipeline_truncation_self():
@@ -240,7 +303,7 @@ def test_pipeline_truncation_self():
     report = weak_image_of_truncated_psi(
         T, natural_ordering(10), STParams(3, 5), truncate(psi(10, 3), 1)
     )
-    assert report.holds
+    assert report.ok
 
 
 def test_pipeline_on_every_full_fixture(psi_oracles):
@@ -250,7 +313,7 @@ def test_pipeline_on_every_full_fixture(psi_oracles):
         report = weak_image_of_truncated_psi(
             oracle, natural_ordering(n), STParams(s, s), truncate(psi(n, s), 0)
         )
-        assert report.holds, (n, s)
+        assert report.ok, (n, s)
 
 
 def test_pipeline_phase_alignment():
@@ -258,7 +321,7 @@ def test_pipeline_phase_alignment():
     # must rotate once and still succeed
     shifted = natural_ordering(8).rotated(1)
     report = weak_image_of_truncated_psi(wheel(4), shifted, STParams(3, 3), truncate(psi(8, 3), 0))
-    assert report.holds and report.note == "rotation=1"
+    assert report.ok and report.note == "rotation=1"
 
 
 def test_pipeline_rejects_boundary():
