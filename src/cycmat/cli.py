@@ -15,6 +15,7 @@ import sys
 import time
 
 from . import bitset, documents
+from .constructions import CONSTRUCTIONS
 from .cyclic import FULL, NEARLY, CyclicOrdering, STParams, certify, find_orderings
 from .counterexample import forced_dependents, psi_two_block_circuits, rank_bound_contradiction
 from .documents import canonical_json
@@ -109,9 +110,8 @@ def _add_construction_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--uniform", nargs=2, type=int, metavar=("R", "N"))
     group.add_argument("--psi", nargs=2, type=int, metavar=("N", "S"))
-    group.add_argument("--wheel", type=int, metavar="R")
-    group.add_argument("--whirl", type=int, metavar="R")
-    group.add_argument("--free-spike", type=int, metavar="R")
+    for kind in CONSTRUCTIONS:  # --wheel, --whirl, --free-spike
+        group.add_argument("--" + kind.replace("_", "-"), type=int, metavar="R")
     group.add_argument("--transversal", metavar="FILE",
                        help="JSON file: {\"n\": ..., \"neighborhoods\": [[...], ...]}")
 
@@ -144,12 +144,8 @@ def _cmd_gen(args) -> int:
         doc = documents.doc_uniform(*args.uniform)
     elif args.psi:
         doc = documents.doc_psi(*args.psi)
-    elif args.wheel is not None:
-        doc = documents.doc_construction("wheel", args.wheel)
-    elif args.whirl is not None:
-        doc = documents.doc_construction("whirl", args.whirl)
-    elif args.free_spike is not None:
-        doc = documents.doc_construction("free_spike", args.free_spike)
+    elif kind := next((k for k in CONSTRUCTIONS if getattr(args, k) is not None), None):
+        doc = documents.doc_construction(kind, getattr(args, kind))
     else:
         payload = documents.decode(_read(args.transversal), "transversal file")
         documents.validate_matroid({"transversal": payload})

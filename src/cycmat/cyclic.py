@@ -93,9 +93,11 @@ class CyclicOrdering:
     def window(self, start: int, length: int) -> int:
         """Mask of the `length` elements from cyclic position `start` on,
         wrapping past position n."""
+        order = self.order
+        n = len(order)
         mask = 0
-        for k in range(length):
-            mask |= 1 << (self.order[(start - 1 + k) % self.n] - 1)
+        for k in range(start - 1, start - 1 + length):
+            mask |= 1 << (order[k % n] - 1)
         return mask
 
 

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import bitset
-from .constructions import free_spike, truncate, uniform, wheel, whirl
+from .constructions import CONSTRUCTIONS, truncate, uniform
 from .core import GroundSet, MatroidOracle, oracle_from_circuits
 from .transversal import BipartitePresentation, psi, transversal_matroid
 
@@ -33,7 +33,6 @@ _REPRESENTATIONS = {
     "construction": {"kind", "r"},
     "truncate": {"inner", "i"},
 }
-_CONSTRUCTION_KINDS = ("wheel", "whirl", "free_spike")
 
 
 def doc_uniform(r: int, n: int) -> dict:
@@ -61,7 +60,7 @@ def doc_transversal(n: int, neighborhoods: list[list[int]]) -> dict:
 
 
 def doc_construction(kind: str, r: int) -> dict:
-    if kind not in _CONSTRUCTION_KINDS:
+    if kind not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction kind {kind!r}")
     return {"schema": SCHEMA_VERSION, "matroid": {"construction": {"kind": kind, "r": r}}}
 
@@ -178,7 +177,7 @@ def validate_matroid(body: Any) -> None:
         _expect_index_lists(payload.get("neighborhoods"), payload["n"])
     elif kind == "construction":
         _expect_int_fields(payload)  # an object, before its kind is read
-        if payload.get("kind") not in _CONSTRUCTION_KINDS:
+        if not isinstance(payload.get("kind"), str) or payload["kind"] not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction kind {payload.get('kind')!r}")
         _expect_int_fields(payload, "r")
     elif kind == "truncate":
@@ -238,11 +237,7 @@ def _build(body: dict) -> MatroidOracle:
         )
         return transversal_matroid(pres)
     if kind == "construction":
-        builder = {"wheel": wheel, "whirl": whirl}.get(payload["kind"])
-        if builder is not None:
-            return builder(payload["r"])
-        oracle, _ = free_spike(payload["r"])
-        return oracle
+        return CONSTRUCTIONS[payload["kind"]](payload["r"])
     if kind == "truncate":
         return truncate(_build(payload["inner"]), payload["i"])
     raise ValueError(f"unknown representation {kind!r}")

@@ -25,6 +25,7 @@ from .constructions import free_spike, truncate, truncation_circuits, uniform, w
 from .core import (
     GroundSet,
     MatroidOracle,
+    VerificationReport,
     orthogonality_violation,
     validate_circuit_axioms,
     verify_matroid_axioms,
@@ -202,20 +203,19 @@ def random_transversal(rng: random.Random, n: int) -> MatroidOracle:
     return transversal_matroid(pres)
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
-    check: str
-    params: dict
-    ok: bool
-    witness: Any = None
-
-
 def _mask_list(masks) -> list[list[int]]:
     return [list(bitset.indices(m)) for m in masks]
 
 
-def _report_entry(report) -> tuple[bool, Any]:
-    return report.ok, list(report.witnesses[:1]) or None
+def _entry(result: Any) -> tuple[bool, Any]:
+    """A check's result as (ok, witness): a report gives its first witness,
+    a bool none, and an (ok, witness) pair is kept as it is."""
+    if isinstance(result, VerificationReport):
+        return result.ok, list(result.witnesses[:1]) or None
+    if isinstance(result, bool):
+        return result, None
+    ok, witness = result
+    return ok, witness
 
 
 def run_suite(
@@ -231,14 +231,17 @@ def run_suite(
     if unknown:
         raise ValueError(f"unknown fixture families: {sorted(unknown)}")
     fixtures = FixtureSet(max_n, seed, chosen)
-    entries: list[SuiteEntry] = []
+    entries: list[dict] = []
 
-    def record(check: str, params: dict, thunk: Callable[[], tuple[bool, Any]]) -> None:
+    def record(check: str, params: dict, fn: Callable[..., Any], *args: Any) -> None:
+        """Run the check `fn(*args)` now and keep its `_entry`; a raise is a
+        failed entry, not a dead run.  The check has run when `record`
+        returns, so a closure may read the caller's loop variables."""
         try:
-            ok, witness = thunk()
-        except Exception as exc:  # a crash is a failed entry, not a dead run
+            ok, witness = _entry(fn(*args))
+        except Exception as exc:
             ok, witness = False, f"error: {exc}"
-        entries.append(SuiteEntry(check, params, ok, witness))
+        entries.append({"check": check, "params": params, "ok": ok, "witness": witness})
 
     _structural_checks(fixtures, record)
     _transversal_checks(fixtures, record)
@@ -249,53 +252,48 @@ def run_suite(
     if inject_mutant:
         record("circuit-axioms", {"matroid": "mutant-U(2,4)"}, _mutant_check)
     for label, error in fixtures.broken.items():
-        entries.append(SuiteEntry("fixture-build", {"matroid": label}, False, error))
+        record("fixture-build", {"matroid": label}, lambda: (False, error))
 
-    entries.sort(key=lambda e: (e.check, json.dumps(e.params, sort_keys=True)))
-    failed = [e for e in entries if not e.ok]
+    entries.sort(key=lambda e: (e["check"], json.dumps(e["params"], sort_keys=True)))
+    failed = [e for e in entries if not e["ok"]]
     report = {
         "schema": 1,
         "seed": seed,
         "max_n": max_n,
         "families": sorted(chosen),
-        "entries": [
-            {"check": e.check, "params": e.params, "ok": e.ok, "witness": e.witness}
-            for e in entries
-        ],
+        "entries": entries,
         "summary": {
             "total": len(entries),
             "passed": len(entries) - len(failed),
             "failed": len(failed),
             "first_failure": None if not failed else {
-                "check": failed[0].check,
-                "params": failed[0].params,
-                "witness": failed[0].witness,
+                key: failed[0][key] for key in ("check", "params", "witness")
             },
         },
     }
     return report
 
 
-def _mutant_check() -> tuple[bool, Any]:
+def _mutant_check() -> VerificationReport:
     full = [bitset.mask_of(c) for c in ([1, 2, 3], [1, 2, 4], [1, 3, 4])]
-    return _report_entry(validate_circuit_axioms(full, 4))
+    return validate_circuit_axioms(full, 4)
 
 
 def _structural_checks(fixtures: FixtureSet, record) -> None:
     for fx in fixtures.all_oracles():
         params = {"matroid": fx.label}
-        record("dual-rank-sum", params, lambda fx=fx: (
-            fx.oracle.rank() + fx.oracle.dual().rank() == fx.oracle.n, None))
-        record("circuit-axioms", params, lambda fx=fx: _report_entry(
-            validate_circuit_axioms(fx.oracle.circuits(), fx.oracle.n)))
-        record("exchange-sweep", params, lambda fx=fx: _report_entry(verify_matroid_axioms(fx.oracle)))
-        record("orthogonality", params, lambda fx=fx: _orthogonality_entry(fx))
-        if fx.oracle.n <= 8:
-            record("dual-involution", params, lambda fx=fx: _dual_involution_entry(fx))
+        oracle = fx.oracle
+        record("dual-rank-sum", params, lambda: oracle.rank() + oracle.dual().rank() == oracle.n)
+        record("circuit-axioms", params,
+               lambda: validate_circuit_axioms(oracle.circuits(), oracle.n))
+        record("exchange-sweep", params, verify_matroid_axioms, oracle)
+        record("orthogonality", params, _orthogonality_entry, oracle)
+        if oracle.n <= 8:
+            record("dual-involution", params, lambda: _first_disagreement(
+                oracle.independence_table(), oracle.dual().dual().independence_table()))
 
 
-def _orthogonality_entry(fx: Fixture) -> tuple[bool, Any]:
-    oracle = fx.oracle
+def _orthogonality_entry(oracle: MatroidOracle) -> tuple[bool, Any]:
     pair = orthogonality_violation(oracle.circuits(), oracle.cocircuits(), oracle.n)
     if pair is None:
         return True, None
@@ -311,31 +309,21 @@ def _first_disagreement(left: np.ndarray, right: np.ndarray) -> tuple[bool, Any]
     return True, None
 
 
-def _dual_involution_entry(fx: Fixture) -> tuple[bool, Any]:
-    oracle = fx.oracle
-    return _first_disagreement(
-        oracle.independence_table(), oracle.dual().dual().independence_table()
-    )
-
-
 def _transversal_checks(fixtures: FixtureSet, record) -> None:
     for fx in fixtures.group("psi"):
-        n, s = fx.oracle.n, fx.st.s
+        oracle = fx.oracle
+        n, s = oracle.n, fx.st.s
         params = {"n": n, "s": s}
         pres = interval_presentation(n, s)
         if n <= 12:
-            record("dual-transversal-equivalence", params,
-                   lambda pres=pres: _dual_equivalence_entry(pres))
-            record("basis-characterization", params,
-                   lambda n=n, s=s, fx=fx: _basis_entry(n, s, fx.oracle))
-            record("self-duality", params,
-                   lambda n=n, s=s, fx=fx: _self_duality_entry(n, s, fx.oracle))
-            record("circuit-classification", params,
-                   lambda pres=pres, fx=fx: _classification_entry(pres, fx.oracle))
-            record("deficiency-dichotomy", params,
-                   lambda pres=pres, fx=fx: _deficiency_entry(pres, fx.oracle))
-        record("matching-cross-check", params,
-               lambda pres=pres, seed=fixtures.seed: _matching_entry(pres, seed))
+            record("dual-transversal-equivalence", params, _dual_equivalence_entry, pres)
+            record("basis-characterization", params, lambda: _first_disagreement(
+                psi_basis_table(n, s),
+                (bitset.set_sizes(n) == n // 2) & oracle.independence_table()))
+            record("self-duality", params, _self_duality_entry, n, s, oracle)
+            record("circuit-classification", params, _classification_entry, pres, oracle)
+            record("deficiency-dichotomy", params, _deficiency_entry, pres, oracle)
+        record("matching-cross-check", params, _matching_entry, pres, fixtures.seed)
 
 
 def _dual_equivalence_entry(pres) -> tuple[bool, Any]:
@@ -343,12 +331,6 @@ def _dual_equivalence_entry(pres) -> tuple[bool, Any]:
     direct = dual_transversal(pres.base)
     generic = transversal_matroid(pres.base).dual()
     return _first_disagreement(direct.independence_table(), generic.independence_table())
-
-
-def _basis_entry(n: int, s: int, oracle: MatroidOracle) -> tuple[bool, Any]:
-    return _first_disagreement(
-        psi_basis_table(n, s), (bitset.set_sizes(n) == n // 2) & oracle.independence_table()
-    )
 
 
 def _self_duality_entry(n: int, s: int, oracle: MatroidOracle) -> tuple[bool, Any]:
@@ -413,59 +395,55 @@ def _matching_entry(pres, seed: int) -> tuple[bool, Any]:
 
 def _window_checks(fixtures: FixtureSet, record) -> None:
     for fx in fixtures.cyclic_fixtures():
-        st = fx.st
-        n = fx.oracle.n
+        oracle, st = fx.oracle, fx.st
+        n = oracle.n
         params = {"matroid": fx.label, "s": st.s, "t": st.t}
         ordering = natural_ordering(n)
-        record("rank-formula", params, lambda fx=fx, st=st: (check_rank_formula(fx.oracle, st), None))
+        record("rank-formula", params, check_rank_formula, oracle, st)
         if n > st.s + st.t - 2:
-            record("window-flanks", params, lambda fx=fx, o=ordering, st=st: _report_entry(
-                check_adjacent_windows(fx.oracle, o, st)))
+            record("window-flanks", params, check_adjacent_windows, oracle, ordering, st)
             if (st.s - st.t) % 2 == 0:
-                record("window-structure", params, lambda fx=fx, o=ordering, st=st: _report_entry(
-                    check_window_structure(fx.oracle, o, st)))
-            record("window-closure", params, lambda fx=fx, o=ordering, st=st: _report_entry(
-                check_window_closure(fx.oracle, o, st)))
-            record("window-rank", params, lambda fx=fx, o=ordering, st=st: _report_entry(
-                window_rank_prediction(fx.oracle, o, st)))
+                record("window-structure", params, check_window_structure, oracle, ordering, st)
+            record("window-closure", params, check_window_closure, oracle, ordering, st)
+            record("window-rank", params, window_rank_prediction, oracle, ordering, st)
         if n >= st.s + st.t:
-            record("odd-start-upgrade", params, lambda fx=fx, o=ordering, st=st: (
-                full_from_odd_circuits(fx.oracle, o, st).full, None))
+            record("odd-start-upgrade", params,
+                   lambda: full_from_odd_circuits(oracle, ordering, st).full)
         if n >= st.s + 2 * st.t - 4:
-            record("unique-window-circuit", params, lambda fx=fx, o=ordering, st=st: _report_entry(
-                unique_window_circuits(fx.oracle, o, st)))
-        record("reversal-closure", params, lambda fx=fx, o=ordering, st=st: (
-            certify(fx.oracle, o.reversed_order(), st).full
-            == certify(fx.oracle, o, st).full, None))
+            record("unique-window-circuit", params, unique_window_circuits, oracle, ordering, st)
+        record("reversal-closure", params, lambda: (
+            certify(oracle, ordering.reversed_order(), st).full
+            == certify(oracle, ordering, st).full))
     for fx in fixtures.group("uniform"):
         params = {"matroid": fx.label, "s": fx.st.s, "t": fx.st.t}
-        record("rank-formula", params, lambda fx=fx: (check_rank_formula(fx.oracle, fx.st), None))
-        record("boundary-certificate", params, lambda fx=fx: (
-            certify(fx.oracle, natural_ordering(fx.oracle.n), fx.st).full, None))
+        record("rank-formula", params, check_rank_formula, fx.oracle, fx.st)
+        record("boundary-certificate", params,
+               lambda: certify(fx.oracle, natural_ordering(fx.oracle.n), fx.st).full)
     for n, s, t, nearly_ok, full_ok in (
         (9, 3, 5, True, False),
         (6, 3, 4, True, False),
         (1, 2, 2, False, False),
         (8, 3, 3, True, True),
     ):
-        params = {"n": n, "s": s, "t": t}
-        record("size-bounds", params, lambda n=n, s=s, t=t, a=nearly_ok, b=full_ok: (
-            (lambda rep: rep.nearly_allowed == a and rep.full_allowed == b)(
-                size_bounds(n, STParams(s, t))), None))
+        record("size-bounds", {"n": n, "s": s, "t": t},
+               _size_bounds_entry, n, s, t, nearly_ok, full_ok)
+
+
+def _size_bounds_entry(n: int, s: int, t: int, nearly_ok: bool, full_ok: bool) -> bool:
+    bounds = size_bounds(n, STParams(s, t))
+    return bounds.nearly_allowed == nearly_ok and bounds.full_allowed == full_ok
 
 
 def _ordering_checks(fixtures: FixtureSet, record) -> None:
     st = STParams(3, 3)
-    # builds run inside `record`, so a fixture that fails to build is a failed entry
-    targets: list[tuple[str, Callable[[], MatroidOracle]]] = []
     if fixtures.enabled("psi") and fixtures.max_n >= 8:
-        targets.append(("psi(8,3)", partial(fixtures.psi, 8, 3)))
+        record("nearly-upgrade", {"matroid": "psi(8,3)"},
+               lambda: _upgrade_entry(fixtures.psi(8, 3), st))
     if fixtures.enabled("wheel") and fixtures.max_n >= 8:
-        targets.append(("wheel(4)", partial(fixtures.wheel, 4)))
+        record("nearly-upgrade", {"matroid": "wheel(4)"},
+               lambda: _upgrade_entry(fixtures.wheel(4), st))
     for fx in fixtures.group("random"):
-        targets.append((fx.label, lambda fx=fx: fx.oracle))
-    for label, build in targets:
-        record("nearly-upgrade", {"matroid": label}, lambda build=build: _upgrade_entry(build(), st))
+        record("nearly-upgrade", {"matroid": fx.label}, _upgrade_entry, fx.oracle, st)
     if fixtures.enabled("whirl"):
         record("below-bound-survey", {"matroid": "whirl(3)"},
                lambda: _survey_entry(fixtures.whirl(3), st))
@@ -505,8 +483,8 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
         for n, s, t in (TRUNCATION_GRID + ((12, 4, 4),)):
             if n <= min(fixtures.max_n, DEFAULT_MAX_N):
                 record("truncation-cyclic", {"n": n, "s": s, "t": t},
-                       lambda n=n, s=s, t=t: (truncated_psi_certificate(
-                           fixtures.truncated_psi(n, s, (t - s) // 2), s, t).full, None))
+                       lambda: truncated_psi_certificate(
+                           fixtures.truncated_psi(n, s, (t - s) // 2), s, t).full)
     if fixtures.enabled("psi") and fixtures.max_n >= 10:
         pipeline = [
             ("wheel(4)", partial(fixtures.wheel, 4), STParams(3, 3)),
@@ -515,21 +493,21 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
         ]
         for label, build, st in pipeline:
             record("weak-map-pipeline", {"matroid": label, "s": st.s, "t": st.t},
-                   lambda build=build, st=st: _pipeline_entry(fixtures, build(), st))
+                   lambda: _pipeline_entry(fixtures, build(), st))
     if fixtures.enabled("psi") and fixtures.max_n >= 8:
         for label, build, expected in (
             ("wheel(4)", partial(fixtures.wheel, 4), True),
             ("psi(8,3)", partial(fixtures.psi, 8, 3), True),
             ("U(8,8)", partial(uniform, 8, 8), False),
         ):
-            record("interval-rank-weakmap", {"matroid": label}, lambda build=build,
-                   expected=expected: _interval_rank_entry(fixtures, build(), expected))
+            record("interval-rank-weakmap", {"matroid": label},
+                   lambda: _interval_rank_entry(fixtures, build(), expected))
     for fx in fixtures.all_oracles():
         if fx.oracle.n <= 10 and fx.oracle.rank() >= 1:
             params = {"matroid": fx.label}
-            record("quotient-truncation", params, lambda fx=fx: (
-                is_quotient(fx.oracle, fixtures.truncation(fx)).ok, None))
-            record("truncation-circuits", params, lambda fx=fx: _family_difference(
+            record("quotient-truncation", params,
+                   lambda: is_quotient(fx.oracle, fixtures.truncation(fx)).ok)
+            record("truncation-circuits", params, lambda: _family_difference(
                 set(truncation_circuits(fx.oracle, 1).members),
                 set(fixtures.truncation(fx).circuits().members)))
 
@@ -554,14 +532,14 @@ def _counterexample_checks(fixtures: FixtureSet, record) -> None:
         return
     for n, s in TWO_BLOCK_GRID:
         if n <= fixtures.max_n:
-            record("two-block-circuits", {"n": n, "s": s}, lambda n=n, s=s: _report_entry(
-                psi_two_block_circuits(fixtures.psi(n, s), s)))
+            record("two-block-circuits", {"n": n, "s": s},
+                   lambda: psi_two_block_circuits(fixtures.psi(n, s), s))
             record("forced-ledger", {"n": n, "s": s},
-                   lambda n=n, s=s: _ledger_entry(fixtures.ledger(n, s), fixtures.psi(n, s)))
+                   lambda: _ledger_entry(fixtures.ledger(n, s), fixtures.psi(n, s)))
     for n, s in CONTRADICTION_GRID:
         if n <= fixtures.max_n:
-            record("rank-contradiction", {"n": n, "s": s}, lambda n=n, s=s: (
-                rank_bound_contradiction(fixtures.ledger(n, s), fixtures.psi(n, s)).ok, None))
+            record("rank-contradiction", {"n": n, "s": s},
+                   lambda: rank_bound_contradiction(fixtures.ledger(n, s), fixtures.psi(n, s)).ok)
 
 
 def _ledger_entry(ledger: ForcedLedger, oracle: MatroidOracle) -> tuple[bool, Any]:

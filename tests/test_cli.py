@@ -7,6 +7,7 @@ import pytest
 
 from cycmat import bitset, cli, documents
 from cycmat.cli import main
+from cycmat.constructions import CONSTRUCTIONS
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +159,33 @@ def test_payload_with_unknown_fields_exits_2(capsys, monkeypatch, matroid):
     code, out, err = run_cli(capsys, "rank", "-")
     assert code == 2 and out == ""
     assert "payload carries unknown fields" in err
+
+
+@pytest.mark.parametrize("kind", ["spike", ["wheel"], {"wheel": 1}, None, 3])
+def test_unknown_construction_kind_exits_2(capsys, monkeypatch, kind):
+    doc = {"schema": 1, "matroid": {"construction": {"kind": kind, "r": 4}}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, "rank", "-")
+    assert code == 2 and out == ""
+    assert "unknown construction kind" in err
+
+
+@pytest.mark.parametrize("kind", sorted(CONSTRUCTIONS))
+def test_each_construction_kind_has_a_gen_flag(capsys, kind):
+    code, out, _ = run_cli(capsys, "gen", "--" + kind.replace("_", "-"), "4")
+    assert code == 0
+    assert out == documents.canonical_json(documents.doc_construction(kind, 4))
+    assert documents.to_oracle(documents.parse(out)).n == 8
+
+
+def test_spike_above_the_lattice_cap_has_a_rank(capsys, monkeypatch):
+    # the rank is a closed form; building the spike enumerates no circuits
+    code, doc, _ = run_cli(capsys, "gen", "--free-spike", "11")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run_cli(capsys, "rank", "-")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 22, "rank": 11}
 
 
 def test_rank_follows_an_augmenting_path_of_1500_vertices(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -89,10 +90,12 @@ def test_pair_partition():
 
 
 def test_spike_pair_unions_are_circuits_and_cocircuits():
-    M, pairs = free_spike(3)
-    union = pairs.pairs[0] | pairs.pairs[1]
-    assert M.is_circuit(union)
-    assert M.is_cocircuit(union)
+    # the proof `free_spike` runs at build time, on unproved builds
+    for r in range(3, 11):
+        M, pairs = free_spike(r, validate=False)
+        for a, b in itertools.combinations(pairs.pairs, 2):
+            assert M.is_circuit(a | b), (r, a, b)
+            assert M.is_cocircuit(a | b), (r, a, b)
 
 
 def test_spike_rank_examples():

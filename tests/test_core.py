@@ -334,8 +334,9 @@ def test_validate_circuit_axioms_reports_out_of_range():
 
 
 def test_validate_circuit_axioms_spike():
-    M, _ = free_spike(4)
-    assert validate_circuit_axioms(M.circuits(), M.n).ok
+    for r in range(3, 11):
+        M, _ = free_spike(r, validate=False)
+        assert validate_circuit_axioms(M.circuits(), M.n).ok, r
 
 
 def test_exchange_sweep_passes_on_fixtures(small_fixtures):

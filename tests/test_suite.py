@@ -15,7 +15,7 @@ import pytest
 
 from cycmat import bitset, counterexample, suite
 from cycmat.cli import main
-from cycmat.core import MatroidOracle
+from cycmat.core import MatroidOracle, VerificationReport
 from cycmat.documents import canonical_json
 from cycmat.suite import run_suite
 from cycmat.transversal import (
@@ -196,3 +196,44 @@ def test_self_duality_reports_what_a_wrong_map_misses_and_adds(monkeypatch):
             "extra": [list(bitset.indices(m)) for m in sorted(mapped - actual)[:2]],
         },
     }
+
+
+def _old_report_entry(report):
+    # the adapter every report went through before `record` read results itself
+    return report.ok, list(report.witnesses[:1]) or None
+
+
+FAILING = VerificationReport(
+    "circuit-axioms", False, 3, (("elimination", (7, 11)), ("nested", (3, 7)))
+)
+
+
+@pytest.mark.parametrize("result, expected", [
+    (FAILING, _old_report_entry(FAILING)),
+    (VerificationReport("circuit-axioms", True, 3), (True, None)),
+    (VerificationReport("weak-map", False, 5), (False, None)),
+    (True, (True, None)),
+    (False, (False, None)),
+    ((True, {"nearly_orderings": 2}), (True, {"nearly_orderings": 2})),
+    ((False, [[1, 2]]), (False, [[1, 2]])),
+    (ValueError("no such fixture"), (False, "error: no such fixture")),
+])
+def test_record_turns_every_result_shape_into_one_entry(monkeypatch, result, expected):
+    # the injected mutant's check is one `record` call; feed it each shape
+    def check():
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    monkeypatch.setattr(suite, "_mutant_check", check)
+    report = run_suite(max_n=1, families=("counterexample",), inject_mutant=True)
+    [entry] = [e for e in report["entries"] if e["params"] == {"matroid": "mutant-U(2,4)"}]
+    assert (entry["ok"], entry["witness"]) == expected
+    assert entry["check"] == "circuit-axioms"
+    assert report["summary"]["failed"] == (0 if expected[0] else 1)
+    if not expected[0]:
+        assert report["summary"]["first_failure"] == {
+            "check": "circuit-axioms",
+            "params": {"matroid": "mutant-U(2,4)"},
+            "witness": expected[1],
+        }
