@@ -1,10 +1,11 @@
 """The verification suite: every structural check over a fixture grid.
 
-Every matroid is built once per run and shared by label (`FixtureSet.oracle`),
-so oracle memoisation carries across checks; only the cross-checks that
-compare two constructions, and the negative controls, build their own.  The
-refutation and truncation-certificate checks read the run's psi(n, s) and
-T^i(psi(n, s)), and each forced ledger is derived once (`FixtureSet.ledger`).
+Every fixture is built once per run by `FixtureSet.build(builder, *args)`
+and shared by builder and arguments, not by label, so oracle memoisation
+carries across checks; labels only name report entries.  Only the
+cross-checks that compare two constructions, and the negative controls,
+build their own.  The refutation and truncation-certificate checks read the
+run's psi(n, s) and T^i(psi(n, s)), and each forced ledger is derived once.
 Entries are keyed by check name and parameters and the report is assembled
 in sorted order, making the output independent of execution order and
 byte-stable across runs with the same seed.
@@ -97,73 +98,53 @@ class Fixture:
 
 
 class FixtureSet:
-    """Lazily built, cached fixtures for one suite run: one oracle per label."""
+    """Lazily built fixtures for one suite run: each `builder(*args)` is built
+    on first use and shared by every check that asks for it."""
 
     def __init__(self, max_n: int, seed: int, families: tuple[str, ...]):
         self.max_n = max_n
         self.seed = seed
         self.families = families
-        self._built: dict[str, list[Fixture]] = {}
-        self._oracles: dict[str, MatroidOracle] = {}
-        self._ledgers: dict[tuple[int, int], ForcedLedger] = {}
+        self._cache: dict[tuple, Any] = {}
         # label -> "error: ..." for each grid fixture whose build raised
         self.broken: dict[str, str] = {}
 
-    def oracle(self, label: str, build: Callable[[], MatroidOracle]) -> MatroidOracle:
-        """The run's oracle for `label`, from `build` on first use, whether or
-        not the label lies in the run's grid."""
-        if label not in self._oracles:
-            self._oracles[label] = build()
-        return self._oracles[label]
+    def build(self, builder: Callable[..., Any], *args: Any) -> Any:
+        """`builder(*args)`, built on first use in the run and shared after
+        that.  The key is the function and its arguments, so an oracle
+        argument is compared by identity; a build that raises is not kept,
+        and the next request raises again."""
+        key = (builder, args)
+        if key not in self._cache:
+            self._cache[key] = builder(*args)
+        return self._cache[key]
 
     def enabled(self, family: str) -> bool:
         return family in self.families
 
     def group(self, family: str) -> list[Fixture]:
-        if not self.enabled(family):
-            return []
-        if family not in self._built:
-            self._built[family] = []
-            for label, build, st in self._grid(family):
-                try:
-                    self._built[family].append(Fixture(label, build(), st))
-                except Exception as exc:  # a broken fixture is a failed entry, not a dead run
-                    self.broken[label] = f"error: {exc}"
-        return self._built[family]
+        return self.build(self._fixtures, family) if self.enabled(family) else []
 
-    def truncation(self, fx: Fixture) -> MatroidOracle:
-        """T^1 of a fixture, shared by the checks that compare the two."""
-        return self.oracle(f"T^1({fx.label})", lambda: truncate(fx.oracle, 1))
-
-    def psi(self, n: int, s: int) -> MatroidOracle:
-        return self.oracle(f"psi({n},{s})", lambda: psi(n, s))
+    def _fixtures(self, family: str) -> list[Fixture]:
+        fixtures = []
+        for label, build, st in self._grid(family):
+            try:
+                fixtures.append(Fixture(label, build(), st))
+            except Exception as exc:  # a broken fixture is a failed entry, not a dead run
+                self.broken[label] = f"error: {exc}"
+        return fixtures
 
     def truncated_psi(self, n: int, s: int, i: int) -> MatroidOracle:
-        return self.oracle(f"T^{i}(psi({n},{s}))", lambda: truncate(self.psi(n, s), i))
-
-    def ledger(self, n: int, s: int) -> ForcedLedger:
-        if (n, s) not in self._ledgers:
-            self._ledgers[n, s] = forced_dependents(n, s)
-        return self._ledgers[n, s]
-
-    def uniform(self, r: int, n: int) -> MatroidOracle:
-        return self.oracle(f"U({r},{n})", lambda: uniform(r, n))
-
-    def wheel(self, r: int) -> MatroidOracle:
-        return self.oracle(f"wheel({r})", lambda: wheel(r))
-
-    def whirl(self, r: int) -> MatroidOracle:
-        return self.oracle(f"whirl({r})", lambda: whirl(r))
-
-    def spike(self, r: int) -> MatroidOracle:
-        return self.oracle(f"spike({r})", lambda: free_spike(r)[0])
+        return self.build(truncate, self.build(psi, n, s), i)
 
     def _grid(self, family: str):
-        """(label, build, st) for each fixture of `family` in the grid."""
+        """(label, build, st) for each fixture of `family` in the grid.  The
+        builders are the module's when the grid is walked, so a rebound
+        builder keys the grid and the checks alike."""
         if family == "psi":
             for n, s in PSI_GRID:
                 if n <= self.max_n:
-                    yield f"psi({n},{s})", partial(self.psi, n, s), STParams(s, s)
+                    yield f"psi({n},{s})", partial(self.build, psi, n, s), STParams(s, s)
         elif family == "truncation":
             for n, s, t in TRUNCATION_GRID:
                 if n <= self.max_n:
@@ -172,12 +153,13 @@ class FixtureSet:
         elif family == "uniform":
             for r, n, s, t in UNIFORM_GRID:
                 if n <= self.max_n:
-                    yield f"U({r},{n})", partial(self.uniform, r, n), STParams(s, t)
+                    yield f"U({r},{n})", partial(self.build, uniform, r, n), STParams(s, t)
         elif family in ("wheel", "whirl", "spike"):
+            builder = {"wheel": wheel, "whirl": whirl, "spike": _spike}[family]
             st = STParams(4, 4) if family == "spike" else STParams(3, 3)
             for r in SPIKE_GRID if family == "spike" else WHEEL_GRID:
                 if 2 * r <= self.max_n:
-                    yield f"{family}({r})", partial(getattr(self, family), r), st
+                    yield f"{family}({r})", partial(self.build, builder, r), st
         elif family == "random":
             rng = random.Random(self.seed)
             for idx in range(RANDOM_COUNT):
@@ -191,6 +173,10 @@ class FixtureSet:
 
     def cyclic_fixtures(self) -> list[Fixture]:
         return self.group("psi") + self.group("truncation")
+
+
+def _spike(r: int) -> MatroidOracle:
+    return free_spike(r)[0]
 
 
 def random_transversal(rng: random.Random, n: int) -> MatroidOracle:
@@ -226,7 +212,8 @@ def run_suite(
 ) -> dict:
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    chosen = tuple(families) if families else FAMILY_NAMES
+    # a repeated family name counts once, so the same grid gives the same report
+    chosen = tuple(dict.fromkeys(families)) if families else FAMILY_NAMES
     unknown = set(chosen) - set(FAMILY_NAMES)
     if unknown:
         raise ValueError(f"unknown fixture families: {sorted(unknown)}")
@@ -438,22 +425,22 @@ def _ordering_checks(fixtures: FixtureSet, record) -> None:
     st = STParams(3, 3)
     if fixtures.enabled("psi") and fixtures.max_n >= 8:
         record("nearly-upgrade", {"matroid": "psi(8,3)"},
-               lambda: _upgrade_entry(fixtures.psi(8, 3), st))
+               lambda: _upgrade_entry(fixtures.build(psi, 8, 3), st))
     if fixtures.enabled("wheel") and fixtures.max_n >= 8:
         record("nearly-upgrade", {"matroid": "wheel(4)"},
-               lambda: _upgrade_entry(fixtures.wheel(4), st))
+               lambda: _upgrade_entry(fixtures.build(wheel, 4), st))
     for fx in fixtures.group("random"):
         record("nearly-upgrade", {"matroid": fx.label}, _upgrade_entry, fx.oracle, st)
     if fixtures.enabled("whirl"):
         record("below-bound-survey", {"matroid": "whirl(3)"},
-               lambda: _survey_entry(fixtures.whirl(3), st))
+               lambda: _survey_entry(fixtures.build(whirl, 3), st))
     if fixtures.enabled("wheel"):
         # the 3-spoke wheel is the known source of nearly-not-full data at n = 6
         record("below-bound-survey", {"matroid": "wheel(3)"},
-               lambda: _survey_entry(fixtures.wheel(3), st))
+               lambda: _survey_entry(fixtures.build(wheel, 3), st))
     if fixtures.enabled("uniform"):
         record("below-bound-survey", {"matroid": "U(2,4)"},
-               lambda: _survey_entry(fixtures.uniform(2, 4), st))
+               lambda: _survey_entry(fixtures.build(uniform, 2, 4), st))
 
 
 def _upgrade_entry(oracle: MatroidOracle, st: STParams) -> tuple[bool, Any]:
@@ -487,8 +474,8 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
                            fixtures.truncated_psi(n, s, (t - s) // 2), s, t).full)
     if fixtures.enabled("psi") and fixtures.max_n >= 10:
         pipeline = [
-            ("wheel(4)", partial(fixtures.wheel, 4), STParams(3, 3)),
-            ("spike(4)", partial(fixtures.spike, 4), STParams(4, 4)),
+            ("wheel(4)", partial(fixtures.build, wheel, 4), STParams(3, 3)),
+            ("spike(4)", partial(fixtures.build, _spike, 4), STParams(4, 4)),
             ("T^1(psi(10,3))", partial(fixtures.truncated_psi, 10, 3, 1), STParams(3, 5)),
         ]
         for label, build, st in pipeline:
@@ -496,8 +483,8 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
                    lambda: _pipeline_entry(fixtures, build(), st))
     if fixtures.enabled("psi") and fixtures.max_n >= 8:
         for label, build, expected in (
-            ("wheel(4)", partial(fixtures.wheel, 4), True),
-            ("psi(8,3)", partial(fixtures.psi, 8, 3), True),
+            ("wheel(4)", partial(fixtures.build, wheel, 4), True),
+            ("psi(8,3)", partial(fixtures.build, psi, 8, 3), True),
             ("U(8,8)", partial(uniform, 8, 8), False),
         ):
             record("interval-rank-weakmap", {"matroid": label},
@@ -506,10 +493,10 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
         if fx.oracle.n <= 10 and fx.oracle.rank() >= 1:
             params = {"matroid": fx.label}
             record("quotient-truncation", params,
-                   lambda: is_quotient(fx.oracle, fixtures.truncation(fx)).ok)
+                   lambda: is_quotient(fx.oracle, fixtures.build(truncate, fx.oracle, 1)).ok)
             record("truncation-circuits", params, lambda: _family_difference(
                 set(truncation_circuits(fx.oracle, 1).members),
-                set(fixtures.truncation(fx).circuits().members)))
+                set(fixtures.build(truncate, fx.oracle, 1).circuits().members)))
 
 
 def _pipeline_entry(fixtures: FixtureSet, oracle: MatroidOracle, st: STParams) -> tuple[bool, Any]:
@@ -521,7 +508,8 @@ def _pipeline_entry(fixtures: FixtureSet, oracle: MatroidOracle, st: STParams) -
 def _interval_rank_entry(
     fixtures: FixtureSet, oracle: MatroidOracle, expected: bool
 ) -> tuple[bool, Any]:
-    report = interval_rank_condition(oracle, interval_presentation(8, 3), fixtures.psi(8, 3))
+    target = fixtures.build(psi, 8, 3)
+    report = interval_rank_condition(oracle, interval_presentation(8, 3), target)
     if report.ok != expected:
         return False, {"condition": report.ok}
     return True, None
@@ -530,16 +518,17 @@ def _interval_rank_entry(
 def _counterexample_checks(fixtures: FixtureSet, record) -> None:
     if not fixtures.enabled("counterexample"):
         return
+    build = fixtures.build
     for n, s in TWO_BLOCK_GRID:
         if n <= fixtures.max_n:
             record("two-block-circuits", {"n": n, "s": s},
-                   lambda: psi_two_block_circuits(fixtures.psi(n, s), s))
+                   lambda: psi_two_block_circuits(build(psi, n, s), s))
             record("forced-ledger", {"n": n, "s": s},
-                   lambda: _ledger_entry(fixtures.ledger(n, s), fixtures.psi(n, s)))
+                   lambda: _ledger_entry(build(forced_dependents, n, s), build(psi, n, s)))
     for n, s in CONTRADICTION_GRID:
         if n <= fixtures.max_n:
-            record("rank-contradiction", {"n": n, "s": s},
-                   lambda: rank_bound_contradiction(fixtures.ledger(n, s), fixtures.psi(n, s)).ok)
+            record("rank-contradiction", {"n": n, "s": s}, lambda: rank_bound_contradiction(
+                build(forced_dependents, n, s), build(psi, n, s)).ok)
 
 
 def _ledger_entry(ledger: ForcedLedger, oracle: MatroidOracle) -> tuple[bool, Any]:

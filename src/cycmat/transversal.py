@@ -379,7 +379,6 @@ def classify_circuit(
     n, m = pres.n, pres.m
     if circuit.bit_count() == n - m + 1:
         return CircuitClassification("spanning")
-    closure = oracle.closure(circuit)
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             union = pres.run_union(i, j)
@@ -397,7 +396,9 @@ def classify_circuit(
                 inner = pres.run_union(i, (j - 2) % m + 1)
                 if not bitset.is_subset(union & ~inner, circuit):
                     continue
-            if not bitset.is_subset(interval, closure):
+            # C lies in the interval and r(C) = |C| - 1, so the interval
+            # lies in cl(C) iff it has C's rank
+            if oracle.rank(interval) != circuit.bit_count() - 1:
                 continue
             return CircuitClassification("interval", i, j)
     return CircuitClassification("unclassified")

@@ -15,9 +15,10 @@ import pytest
 
 from cycmat import bitset, counterexample, suite
 from cycmat.cli import main
+from cycmat.constructions import truncate
 from cycmat.core import MatroidOracle, VerificationReport
 from cycmat.documents import canonical_json
-from cycmat.suite import run_suite
+from cycmat.suite import DEFAULT_SEED, FAMILY_NAMES, FixtureSet, run_suite
 from cycmat.transversal import (
     BipartitePresentation,
     MatchingResult,
@@ -56,6 +57,43 @@ def test_report_hash(max_n, families, prefix, checks):
         assert (first["check"], first["params"]) == ("circuit-axioms", {"matroid": "mutant-U(2,4)"})
     else:
         assert report["summary"]["first_failure"] is None
+
+
+def test_repeated_family_counts_once():
+    once = canonical_json(run_suite(6, families=("uniform",)))
+    assert canonical_json(run_suite(6, families=("uniform", "uniform"))) == once
+
+
+def test_fixture_set_builds_each_builder_and_args_once():
+    fixtures = FixtureSet(10, DEFAULT_SEED, FAMILY_NAMES)
+    calls = Counter()
+
+    def builder(*args):
+        calls[args] += 1
+        return object()
+
+    first = fixtures.build(builder, 1, 2)
+    assert fixtures.build(builder, 1, 2) is first
+    assert fixtures.build(builder, 2, 1) is not first
+    assert calls == Counter({(1, 2): 1, (2, 1): 1})
+    # another function with the same arguments is another fixture
+    assert fixtures.build(lambda *args: builder(*args), 1, 2) is not first
+
+    # a build that raises is not kept: the next request builds again
+    def broken(n):
+        calls["broken", n] += 1
+        raise ValueError("no such fixture")
+
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            fixtures.build(broken, 3)
+    assert calls["broken", 3] == 2
+
+    # an oracle argument keys by identity: T^1 of the run's psi(10,3) is
+    # the run's T^1(psi(10,3)), and T^1 of another psi(10,3) is not
+    shared = fixtures.build(truncate, fixtures.build(psi, 10, 3), 1)
+    assert fixtures.truncated_psi(10, 3, 1) is shared
+    assert fixtures.build(truncate, psi(10, 3), 1) is not shared
 
 
 def test_suite_builds_each_matroid_once(monkeypatch):

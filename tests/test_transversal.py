@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from cycmat import bitset, transversal
 from cycmat.constructions import truncate
-from cycmat.core import CapExceeded, GroundSet, MatroidOracle, verify_matroid_axioms
+from cycmat.core import (
+    CapExceeded,
+    GroundSet,
+    MatroidOracle,
+    oracle_from_circuits,
+    verify_matroid_axioms,
+)
 from cycmat.suite import PSI_GRID
 from cycmat.transversal import (
     _matching_size,
@@ -553,6 +559,32 @@ def test_classification_total(psi_oracles):
         M = psi_oracles[(n, s)]
         for circuit in M.circuits():
             assert classify_circuit(M, pres, circuit).ok
+
+
+def test_classification_needs_the_interval_in_the_closure():
+    # {1,2,4,5} is psi(10,3)'s circuit on the run [1, 2], whose interval is
+    # {1..5}; as the one circuit of a matroid, 3 lies outside its closure
+    pres = interval_presentation(10, 3)
+    circuit = bitset.mask_of([1, 2, 4, 5])
+    assert classify_circuit(psi(10, 3), pres, circuit) == transversal.CircuitClassification(
+        "interval", 1, 2)
+    lone = oracle_from_circuits(GroundSet(10), [circuit])
+    assert classify_circuit(lone, pres, circuit).kind == "unclassified"
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_circuit_closure_is_where_the_rank_stays(s):
+    # X lies in cl(C) iff r(C | X) = r(C), the one rank classify_circuit asks
+    # in place of the closure; r(C) = |C| - 1 on a circuit
+    M = psi(10, s)
+    rng = random.Random(s)
+    for circuit in M.circuits():
+        closure = M.closure(circuit)
+        assert M.rank(circuit) == circuit.bit_count() - 1
+        for _ in range(6):
+            for mask in (rng.getrandbits(10), closure & rng.getrandbits(10)):
+                assert bitset.is_subset(mask, closure) == (
+                    M.rank(circuit | mask) == M.rank(circuit)), (circuit, mask)
 
 
 def test_circuit_size_dichotomy(psi_oracles):
