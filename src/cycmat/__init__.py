@@ -7,8 +7,8 @@ orderings, weak-map and quotient relations, and a machine-checked refutation
 of the rank-(n/2 + 1) quotient question.
 """
 
+from .bitset import CapExceeded
 from .core import (
-    CapExceeded,
     CircuitFamily,
     GroundSet,
     MatroidOracle,

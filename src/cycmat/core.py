@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from . import bitset
-from .bitset import CapExceeded  # re-exported: callers catch `core.CapExceeded`
 
 
 @dataclass(frozen=True)

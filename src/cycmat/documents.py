@@ -24,14 +24,32 @@ from .transversal import BipartitePresentation, psi, transversal_matroid
 
 SCHEMA_VERSION = 1
 
-# each representation and the fields its payload may carry
+# the one declaration of each representation: its payload fields, in the
+# order `validate_matroid` checks them, and its builder of a checked payload.
+# Each builder looks its functions up when called, so a rebinding of the
+# module's names (perfbench's tracer) reaches it, as in `CONSTRUCTIONS`.
 _REPRESENTATIONS = {
-    "uniform": {"r", "n"},
-    "psi": {"n", "s"},
-    "circuits": {"n", "circuits"},
-    "transversal": {"n", "neighborhoods"},
-    "construction": {"kind", "r"},
-    "truncate": {"inner", "i"},
+    "uniform": (("r", "n"), lambda p: uniform(p["r"], p["n"])),
+    "psi": (("n", "s"), lambda p: psi(p["n"], p["s"])),
+    "circuits": (
+        ("n", "circuits"),
+        lambda p: oracle_from_circuits(
+            GroundSet(p["n"]),
+            bitset.mask_rows(p["circuits"], p["n"]),
+            name="document-circuits",
+            validate=False,
+        ),
+    ),
+    "transversal": (
+        ("n", "neighborhoods"),
+        lambda p: transversal_matroid(
+            BipartitePresentation(
+                GroundSet(p["n"]), tuple(bitset.mask_rows(p["neighborhoods"], p["n"]).tolist())
+            )
+        ),
+    ),
+    "construction": (("kind", "r"), lambda p: CONSTRUCTIONS[p["kind"]](p["r"])),
+    "truncate": (("i", "inner"), lambda p: truncate(_build(p["inner"]), p["i"])),
 }
 
 
@@ -153,44 +171,40 @@ def _validate(doc: Any) -> None:
 
 
 def validate_matroid(body: Any) -> None:
-    """Raise ValueError unless `body` is a matroid body with one known representation."""
-    if not isinstance(body, dict):
-        raise ValueError("matroid body must be a JSON object")
-    keys = [k for k in body if k in _REPRESENTATIONS]
-    if len(keys) != 1 or set(body) - set(_REPRESENTATIONS):
-        raise ValueError("matroid body must carry exactly one known representation")
-    kind = keys[0]
+    """Raise ValueError unless `body` is a matroid body with one known
+    representation.  Its payload's fields are checked in table order, each by
+    its name: index lists over n, a construction kind, a nested body, or an
+    integer."""
+    kind = _kind(body)
     payload = body[kind]
-    if isinstance(payload, dict) and set(payload) - _REPRESENTATIONS[kind]:
-        raise ValueError(f"{kind} payload carries unknown fields")
-    if kind == "uniform":
-        _expect_int_fields(payload, "r", "n")
-    elif kind == "psi":
-        _expect_int_fields(payload, "n", "s")
-    elif kind == "circuits":
-        _expect_int_fields(payload, "n")
-        _expect_index_lists(payload.get("circuits"), payload["n"])
-        if not all(payload["circuits"]):
-            raise ValueError("circuits must be nonempty")
-    elif kind == "transversal":
-        _expect_int_fields(payload, "n")
-        _expect_index_lists(payload.get("neighborhoods"), payload["n"])
-    elif kind == "construction":
-        _expect_int_fields(payload)  # an object, before its kind is read
-        if not isinstance(payload.get("kind"), str) or payload["kind"] not in CONSTRUCTIONS:
-            raise ValueError(f"unknown construction kind {payload.get('kind')!r}")
-        _expect_int_fields(payload, "r")
-    elif kind == "truncate":
-        _expect_int_fields(payload, "i")
-        validate_matroid(payload.get("inner"))
-
-
-def _expect_int_fields(payload: Any, *names: str) -> None:
+    fields, _ = _REPRESENTATIONS[kind]
     if not isinstance(payload, dict):
         raise ValueError("representation payload must be a JSON object")
-    for name in names:
-        if not _is_int(payload.get(name)):
+    if set(payload).difference(fields):
+        raise ValueError(f"{kind} payload carries unknown fields")
+    for name in fields:
+        value = payload.get(name)
+        if name in ("circuits", "neighborhoods"):
+            _expect_index_lists(value, payload["n"])
+        elif name == "kind":
+            if not isinstance(value, str) or value not in CONSTRUCTIONS:
+                raise ValueError(f"unknown construction kind {value!r}")
+        elif name == "inner":
+            validate_matroid(value)
+        elif not _is_int(value):
             raise ValueError(f"representation field {name!r} must be an integer")
+    if kind == "circuits" and not all(payload["circuits"]):
+        raise ValueError("circuits must be nonempty")
+
+
+def _kind(body: Any) -> str:
+    """The one known representation a matroid body carries."""
+    if not isinstance(body, dict):
+        raise ValueError("matroid body must be a JSON object")
+    kind = next(iter(body), None)
+    if len(body) != 1 or kind not in _REPRESENTATIONS:
+        raise ValueError("matroid body must carry exactly one known representation")
+    return kind
 
 
 def _expect_index_lists(value: Any, n: int) -> None:
@@ -216,31 +230,9 @@ def to_oracle(doc: dict) -> MatroidOracle:
 
 
 def _build(body: dict) -> MatroidOracle:
-    kind = next(k for k in body if k in _REPRESENTATIONS)
-    payload = body[kind]
-    if kind == "uniform":
-        return uniform(payload["r"], payload["n"])
-    if kind == "psi":
-        return psi(payload["n"], payload["s"])
-    if kind == "circuits":
-        ground = GroundSet(payload["n"])
-        return oracle_from_circuits(
-            ground,
-            bitset.mask_rows(payload["circuits"], ground.n),
-            name="document-circuits",
-            validate=False,
-        )
-    if kind == "transversal":
-        ground = GroundSet(payload["n"])
-        pres = BipartitePresentation(
-            ground, tuple(bitset.mask_rows(payload["neighborhoods"], ground.n).tolist())
-        )
-        return transversal_matroid(pres)
-    if kind == "construction":
-        return CONSTRUCTIONS[payload["kind"]](payload["r"])
-    if kind == "truncate":
-        return truncate(_build(payload["inner"]), payload["i"])
-    raise ValueError(f"unknown representation {kind!r}")
+    kind = _kind(body)
+    _, build = _REPRESENTATIONS[kind]
+    return build(body[kind])
 
 
 def parse_ordering(text: str, n: int) -> tuple[int, ...]:

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycmat import GroundSet, bitset, psi, uniform, wheel, whirl
+from cycmat import CapExceeded, GroundSet, bitset, psi, uniform, wheel, whirl
 from cycmat.constructions import free_spike, truncate
-from cycmat.core import CapExceeded, MatroidOracle
+from cycmat.core import MatroidOracle
 from cycmat.transversal import BipartitePresentation, transversal_matroid
 from cycmat.cyclic import (
     FULL,

@@ -1,11 +1,13 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycmat import documents, psi, uniform, wheel
-from cycmat.constructions import truncate
+from cycmat.constructions import CONSTRUCTIONS, truncate
 
 
 def test_round_trip_byte_identical():
@@ -194,3 +196,177 @@ _ROWS = st.lists(
 @example(-1, [[]])
 def test_bulk_index_list_check_matches_per_element_rule(n, value):
     assert _outcome(documents._expect_index_lists, value, n) == _outcome(per_element_index_lists, value, n)
+
+
+_REFERENCE_FIELDS = {
+    "uniform": {"r", "n"},
+    "psi": {"n", "s"},
+    "circuits": {"n", "circuits"},
+    "transversal": {"n", "neighborhoods"},
+    "construction": {"kind", "r"},
+    "truncate": {"inner", "i"},
+}
+
+
+def reference_validate_matroid(body):
+    """The per-kind chain the table-driven `validate_matroid` replaced, kept as its reference."""
+    if not isinstance(body, dict):
+        raise ValueError("matroid body must be a JSON object")
+    keys = [k for k in body if k in _REFERENCE_FIELDS]
+    if len(keys) != 1 or set(body) - set(_REFERENCE_FIELDS):
+        raise ValueError("matroid body must carry exactly one known representation")
+    kind = keys[0]
+    payload = body[kind]
+    if isinstance(payload, dict) and set(payload) - _REFERENCE_FIELDS[kind]:
+        raise ValueError(f"{kind} payload carries unknown fields")
+    if kind == "uniform":
+        _reference_int_fields(payload, "r", "n")
+    elif kind == "psi":
+        _reference_int_fields(payload, "n", "s")
+    elif kind == "circuits":
+        _reference_int_fields(payload, "n")
+        documents._expect_index_lists(payload.get("circuits"), payload["n"])
+        if not all(payload["circuits"]):
+            raise ValueError("circuits must be nonempty")
+    elif kind == "transversal":
+        _reference_int_fields(payload, "n")
+        documents._expect_index_lists(payload.get("neighborhoods"), payload["n"])
+    elif kind == "construction":
+        _reference_int_fields(payload)  # an object, before its kind is read
+        if not isinstance(payload.get("kind"), str) or payload["kind"] not in CONSTRUCTIONS:
+            raise ValueError(f"unknown construction kind {payload.get('kind')!r}")
+        _reference_int_fields(payload, "r")
+    elif kind == "truncate":
+        _reference_int_fields(payload, "i")
+        reference_validate_matroid(payload.get("inner"))
+
+
+def _reference_int_fields(payload, *names):
+    if not isinstance(payload, dict):
+        raise ValueError("representation payload must be a JSON object")
+    for name in names:
+        if not isinstance(payload.get(name), int) or isinstance(payload.get(name), bool):
+            raise ValueError(f"representation field {name!r} must be an integer")
+
+
+# values of the wrong type for some field, and of the right type for others
+_ODD_VALUES = [
+    None, True, False, 1.5, "3", "wheel", -1, 0, 99, [], {}, [[1]], [[0]], [[]], [[True]],
+    [1, 2], [[1, "2"]], {"psi": {"n": 8, "s": 3}},
+]
+_NOT_OBJECTS = [None, 1, "psi", [1], [], True]
+
+
+def _valid_payload(rng, kind, depth):
+    n = rng.randint(1, 8)
+    rows = [sorted(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(rng.randint(0, 3))]
+    if kind == "uniform":
+        return {"r": rng.randint(0, n), "n": n}
+    if kind == "psi":
+        return {"n": 2 * rng.randint(2, 5), "s": rng.randint(2, 4)}
+    if kind == "circuits":
+        return {"n": n, "circuits": rows}
+    if kind == "transversal":
+        return {"n": n, "neighborhoods": rows + [[]] * rng.randint(0, 1)}
+    if kind == "construction":
+        return {"kind": rng.choice(sorted(CONSTRUCTIONS)), "r": rng.randint(3, 5)}
+    return {"i": rng.randint(0, 2), "inner": _random_body(rng, depth + 1)}
+
+
+def _random_body(rng, depth=0):
+    """A matroid body, valid or broken in one of the ways a document can be."""
+    kind = rng.choice(sorted(_REFERENCE_FIELDS) + ["truncate"] * (depth < 3))
+    payload = _valid_payload(rng, kind, depth)
+    body = {kind: payload}
+    fault = rng.choice(["none", "missing", "wrong", "all wrong", "extra", "payload", "two", "unknown", "body"])
+    if fault == "missing":
+        del payload[rng.choice(sorted(payload))]
+    elif fault == "wrong":
+        payload[rng.choice(sorted(payload))] = rng.choice(_ODD_VALUES)
+    elif fault == "all wrong":  # the first field checked is the one named
+        for name in payload:
+            payload[name] = rng.choice(_ODD_VALUES)
+    elif fault == "extra":
+        payload[rng.choice(["x", "r", "n", "s", "kind", "inner", "circuits", "neighborhoods"])] = 1
+    elif fault == "payload":
+        body[kind] = rng.choice(_NOT_OBJECTS)
+    elif fault == "two":
+        other = rng.choice(sorted(_REFERENCE_FIELDS))
+        body[other] = _valid_payload(rng, other, 3)
+    elif fault == "unknown":
+        body["bogus"] = {}
+    elif fault == "body" and depth:
+        return rng.choice(_NOT_OBJECTS)
+    return body
+
+
+def _validation_outcome(check, body):
+    try:
+        check(body)
+    except Exception as exc:  # the type is compared too: a KeyError or TypeError is a difference
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_table_validator_matches_the_per_kind_reference():
+    rng = random.Random(2026)
+    messages = set()
+    for _ in range(2400):
+        body = _random_body(rng)
+        outcome = _validation_outcome(documents.validate_matroid, body)
+        assert outcome == _validation_outcome(reference_validate_matroid, body), body
+        messages.add(outcome and outcome[1])
+    # some bodies passed, and every rule of the validator was reached
+    assert None in messages
+    rules = [
+        "matroid body must be a JSON object",
+        "matroid body must carry exactly one known representation",
+        "representation payload must be a JSON object",
+        "representation field 'i'",
+        "representation field 'n'",
+        "representation field 'r'",
+        "representation field 's'",
+        "unknown construction kind",
+        "expected a list of index lists",
+        "set lists must hold",
+        "circuits must be nonempty",
+    ] + [f"{kind} payload carries unknown fields" for kind in _REFERENCE_FIELDS]
+    for rule in rules:
+        assert any(m and m.startswith(rule) for m in messages), rule
+
+
+@pytest.mark.parametrize(
+    "body", [{}, {"bogus": {}}, {"psi": {"n": 8, "s": 3}, "uniform": {"r": 1, "n": 2}}]
+)
+def test_to_oracle_needs_exactly_one_known_representation(body):
+    with pytest.raises(ValueError) as raised:
+        documents.to_oracle({"schema": 1, "matroid": body})
+    assert str(raised.value) == "matroid body must carry exactly one known representation"
+
+
+def test_builders_are_looked_up_when_called(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(documents, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    names = ("uniform", "psi", "truncate", "transversal_matroid", "oracle_from_circuits")
+    for name in names:
+        monkeypatch.setattr(documents, name, counting(name))
+    docs = [
+        documents.doc_uniform(2, 4),
+        documents.doc_psi(8, 3),
+        documents.doc_circuits(3, [[1, 2, 3]]),
+        documents.doc_transversal(3, [[1, 2], [3]]),
+        documents.doc_construction("whirl", 3),
+        documents.doc_truncate(documents.doc_construction("wheel", 3), 1),
+    ]
+    for doc in docs:
+        documents.to_oracle(documents.parse(documents.canonical_json(doc)))
+    assert calls == dict.fromkeys(names, 1)

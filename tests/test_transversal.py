@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycmat import bitset, transversal
+from cycmat import CapExceeded, bitset, transversal
 from cycmat.constructions import truncate
 from cycmat.core import (
-    CapExceeded,
     GroundSet,
     MatroidOracle,
     oracle_from_circuits,
