@@ -255,21 +255,3 @@ def mask_rows(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
         masks[filled] = np.bitwise_or.reduceat(bits, (np.cumsum(lengths) - lengths)[filled])
     return masks
 
-
-class ContainmentTest:
-    """Does a mask over n elements contain some member?
-
-    A `dependence_table` lookup up to the `lattice_cap`, a scan over the
-    members above.  `table` is that table as a ``uint8`` array over all 2^n
-    masks, or None when the test was built above the cap.
-    """
-
-    def __init__(self, n: int, members: Sequence[int]) -> None:
-        self._members = tuple(members)
-        self._table = dependence_table(n, self._members) if n <= lattice_cap() else None
-        self.table = None if self._table is None else np.frombuffer(self._table, dtype=np.uint8)
-
-    def __call__(self, mask: int) -> bool:
-        if self._table is not None:
-            return bool(self._table[mask])
-        return any(is_subset(m, mask) for m in self._members)

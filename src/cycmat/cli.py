@@ -32,6 +32,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # CapExceeded is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, MemoryError):  # a ground set too large to hold
+        print("error: input too large to hold in memory", file=sys.stderr)
+        return 2
 
 
 @functools.cache  # parse_args leaves the parser as it was; building it costs more than most requests

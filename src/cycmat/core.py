@@ -14,7 +14,6 @@ import itertools
 import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -42,10 +41,12 @@ class GroundSet:
 
 @dataclass(frozen=True)
 class CircuitFamily:
-    """Complete list of minimal dependent sets, canonically sorted."""
+    """Complete list of minimal dependent sets, canonically sorted, and the
+    one test of "does X contain a member?" (`contains_member`)."""
 
     n: int
     members: tuple[int, ...]
+    _dependence: bytearray | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int] | np.ndarray) -> "CircuitFamily":
@@ -58,10 +59,23 @@ class CircuitFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    @cached_property
-    def contains_member(self) -> bitset.ContainmentTest:
-        """Does a mask contain some member?  Built once per family."""
-        return bitset.ContainmentTest(self.n, self.members)
+    def dependence(self) -> bytearray | None:
+        """The members' `bitset.dependence_table`, built on the first call up
+        to the `bitset.lattice_cap` and kept; None above the cap.  A None is
+        not kept, so a family first asked under a lowered cap still builds
+        its table when asked under a higher one."""
+        if self._dependence is None and self.n <= bitset.lattice_cap():
+            object.__setattr__(self, "_dependence", bitset.dependence_table(self.n, self.members))
+        return self._dependence
+
+    def contains_member(self, mask: int) -> bool:
+        """Does `mask` contain some member?  One lookup in `dependence`, or a
+        scan over the members above the cap."""
+        table = self.dependence()
+        if table is None:
+            outside = ~mask
+            return any(m & outside == 0 for m in self.members)
+        return bool(table[mask])
 
     def as_indices(self) -> list[list[int]]:
         """Each member's 1-based element indices, ascending.
@@ -276,10 +290,11 @@ def oracle_from_circuits(
 ) -> MatroidOracle:
     """Oracle with X independent iff X contains no listed circuit.
 
-    `circuits` are masks, as Python ints or a numpy array.  The family's
-    `contains_member` test (its dependence table up to the lattice cap) is
-    built on the first predicate or table use, or by validation, not here:
-    listing the circuits needs none.
+    `circuits` are masks, as Python ints or a numpy array.  The predicate is
+    the family's `contains_member` and the table its `dependence`, so the
+    oracle, validation and the circuit-axiom decision share one dependence
+    table, built on the first question that needs it, not here: listing the
+    circuits needs none.
     """
     family = CircuitFamily.from_masks(ground.n, circuits)
     if validate:
@@ -287,17 +302,11 @@ def oracle_from_circuits(
         if not report.ok:
             raise ValueError(f"circuit family fails the axioms: {report.witnesses[0]}")
 
-    def independent() -> np.ndarray:
-        dependent = family.contains_member.table
-        if dependent is None:  # the test was built above a lower cap than today's
-            dependent = np.frombuffer(bitset.dependence_table(ground.n, family.members), dtype=np.uint8)
-        return dependent == 0
-
     oracle = MatroidOracle(
         ground,
         lambda mask: not family.contains_member(mask),
         name=name or "from-circuits",
-        table=independent,
+        table=lambda: np.frombuffer(family.dependence(), dtype=np.uint8) == 0,
     )
     oracle._circuits = family
     return oracle
@@ -362,14 +371,18 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
 
     Weak elimination: for distinct members C1, C2 and e in their
     intersection, some member lies inside (C1 | C2) - e.  Up to the
-    `bitset.lattice_cap` the family is decided on its dependence table, and
-    a passing family visits no pair.  Otherwise the pairs are walked and the
-    failures collected, not raised: first per member, then antichain
-    failures, then elimination failures, each by pair in
-    `itertools.combinations` order and e ascending.  A member outside the
-    ground set leaves elimination undefined, so it is not tested then.
+    `bitset.lattice_cap` the family is decided on its `dependence` table, and
+    a passing family visits no pair.  Otherwise the pairs are walked, each
+    (C1 | C2) - e asked of `contains_member`, and the failures collected, not
+    raised: first per member, then antichain failures, then elimination
+    failures, each by pair in `itertools.combinations` order and e
+    ascending.  A member outside the ground set leaves elimination
+    undefined, so it is not tested then.  Raw masks, or a family over
+    another n, are wrapped in input order as one `CircuitFamily`.
     """
-    members = tuple(family.members if isinstance(family, CircuitFamily) else family)
+    if not isinstance(family, CircuitFamily) or family.n != n:
+        family = CircuitFamily(n, tuple(family))  # unsorted: the witnesses keep the input's order
+    members = family.members
     violations: list[tuple[str, tuple]] = []
     full = bitset.full_mask(n)
     for c in members:
@@ -377,13 +390,8 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
             violations.append(("empty-circuit", ()))
         if c & ~full:
             violations.append(("out-of-range", (bitset.indices(c),)))
-    if any(kind == "out-of-range" for kind, _ in violations):
-        contains_member = None
-    elif isinstance(family, CircuitFamily) and family.n == n:
-        contains_member = family.contains_member
-    else:
-        contains_member = bitset.ContainmentTest(n, members)
-    if not violations and _is_circuit_table(members, contains_member):
+    in_range = not any(kind == "out-of-range" for kind, _ in violations)
+    if not violations and _is_circuit_table(family):
         return VerificationReport("circuit-axioms", True, len(members))
     antichain: list[tuple[str, tuple]] = []
     elimination: list[tuple[str, tuple]] = []
@@ -391,11 +399,11 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
         common = a & b
         if common in (a, b):
             antichain.append(("antichain", (bitset.indices(a), bitset.indices(b))))
-        if contains_member is None:
+        if not in_range:
             continue
         union = a | b
         for bit in bitset.singletons(common):
-            if not contains_member(union ^ bit):
+            if not family.contains_member(union ^ bit):
                 elimination.append(
                     ("elimination", (bitset.indices(a), bitset.indices(b), bit.bit_length()))
                 )
@@ -403,14 +411,16 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
     return VerificationReport("circuit-axioms", not violations, len(members), tuple(violations))
 
 
-def _is_circuit_table(members: tuple[int, ...], contains_member: bitset.ContainmentTest) -> bool:
-    """Are the nonempty in-range `members` the circuits of a matroid, decided
-    on the dependence table their containment test holds (False if it holds
+def _is_circuit_table(family: CircuitFamily) -> bool:
+    """Are the nonempty in-range members the circuits of a matroid, decided
+    on the family's `dependence` table (False above the cap, where it has
     none)?  Iff they are distinct, no C - e contains a member, and the sets
     that contain none pass the exchange test."""
-    dependent = contains_member.table
-    if dependent is None or len(set(members)) != len(members):
+    table = family.dependence()
+    members = family.members
+    if table is None or len(set(members)) != len(members):
         return False
+    dependent = np.frombuffer(table, dtype=np.uint8)
     arr = np.array(members, dtype=np.int64)
     for b in range(len(dependent).bit_length() - 1):
         if dependent[arr[(arr >> b) & 1 == 1] ^ (1 << b)].any():

@@ -85,9 +85,9 @@ TWO_BLOCK_GRID = ((8, 4), (12, 4), (12, 5))
 CONTRADICTION_GRID = ((8, 4), (12, 5))
 RANDOM_COUNT = 20
 
-FAMILY_NAMES = (
-    "uniform", "wheel", "whirl", "spike", "psi", "truncation", "random", "counterexample",
-)
+# the families of structural fixtures, in report order (`FixtureSet.all_oracles`)
+ORACLE_FAMILIES = ("uniform", "wheel", "whirl", "spike", "psi", "truncation")
+FAMILY_NAMES = ORACLE_FAMILIES + ("random", "counterexample")
 
 
 @dataclass
@@ -166,10 +166,7 @@ class FixtureSet:
                 yield f"random-{idx}", partial(random_transversal, rng, 8), None
 
     def all_oracles(self) -> list[Fixture]:
-        out: list[Fixture] = []
-        for family in ("uniform", "wheel", "whirl", "spike", "psi", "truncation"):
-            out.extend(self.group(family))
-        return out
+        return [fx for family in ORACLE_FAMILIES for fx in self.group(family)]
 
     def cyclic_fixtures(self) -> list[Fixture]:
         return self.group("psi") + self.group("truncation")

@@ -81,7 +81,7 @@ def families(draw, min_n: int, max_n: int, spill: int = 0, max_size: int = 10):
 def _decides(masks, n: int) -> bool:
     """The table decision alone, on nonempty in-range masks: a wrong "fails"
     would not show through `validate_circuit_axioms`, which then walks pairs."""
-    return core._is_circuit_table(tuple(masks), bitset.ContainmentTest(n, masks))
+    return core._is_circuit_table(CircuitFamily(n, tuple(masks)))
 
 
 def _assert_matches_reference(case) -> None:
@@ -172,17 +172,17 @@ def test_family_built_under_a_lower_cap_still_validates(monkeypatch):
     members = oracle.circuits().members
     monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
     scanned = CircuitFamily.from_masks(10, members)
-    assert scanned.contains_member.table is None  # built above the lowered cap
+    assert not scanned.contains_member(0) and scanned._dependence is None  # scanned above the lowered cap
     monkeypatch.delenv(bitset.LATTICE_CAP_ENV)
     assert validate_circuit_axioms(scanned, 10) == VerificationReport("circuit-axioms", True, len(members))
     broken = CircuitFamily.from_masks(10, members[1:])
     monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
-    broken.contains_member  # built under the lowered cap, validated above it
+    broken.contains_member(0)  # asked under the lowered cap, validated above it
     monkeypatch.delenv(bitset.LATTICE_CAP_ENV)
     assert validate_circuit_axioms(broken, 10) == reference_validate_circuit_axioms(broken, 10)
     # and a table built under the default cap is read after the cap is lowered
     tabled = CircuitFamily.from_masks(10, members)
-    assert tabled.contains_member.table is not None
+    assert tabled.dependence() is not None
     monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
     assert validate_circuit_axioms(tabled, 10) == VerificationReport("circuit-axioms", True, len(members))
 
@@ -194,10 +194,26 @@ def test_oracle_first_asked_under_a_lower_cap_still_fills_its_table(monkeypatch)
     oracle = core.oracle_from_circuits(GroundSet(10), source.circuits().members, validate=False)
     monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
     assert oracle.rank() == 5
-    assert oracle.circuits().contains_member.table is None
+    assert oracle.circuits()._dependence is None
     monkeypatch.delenv(bitset.LATTICE_CAP_ENV)
     assert np.array_equal(oracle.independence_table(), source.independence_table())
     assert verify_matroid_axioms(oracle).ok
+
+
+def test_family_asked_under_a_lower_cap_is_decided_on_its_table(monkeypatch):
+    # a family that first scanned, under a lowered cap, builds its one table once
+    # the cap is restored: the decision reads it and walks no pair
+    family = CircuitFamily.from_masks(10, psi(10, 3).circuits().members)
+    monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
+    assert family.contains_member(bitset.full_mask(10))
+    monkeypatch.delenv(bitset.LATTICE_CAP_ENV)
+
+    def no_pairs(*args):
+        raise AssertionError("a passing family walked its pairs")
+
+    monkeypatch.setattr(core.itertools, "combinations", no_pairs)
+    assert validate_circuit_axioms(family, 10) == VerificationReport("circuit-axioms", True, len(family))
+    assert family._dependence is not None
 
 
 def reference_circuits(oracle) -> CircuitFamily:

@@ -123,7 +123,7 @@ def test_circuits_document_builds_its_table_only_when_asked(capsys, tmp_path, mo
     assert oracle.indep(bitset.mask_of([1, n])) and not oracle.indep(bitset.mask_of([1, 2, n]))
     tabled = n <= bitset.lattice_cap()
     assert built == ([n] if tabled else [])
-    assert (oracle.circuits().contains_member.table is not None) == tabled
+    assert (oracle.circuits()._dependence is not None) == tabled
 
 
 @pytest.mark.parametrize("labels", [[1, 2, 3, 4], ["a", "a", "b", "c"], ["a", "b", "c"], []])
@@ -159,6 +159,24 @@ def test_payload_with_unknown_fields_exits_2(capsys, monkeypatch, matroid):
     code, out, err = run_cli(capsys, "rank", "-")
     assert code == 2 and out == ""
     assert "payload carries unknown fields" in err
+
+
+HUGE = 2 ** 70
+
+
+@pytest.mark.parametrize("argv, matroid", [
+    (["gen", "--uniform", "2", str(HUGE)], None),
+    (["rank", "-"], {"uniform": {"r": 2, "n": HUGE}}),
+    (["rank", "-"], {"psi": {"n": HUGE, "s": 3}}),
+    (["rank", "-"], {"transversal": {"n": HUGE, "neighborhoods": [[1, 2]]}}),
+])
+def test_ground_set_too_large_to_hold_exits_2(capsys, monkeypatch, argv, matroid):
+    # invalid input (exit 2), not a traceback (exit 1, a failed property)
+    if matroid is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"schema": 1, "matroid": matroid})))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: input too large to hold in memory\n"
 
 
 @pytest.mark.parametrize("kind", ["spike", ["wheel"], {"wheel": 1}, None, 3])
