@@ -188,6 +188,16 @@ def all_maximal_subsets(marked: np.ndarray) -> np.ndarray:
     return out
 
 
+def extension_counts(marked: np.ndarray) -> np.ndarray:
+    """``uint8`` array over all 2^n masks: how many e outside X have
+    ``marked[X | e]`` set.  The upward mirror of `all_maximal_subsets`,
+    one numpy pass per element."""
+    out = np.zeros(len(marked), dtype=np.uint8)
+    for b in range(len(marked).bit_length() - 1):
+        out.reshape(-1, 2, 1 << b)[:, 0] += marked.reshape(-1, 2, 1 << b)[:, 1]
+    return out
+
+
 def lattice_rank(independent: np.ndarray) -> np.ndarray:
     """Rank of every mask, from a ``bool`` array over all 2^n masks that marks
     the independent ones: the size of its largest independent subset."""

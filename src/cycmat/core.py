@@ -128,8 +128,10 @@ class MatroidOracle:
     form); `rank(mask)` returns it in place of the greedy loop, and it
     writes no memo entry.  The independence table
     (the predicate's answer on all 2^n subsets, which enumeration and the
-    exchange sweep share), the circuits, the dual and the ordering
-    certificates are filled under `_lock`.  Every cocircuit question goes
+    exchange sweep share), the circuit table and the extension-count table
+    derived from it, the circuits, the dual and the ordering certificates
+    are filled under `_lock`.  Once the circuit table exists, `is_circuit`
+    is one lookup in it.  Every cocircuit question goes
     to the dual: the cocircuits are its circuits, and its memo caches the
     coindependence answers.  The memo caches single `indep` queries only;
     it, the cached full rank and the cocircuits are written without the
@@ -156,6 +158,8 @@ class MatroidOracle:
         self._circuits: CircuitFamily | None = None
         self._cocircuits: CircuitFamily | None = None
         self._independent: np.ndarray | None = None
+        self._circuit_marks: np.ndarray | None = None
+        self._extension_counts: np.ndarray | None = None
         self._rank_full: int | None = None
         self._dual: MatroidOracle | None = None
         # ordering certificates by (order, params); see cyclic.certify
@@ -208,10 +212,19 @@ class MatroidOracle:
     # -- circuits and cocircuits --------------------------------------------
 
     def is_circuit(self, mask: int) -> bool:
-        """Is `mask` dependent, with every maximal proper subset independent?"""
-        if mask == 0 or self.indep(mask):
-            return False
-        return all(self.indep(mask ^ bit) for bit in bitset.singletons(mask))
+        """Is `mask` dependent, with every maximal proper subset independent?
+
+        One lookup once the `circuit_table` is built; before, `indep` is
+        asked about `mask` and each maximal proper subset.
+        """
+        marks = self._circuit_marks
+        if marks is None:
+            if mask == 0 or self.indep(mask):
+                return False
+            return all(self.indep(mask ^ bit) for bit in bitset.singletons(mask))
+        if mask & ~self.ground.full:  # a negative index would wrap
+            raise ValueError("subset is not contained in the ground set")
+        return bool(marks[mask])
 
     def is_coindependent(self, mask: int) -> bool:
         """The dual's predicate; ask `dual().indep`, whose memo caches it."""
@@ -222,10 +235,35 @@ class MatroidOracle:
         return self.dual().is_circuit(mask)
 
     def circuits(self) -> CircuitFamily:
+        """The masks the `circuit_table` marks."""
         with self._lock:
             if self._circuits is None:
-                self._circuits = _minimal_sets(self.n, ~self._independence_table())
+                self._circuits = CircuitFamily.from_masks(self.n, np.flatnonzero(self._circuit_table()))
             return self._circuits
+
+    def circuit_table(self) -> np.ndarray:
+        """``bool`` array over all 2^n masks marking the circuits (see `_circuit_table`)."""
+        with self._lock:
+            return self._circuit_table()
+
+    def _circuit_table(self) -> np.ndarray:
+        """The dependent masks whose every X - e is independent, from the
+        independence table; the empty mask is not marked.  Built once; the
+        caller holds `_lock`."""
+        if self._circuit_marks is None:
+            independent = self._independence_table()
+            marks = ~independent & bitset.all_maximal_subsets(independent)
+            marks[0] = False
+            self._circuit_marks = marks
+        return self._circuit_marks
+
+    def extension_counts(self) -> np.ndarray:
+        """`bitset.extension_counts` of the `circuit_table`: at X, the number
+        of circuits X | e with e outside X.  Built once, under `_lock`."""
+        with self._lock:
+            if self._extension_counts is None:
+                self._extension_counts = bitset.extension_counts(self._circuit_table())
+            return self._extension_counts
 
     def cocircuits(self) -> CircuitFamily:
         """The dual's circuits.  Filled without `_lock`, which `dual()` takes
@@ -312,13 +350,6 @@ def oracle_from_circuits(
     return oracle
 
 
-def _minimal_sets(n: int, marked: np.ndarray) -> CircuitFamily:
-    """The minimal nonempty masks of a ``bool`` array over all 2^n masks."""
-    minimal = marked & bitset.all_maximal_subsets(~marked)
-    minimal[0] = False
-    return CircuitFamily.from_masks(n, np.flatnonzero(minimal))
-
-
 def orthogonality_check(circuit: int, cocircuit: int) -> bool:
     """A circuit and a cocircuit never meet in exactly one element.
 
@@ -377,11 +408,12 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
     raised: first per member, then antichain failures, then elimination
     failures, each by pair in `itertools.combinations` order and e
     ascending.  A member outside the ground set leaves elimination
-    undefined, so it is not tested then.  Raw masks, or a family over
-    another n, are wrapped in input order as one `CircuitFamily`.
+    undefined, so it is not tested then.  Raw masks (numpy integers
+    included), or a family over another n, are wrapped in input order as one
+    `CircuitFamily` of Python ints.
     """
     if not isinstance(family, CircuitFamily) or family.n != n:
-        family = CircuitFamily(n, tuple(family))  # unsorted: the witnesses keep the input's order
+        family = CircuitFamily(n, tuple(map(int, family)))  # unsorted: the witnesses keep the input's order
     members = family.members
     violations: list[tuple[str, tuple]] = []
     full = bitset.full_mask(n)

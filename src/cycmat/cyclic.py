@@ -64,12 +64,18 @@ class CyclicOrdering:
 
     order: tuple[int, ...]
     canonical: tuple[int, ...] = field(init=False)
+    # _sums[j]: the sum of the bits of the first j elements of the order written twice
+    _sums: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.order)
         if sorted(self.order) != list(range(1, n + 1)):
             raise ValueError("ordering must be a permutation of 1..n")
         object.__setattr__(self, "canonical", _canonical_form(self.order))
+        sums = [0]
+        for e in self.order * 2:
+            sums.append(sums[-1] + (1 << (e - 1)))
+        object.__setattr__(self, "_sums", tuple(sums))
 
     @property
     def n(self) -> int:
@@ -91,14 +97,15 @@ class CyclicOrdering:
         return CyclicOrdering(tuple(reversed(self.order)))
 
     def window(self, start: int, length: int) -> int:
-        """Mask of the `length` elements from cyclic position `start` on,
-        wrapping past position n."""
-        order = self.order
-        n = len(order)
-        mask = 0
-        for k in range(start - 1, start - 1 + length):
-            mask |= 1 << (order[k % n] - 1)
-        return mask
+        """Mask of the `length` >= 0 elements from cyclic position `start`
+        on, wrapping past position n: a difference of two `_sums`, whose
+        terms are distinct elements while length < n."""
+        sums = self._sums
+        n = len(self.order)
+        if length >= n:
+            return sums[n]
+        i = (start - 1) % n
+        return sums[i + length] - sums[i]
 
 
 def _canonical_form(order: tuple[int, ...]) -> tuple[int, ...]:
@@ -165,6 +172,16 @@ def _extensions(oracle: MatroidOracle, window: int):
             yield window | bit
 
 
+def _in_circuit(oracle: MatroidOracle, window: int) -> bool:
+    """Does `window` lie in a circuit one element larger?  One lookup once
+    the oracle's `extension_counts` are built; until then the first of the
+    `_extensions` decides."""
+    counts = oracle._extension_counts
+    if counts is None:
+        return any(_extensions(oracle, window))
+    return bool(counts[window])
+
+
 def _build_certificate(
     oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams
 ) -> OrderingCertificate:
@@ -187,9 +204,9 @@ def _build_certificate(
     circuit_starts, cocircuit_starts = starts(oracle, s), starts(dual, t)
 
     for i in range(1, n + 1):
-        if not any(_extensions(oracle, ordering.window(i, s - 1))):
+        if not _in_circuit(oracle, ordering.window(i, s - 1)):
             failures.append(("window-not-in-circuit", i))
-        if not any(_extensions(dual, ordering.window(i, t - 1))):
+        if not _in_circuit(dual, ordering.window(i, t - 1)):
             failures.append(("window-not-in-cocircuit", i))
     nearly_ok = not failures
 
@@ -216,7 +233,9 @@ def _build_certificate(
 def certify(oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams) -> OrderingCertificate:
     """Certificate of `ordering`, memoised on the oracle under the raw order
     (rotations are distinct keys though CyclicOrdering compares them equal).
-    It is built outside the oracle's lock, which is not re-entrant."""
+    It is built outside the oracle's lock, which is not re-entrant.  It reads
+    the oracle's circuit and extension-count tables where they exist but
+    never builds them: one certificate asks far fewer sets than a table holds."""
     key = (ordering.order, params)
     with oracle._lock:
         cert = oracle._certificates.get(key)
@@ -270,7 +289,10 @@ def find_orderings(
     Backtracking over positions: a prefix dies as soon as a completed
     (s-1)- or (t-1)-window is in no s-circuit / t-cocircuit.  Leaves are
     generated lazily, so taking the first `limit` accepted ones is the
-    search's one stop rule.
+    search's one stop rule.  Up to the `bitset.lattice_cap` the oracle and
+    its dual first build their `extension_counts`, so every window test of
+    the search and of its certificates is one lookup; above it they ask
+    the predicates.
     """
     if mode not in (NEARLY, FULL):
         raise ValueError(f"mode must be '{NEARLY}' or '{FULL}'")
@@ -280,13 +302,16 @@ def find_orderings(
     cap = bitset.env_cap(SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP)
     bitset.require_cap("ordering search", n, cap, SEARCH_CAP_ENV)
     windows = ((params.s, oracle), (params.t, oracle.dual()))
+    if n <= bitset.lattice_cap():  # every window question becomes one lookup
+        for _, matroid in windows:
+            matroid.extension_counts()
 
     def prefix_ok(prefix: tuple[int, ...]) -> bool:
         # the (s-1)- and (t-1)-windows the last element completes
         for size, matroid in windows:
             if len(prefix) >= size - 1:
                 window = bitset.mask_of(prefix[len(prefix) - size + 1:])
-                if not any(_extensions(matroid, window)):
+                if not _in_circuit(matroid, window):
                     return False
         return True
 
@@ -461,9 +486,11 @@ def unique_window_circuits(
     n, s, t = cert.n, cert.s, cert.t
     _require(cert.nearly, "uniqueness check needs a nearly structured ordering")
     _require(n >= s + 2 * t - 4, f"uniqueness check needs n >= s + 2t - 4, got n={n}")
+    counts = oracle._extension_counts
     witnesses = []
     for i in range(1, n + 1):
-        count = sum(1 for _ in _extensions(oracle, ordering.window(i, s - 1)))
+        window = ordering.window(i, s - 1)
+        count = sum(1 for _ in _extensions(oracle, window)) if counts is None else int(counts[window])
         if count != 1:
             witnesses.append(("window-circuit-count", i, count))
     return VerificationReport("unique-window-circuit", not witnesses, n, tuple(witnesses))

@@ -451,6 +451,14 @@ def test_passing_n14_family_visits_no_pair(n14_fixtures, monkeypatch):
         validate_circuit_axioms(circuits.members[1:], 14)
 
 
+def test_numpy_masks_give_the_same_report_as_python_ints():
+    # a failing family names its witnesses with `bitset.indices`, which needs Python ints
+    for masks in ([3, 5], [3, 5, 6], [3, 1, 12]):
+        expected = validate_circuit_axioms(masks, 3)
+        assert validate_circuit_axioms(np.array(masks), 3) == expected
+    assert not validate_circuit_axioms(np.array([3, 5]), 3).ok
+
+
 def test_circuit_axioms_memory_is_bounded(n14_fixtures):
     circuits = n14_fixtures["T^2(psi(14,3))"].circuits()
     assert len(circuits) == 1659

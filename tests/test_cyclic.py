@@ -57,6 +57,13 @@ def test_interval_respects_permutation():
 permutations8 = st.permutations(range(1, 9))
 
 
+@given(permutations8, st.integers(-20, 20), st.integers(0, 20))
+def test_window_is_the_wrapped_run(perm, start, length):
+    # every start, including ones past n or below 1, and lengths that wrap onto themselves
+    expected = bitset.mask_of(perm[(start - 1 + k) % 8] for k in range(length))
+    assert CyclicOrdering(tuple(perm)).window(start, length) == expected
+
+
 @given(permutations8, st.integers(0, 7), st.booleans())
 def test_canonical_invariant_under_symmetry(perm, k, flip):
     o = CyclicOrdering(tuple(perm))
@@ -270,6 +277,102 @@ def test_search_limit_takes_a_prefix():
         for k in range(1, len(full) + 2):
             limited = find_orderings(oracle, params, mode=mode, limit=k)
             assert [o.order for o in limited] == [o.order for o in full[:k]], (oracle.name, mode, k)
+
+
+def route_fixtures():
+    """Builders of the oracles both window routes must agree on, with their
+    (s, t); each is called twice, so one copy never builds a table."""
+    import random
+
+    from cycmat.suite import random_transversal
+
+    # not a matroid: the independent sets are the subsets of {3,4} or of {2}
+    def non_matroid():
+        return MatroidOracle(GroundSet(4), lambda m: m & ~0b1100 == 0 or m & ~0b0010 == 0)
+
+    rng = random.Random(11)
+    seeds = [rng.getrandbits(32) for _ in range(3)]
+    return [
+        (lambda: psi(8, 3), ST33),
+        (lambda: wheel(4), ST33),
+        (lambda: uniform(2, 4), ST33),
+        (non_matroid, ST33),
+        # no independent set, not even the empty one: the empty mask is no circuit
+        (lambda: MatroidOracle(GroundSet(3), lambda m: False), ST33),
+        *((lambda seed=seed: random_transversal(random.Random(seed), 7), STParams(3, 4)) for seed in seeds),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(route_fixtures())))
+def test_window_routes_agree(case):
+    # the predicate route (a fresh oracle) and the table route (circuit and
+    # extension-count tables built) give the same answer on every mask, the
+    # same certificate on every ordering tried, and the same search
+    import random
+
+    from cycmat import cyclic
+
+    build, params = route_fixtures()[case]
+    fresh, tabled = build(), build()
+    for matroid in (tabled, tabled.dual()):
+        matroid.extension_counts()
+    n = fresh.n
+    for ask, told in ((fresh, tabled), (fresh.dual(), tabled.dual())):
+        counts, marks = told.extension_counts(), told.circuit_table()
+        for mask in range(1 << n):
+            assert ask.is_circuit(mask) == told.is_circuit(mask) == marks[mask], (told.name, mask)
+            assert cyclic._in_circuit(ask, mask) == cyclic._in_circuit(told, mask), (told.name, mask)
+            assert sum(1 for _ in cyclic._extensions(ask, mask)) == counts[mask], (told.name, mask)
+        for mask in (1 << n, -1):
+            for matroid in (ask, told):
+                with pytest.raises(ValueError):
+                    matroid.is_circuit(mask)
+    nearly = find_orderings(tabled, params)
+    rng = random.Random(case)
+    orderings = [o.order for o in nearly]
+    for _ in range(8):
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        orderings.append(tuple(order))
+    for order in orderings:
+        ordering = CyclicOrdering(order)
+        assert certify(fresh, ordering, params) == certify(tabled, ordering, params), order
+    assert fresh._circuit_marks is None and fresh.dual()._circuit_marks is None
+    assert fresh._independent is None and fresh.dual()._independent is None
+
+
+def test_window_routes_agree_on_the_search(monkeypatch):
+    # with the lattice cap below n the search builds no table and asks the predicates
+    for build, params in route_fixtures():
+        tabled = build()
+        found = [o.order for o in find_orderings(tabled, params)]
+        monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "2")
+        fresh = build()
+        assert [o.order for o in find_orderings(fresh, params)] == found, fresh.name
+        assert fresh._independent is None and fresh._extension_counts is None
+        monkeypatch.delenv(bitset.LATTICE_CAP_ENV)
+
+
+def test_certify_builds_no_table():
+    M = psi(16, 4)
+    assert certify(M, natural_ordering(16), STParams(4, 4)).full
+    for matroid in (M, M.dual()):
+        assert matroid._independent is None
+        assert matroid._circuit_marks is None and matroid._extension_counts is None
+
+
+@pytest.mark.parametrize("label, build, params", [
+    ("psi(16,4)", lambda: psi(16, 4), STParams(4, 4)),
+    ("T^1(psi(16,4))", lambda: truncate(psi(16, 4), 1), STParams(4, 6)),
+])
+def test_n16_nearly_orderings_are_all_full(monkeypatch, label, build, params):
+    # the in-pair swaps {2i - 1, 2i} generate 2^8 nearly orderings, and each is full
+    monkeypatch.setenv("CYCMAT_SEARCH_CAP", "16")
+    oracle = build()
+    nearly = find_orderings(oracle, params, mode=NEARLY)
+    full = find_orderings(oracle, params, mode=FULL)
+    assert len(nearly) == 256, label
+    assert [o.order for o in full] == [o.order for o in nearly], label
 
 
 def test_certificate_failure_order(psi_oracles):
