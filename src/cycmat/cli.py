@@ -174,8 +174,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_circuits(args) -> int:
     oracle = _load_oracle(args.doc)
-    family = oracle.circuits()
-    _write(args, canonical_json({"n": oracle.n, "circuits": family.as_indices()}))
+    _write(args, canonical_json({"n": oracle.n, "circuits": oracle.circuits()}))
     return 0
 
 

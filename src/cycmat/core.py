@@ -77,14 +77,15 @@ class CircuitFamily:
             return any(m & outside == 0 for m in self.members)
         return bool(table[mask])
 
-    def as_indices(self) -> list[list[int]]:
-        """Each member's 1-based element indices, ascending.
+    def index_runs(self) -> list[np.ndarray]:
+        """Each member's 1-based element indices, ascending, as one
+        ``(count, size)`` array per run of consecutive members of one size,
+        in member order.
 
         The bits of all members are unpacked once, by a shift loop over the
         `bitset.mask_array` (an object array above `bitset.WORD_BITS`), and
-        each run of members of one size is reshaped in one step: the
-        canonical order sorts by size first, so a family has one run per
-        size.
+        each run is reshaped in one step: the canonical order sorts by size
+        first, so a family has one run per size.
         """
         masks = bitset.mask_array(self.members, self.n)
         width = bitset.max_width(masks, self.n)
@@ -93,15 +94,18 @@ class CircuitFamily:
             bits[:, b] = (masks >> b) & 1
         elements = np.flatnonzero(bits) % width + 1  # row by row, ascending within a row
         sizes = bits.sum(axis=1)
-        starts = np.flatnonzero(np.diff(sizes, prepend=-1))
-        ends = np.append(starts[1:], len(sizes))
-        out: list[list[int]] = []
-        offset = 0
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            count, size = hi - lo, int(sizes[lo])
-            out += elements[offset:offset + count * size].reshape(count, size).tolist()
-            offset += count * size
-        return out
+        ends = np.cumsum(sizes)  # one past each member's last entry in `elements`
+        bounds = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), len(sizes)]  # run starts, then len
+        return [
+            elements[ends[lo] - sizes[lo]:ends[hi - 1]].reshape(hi - lo, sizes[lo])
+            for lo, hi in zip(bounds, bounds[1:])
+            if lo < hi  # only the empty family has no run
+        ]
+
+    def as_indices(self) -> list[list[int]]:
+        """Each member's 1-based element indices, ascending: the rows of
+        `index_runs`."""
+        return list(itertools.chain.from_iterable(run.tolist() for run in self.index_runs()))
 
 
 @dataclass(frozen=True)

@@ -306,24 +306,24 @@ def find_orderings(
         for _, matroid in windows:
             matroid.extension_counts()
 
-    def prefix_ok(prefix: tuple[int, ...]) -> bool:
-        # the (s-1)- and (t-1)-windows the last element completes
+    def prefix_ok(bits: tuple[int, ...]) -> bool:
+        # the (s-1)- and (t-1)-windows the last element completes; the bits
+        # of a prefix are distinct, so their sum is the window's mask
         for size, matroid in windows:
-            if len(prefix) >= size - 1:
-                window = bitset.mask_of(prefix[len(prefix) - size + 1:])
-                if not _in_circuit(matroid, window):
-                    return False
+            if len(bits) >= size - 1 and not _in_circuit(matroid, sum(bits[len(bits) - size + 1:])):
+                return False
         return True
 
-    def leaves(prefix: tuple[int, ...], used: int) -> Iterator[CyclicOrdering]:
-        """The complete orderings below `prefix`, depth first with e ascending."""
-        if len(prefix) == n:
-            if n <= 2 or prefix[1] < prefix[-1]:  # else a reflection twin of one yielded already
-                yield CyclicOrdering(prefix)
+    def leaves(bits: tuple[int, ...], used: int) -> Iterator[CyclicOrdering]:
+        """The complete orderings below the prefix whose elements' bits are
+        `bits` (their union is `used`), depth first with e ascending."""
+        if len(bits) == n:
+            if n <= 2 or bits[1] < bits[-1]:  # else a reflection twin of one yielded already
+                yield CyclicOrdering(tuple(bit.bit_length() for bit in bits))
             return
         for e in range(1, n + 1):
             bit = 1 << (e - 1)
-            if not used & bit and prefix_ok(child := prefix + (e,)):
+            if not used & bit and prefix_ok(child := bits + (bit,)):
                 yield from leaves(child, used | bit)
 
     def accepted(ordering: CyclicOrdering) -> bool:

@@ -7,19 +7,22 @@ directly.  `canonical_json` is the one emitter of every CLI output: its
 bytes equal ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, but it
 does not call that: with an indent the stdlib skips its C encoder for a
 pure-Python generator, several times slower than this emitter on a long
-circuit list.
+circuit list.  A `CircuitFamily` value emits as its `as_indices()` list,
+written straight from the family's index arrays.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, groupby
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
+import numpy as np
+
 from . import bitset
 from .constructions import CONSTRUCTIONS, truncate, uniform
-from .core import GroundSet, MatroidOracle, oracle_from_circuits
+from .core import CircuitFamily, GroundSet, MatroidOracle, oracle_from_circuits
 from .transversal import BipartitePresentation, psi, transversal_matroid
 
 SCHEMA_VERSION = 1
@@ -91,9 +94,10 @@ def doc_truncate(inner: dict, i: int) -> dict:
 
 
 def canonical_json(obj: Any) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
-    Dict keys must be strings: any other key raises TypeError rather than
-    being coerced."""
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    where a `CircuitFamily` value stands for its `as_indices()` list.  Dict
+    keys must be strings: any other key raises TypeError rather than being
+    coerced."""
     return _emit(obj, "\n") + "\n"
 
 
@@ -109,19 +113,12 @@ def _emit(obj: Any, newline: str) -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
+    if isinstance(obj, CircuitFamily):
+        return _emit_family(obj, newline)
     if isinstance(obj, (list, tuple)) and obj:
         inner = newline + "  "
-        kinds = set(map(type, obj))
-        if kinds == {int}:  # bools are not exactly int
+        if set(map(type, obj)) == {int}:  # bools are not exactly int
             items = map(int.__repr__, obj)
-        elif kinds <= {list, tuple} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
-            # nonempty int lists, such as a circuit family: one %-template per run of equal-length rows
-            deeper = inner + "  "
-            items = []
-            for length, run in groupby(obj, len):
-                run = list(run)
-                row = "[" + deeper + ("," + deeper).join(["%d"] * length) + inner + "]"
-                items.append(("," + inner).join([row] * len(run)) % tuple(chain.from_iterable(run)))
         else:
             items = [_emit(value, inner) for value in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -130,6 +127,30 @@ def _emit(obj: Any, newline: str) -> str:
         items = [encode_basestring_ascii(key) + ": " + _emit(obj[key], inner) for key in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     return json.dumps(obj)  # floats and empty containers; anything else raises TypeError
+
+
+def _emit_family(family: CircuitFamily, newline: str) -> str:
+    """`family.as_indices()` as `_emit` writes it, from its `index_runs`.
+
+    Each index i gets two strings, its line inside a row and its line
+    closing one (which also opens the next row); a run of rows is one
+    object-array lookup of those strings, and the text is one join."""
+    runs = family.index_runs()
+    if not runs:
+        return "[]"
+    inner = newline + "  "
+    deeper = inner + "  "
+    reopen = "," + inner + "["
+    top = max(family.members).bit_length()  # the largest index
+    endings = (",", inner + "]" + reopen)  # index i's line is lines[i], its closing line lines[top + 1 + i]
+    lines = np.array([deeper + str(i) + end for end in endings for i in range(top + 1)], dtype=object)
+    closing = np.zeros(top + 1, dtype=np.int64)  # its last k entries, added to a k-index row, close the row
+    closing[-1] = top + 1
+    pieces = [
+        lines[run + closing[-run.shape[1]:]].ravel().tolist() if run.shape[1] else ["]" + reopen] * len(run)
+        for run in runs
+    ]
+    return "[" + inner + "[" + "".join(chain.from_iterable(pieces))[: -len(reopen)] + newline + "]"
 
 
 def decode(text: str, what: str) -> Any:

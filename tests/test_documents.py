@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycmat import documents, psi, uniform, wheel
+from cycmat import bitset, documents, psi, uniform, wheel
 from cycmat.constructions import CONSTRUCTIONS, truncate
+from cycmat.core import CircuitFamily
 
 
 def test_round_trip_byte_identical():
@@ -127,6 +128,47 @@ _JSON_VALUES = st.recursive(
 @example([[1, 2], [3, 4], [5, 6, 7], [8, 9], [10, 11]])  # a run split by a longer row
 def test_canonical_json_matches_indented_stdlib(value):
     assert documents.canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def _families(draw):
+    """A family over n <= 80 whose members may be empty, lie past n or be
+    wider than `bitset.WORD_BITS`; half are canonical, half keep the drawn
+    order, so one size can make several runs."""
+    n = draw(st.integers(min_value=0, max_value=80))
+    masks = draw(st.lists(
+        st.integers(min_value=0, max_value=(1 << 90) - 1) | st.integers(min_value=0, max_value=(1 << 12) - 1),
+        max_size=30,
+    ))
+    if draw(st.booleans()):
+        return CircuitFamily.from_masks(n, masks)
+    return CircuitFamily(n, tuple(masks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families())
+@example(CircuitFamily(5, ()))  # the empty family
+@example(CircuitFamily.from_masks(3, [0, 0b11, 0b101]))  # an empty member
+@example(CircuitFamily.from_masks(3, [1 << 12 | 1, 0b110]))  # a member past n
+@example(CircuitFamily.from_masks(70, [1 << 69 | 1, 3 << 62, 0b111]))  # above WORD_BITS
+@example(CircuitFamily.from_masks(120, [1 << 119 | 1 << 9 | 1, 1 << 99 | 1 << 10]))  # two- and three-digit indices
+@example(CircuitFamily.from_masks(12, [0b1, 0b111, 0b1100_0000_0011, 0b1111_0000, 0b11]))  # several sizes
+@example(CircuitFamily(6, (0b111, 0b11, 0b1110, 0b1, 0b110, 0)))  # unsorted: one size in several runs
+def test_family_emits_as_its_index_lists(family):
+    n = family.n
+    rows = family.as_indices()
+    assert rows == [list(bitset.indices(m)) for m in family.members]
+    runs = family.index_runs()
+    assert rows == [row for run in runs for row in run.tolist()]
+    assert all(run.ndim == 2 and len(run) for run in runs)
+    assert all(a.shape[1] != b.shape[1] for a, b in zip(runs, runs[1:]))
+    assert documents.canonical_json({"n": n, "circuits": family}) == (
+        json.dumps({"n": n, "circuits": rows}, sort_keys=True, indent=2) + "\n"
+    )
+    nested = [{"circuits": family, "n": n}, family]
+    assert documents.canonical_json(nested) == (
+        json.dumps([{"circuits": rows, "n": n}, rows], sort_keys=True, indent=2) + "\n"
+    )
 
 
 @pytest.mark.parametrize("value", [{1: "a"}, {True: 0}, {"a": {None: 1}}, [{("a",): 1}], {1: 2, "a": 3}])
