@@ -14,6 +14,8 @@ import functools
 import sys
 import time
 
+import numpy as np
+
 from . import bitset, documents
 from .constructions import CONSTRUCTIONS
 from .cyclic import FULL, NEARLY, CyclicOrdering, STParams, certify, find_orderings
@@ -191,11 +193,8 @@ def _cmd_find(args) -> int:
     oracle = _load_oracle(args.doc)
     params = STParams(args.s, args.t)
     found = find_orderings(oracle, params, mode=args.mode, limit=args.limit)
-    payload = {
-        "mode": args.mode,
-        "count": len(found),
-        "orderings": [list(o.canonical) for o in found],
-    }
+    orderings = np.array([o.canonical for o in found], dtype=np.int64).reshape(len(found), oracle.n)
+    payload = {"mode": args.mode, "count": len(found), "orderings": orderings}
     _write(args, canonical_json(payload))
     return 0
 

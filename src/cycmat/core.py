@@ -130,18 +130,15 @@ class MatroidOracle:
     in place of asking the predicate mask by mask.  `rank`, when given, is
     the rank function of the same predicate (one maximum matching, a closed
     form); `rank(mask)` returns it in place of the greedy loop, and it
-    writes no memo entry.  The independence table
-    (the predicate's answer on all 2^n subsets, which enumeration and the
-    exchange sweep share), the circuit table and the extension-count table
-    derived from it, the circuits, the dual and the ordering certificates
-    are filled under `_lock`.  Once the circuit table exists, `is_circuit`
-    is one lookup in it.  Every cocircuit question goes
-    to the dual: the cocircuits are its circuits, and its memo caches the
-    coindependence answers.  The memo caches single `indep` queries only;
-    it, the cached full rank and the cocircuits are written without the
-    lock: two threads that race on an entry store the same value.  Oracles
-    can be shared across threads, and all derived state is freed with the
-    oracle.
+    writes no memo entry.  The memo caches single `indep` queries and is
+    written without the lock: two threads that race on an entry store the
+    same value.  Everything else the oracle derives is kept by `derived`:
+    the independence table (the predicate's answer on all 2^n subsets,
+    which enumeration and the exchange sweep share), the circuit and
+    extension-count tables built from it, the circuits, the cocircuits
+    (every cocircuit question goes to the dual), the dual, the full rank
+    and `cyclic.certify`'s certificates.  Oracles can be shared across
+    threads, and all derived state is freed with the oracle.
     """
 
     def __init__(
@@ -159,15 +156,33 @@ class MatroidOracle:
         self._rank = rank
         self._memo: dict[int, bool] = {}
         self._lock = threading.Lock()
-        self._circuits: CircuitFamily | None = None
-        self._cocircuits: CircuitFamily | None = None
-        self._independent: np.ndarray | None = None
-        self._circuit_marks: np.ndarray | None = None
-        self._extension_counts: np.ndarray | None = None
-        self._rank_full: int | None = None
-        self._dual: MatroidOracle | None = None
-        # ordering certificates by (order, params); see cyclic.certify
-        self._certificates: dict = {}
+        self._derived: dict = {}
+
+    # -- the store of derived values -------------------------------------------
+
+    def derived(self, key, build: Callable[[], object]):
+        """The value kept under `key`, built by `build()` on first use.
+
+        `build` runs without `_lock`, so it may ask this oracle or another
+        (the dual, or the primal behind a dual's table) for their values.
+        The result is kept under the lock with ``setdefault``: racing threads
+        may each build a value, and all get the first one kept.  `build`
+        must not return None, which `kept` reads as "not kept yet".
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = build()
+            with self._lock:
+                value = self._derived.setdefault(key, value)
+        return value
+
+    def kept(self, key):
+        """The value kept under `key`, or None; never builds one."""
+        return self._derived.get(key)
+
+    # read by perfbench's tracer only, to tell a cold enumeration from a warm one
+    _circuits = property(lambda self: self.kept("circuits"))
+    _cocircuits = property(lambda self: self.kept("cocircuits"))
 
     # -- predicate and rank ---------------------------------------------------
 
@@ -187,14 +202,13 @@ class MatroidOracle:
     def rank(self, mask: int | None = None) -> int:
         """Size of a maximal independent subset: the supplied `rank` when the
         oracle's builder gave one, otherwise built greedily through the memo.
+        With no `mask`, the rank of the ground set, kept.
 
         Greedy extension is exact on matroids; the axiom sweep in
         `verify_matroid_axioms` is the guard that the predicate really is one.
         """
         if mask is None:
-            if self._rank_full is None:
-                self._rank_full = self.rank(self.ground.full)
-            return self._rank_full
+            return self.derived("rank", lambda: self.rank(self.ground.full))
         if self._rank is not None:
             if mask & ~self.ground.full:
                 raise ValueError("subset is not contained in the ground set")
@@ -218,10 +232,10 @@ class MatroidOracle:
     def is_circuit(self, mask: int) -> bool:
         """Is `mask` dependent, with every maximal proper subset independent?
 
-        One lookup once the `circuit_table` is built; before, `indep` is
+        One lookup once the `circuit_table` is kept; before, `indep` is
         asked about `mask` and each maximal proper subset.
         """
-        marks = self._circuit_marks
+        marks = self._derived.get("circuit-table")  # `kept`, inlined: windows and sweeps ask this often
         if marks is None:
             if mask == 0 or self.indep(mask):
                 return False
@@ -240,83 +254,66 @@ class MatroidOracle:
 
     def circuits(self) -> CircuitFamily:
         """The masks the `circuit_table` marks."""
-        with self._lock:
-            if self._circuits is None:
-                self._circuits = CircuitFamily.from_masks(self.n, np.flatnonzero(self._circuit_table()))
-            return self._circuits
+        return self.derived(
+            "circuits", lambda: CircuitFamily.from_masks(self.n, np.flatnonzero(self.circuit_table()))
+        )
 
     def circuit_table(self) -> np.ndarray:
-        """``bool`` array over all 2^n masks marking the circuits (see `_circuit_table`)."""
-        with self._lock:
-            return self._circuit_table()
+        """``bool`` array over all 2^n masks marking the circuits: the
+        dependent masks whose every X - e is independent, from the
+        independence table; the empty mask is not marked."""
 
-    def _circuit_table(self) -> np.ndarray:
-        """The dependent masks whose every X - e is independent, from the
-        independence table; the empty mask is not marked.  Built once; the
-        caller holds `_lock`."""
-        if self._circuit_marks is None:
-            independent = self._independence_table()
+        def build() -> np.ndarray:
+            independent = self.independence_table()
             marks = ~independent & bitset.all_maximal_subsets(independent)
             marks[0] = False
-            self._circuit_marks = marks
-        return self._circuit_marks
+            return marks
+
+        return self.derived("circuit-table", build)
 
     def extension_counts(self) -> np.ndarray:
         """`bitset.extension_counts` of the `circuit_table`: at X, the number
-        of circuits X | e with e outside X.  Built once, under `_lock`."""
-        with self._lock:
-            if self._extension_counts is None:
-                self._extension_counts = bitset.extension_counts(self._circuit_table())
-            return self._extension_counts
+        of circuits X | e with e outside X."""
+        return self.derived("extension-counts", lambda: bitset.extension_counts(self.circuit_table()))
 
     def cocircuits(self) -> CircuitFamily:
-        """The dual's circuits.  Filled without `_lock`, which `dual()` takes
-        and which is not re-entrant; racing threads store the same family."""
-        if self._cocircuits is None:
-            self._cocircuits = self.dual().circuits()
-        return self._cocircuits
+        """The dual's circuits."""
+        return self.derived("cocircuits", lambda: self.dual().circuits())
 
     def independence_table(self) -> np.ndarray:
-        """The predicate's answer on all 2^n masks (see `_independence_table`)."""
-        with self._lock:
-            return self._independence_table()
-
-    def _independence_table(self) -> np.ndarray:
         """``bool`` array over all 2^n masks: the predicate's answer on each.
 
         The supplied `table` when there is one; otherwise the predicate is
         asked once per mask, in ascending order.  Neither goes through the
         memo, so no answer is held twice.  The table is raw: on a predicate
         that is not a matroid it shows every violation to
-        `verify_matroid_axioms`.  Built once; the caller holds `_lock`.
+        `verify_matroid_axioms`.
         """
-        if self._independent is None:
+
+        def build() -> np.ndarray:
             bitset.require_cap("circuit enumeration", self.n, bitset.lattice_cap())
             if self._table is not None:
-                self._independent = self._table()
-            else:
-                size = 1 << self.n
-                self._independent = np.fromiter(
-                    map(self._indep, range(size)), dtype=bool, count=size
-                )
-        return self._independent
+                return self._table()
+            size = 1 << self.n
+            return np.fromiter(map(self._indep, range(size)), dtype=bool, count=size)
+
+        return self.derived("independence-table", build)
 
     # -- derived matroids ----------------------------------------------------
 
     def dual(self) -> "MatroidOracle":
-        """The dual, built once per oracle; its own dual is a new oracle, not this one.
+        """The dual, kept; its own dual is a new oracle, not this one.
 
         Its table is `is_coindependent` on every mask, rank(E - X) = rank(E)
         with the greedy rank of `bitset.greedy_rank`, so it equals the
         predicate even when this oracle is not a matroid.
         """
-        with self._lock:
-            if self._dual is None:
-                self._dual = MatroidOracle(
-                    self.ground, self.is_coindependent, f"dual({self.name})",
-                    table=self._coindependent,
-                )
-            return self._dual
+        return self.derived(
+            "dual",
+            lambda: MatroidOracle(
+                self.ground, self.is_coindependent, f"dual({self.name})", table=self._coindependent
+            ),
+        )
 
     def _coindependent(self) -> np.ndarray:
         rank = bitset.greedy_rank(self.independence_table())
@@ -350,7 +347,7 @@ def oracle_from_circuits(
         name=name or "from-circuits",
         table=lambda: np.frombuffer(family.dependence(), dtype=np.uint8) == 0,
     )
-    oracle._circuits = family
+    oracle.derived("circuits", lambda: family)
     return oracle
 
 
@@ -427,7 +424,7 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
         if c & ~full:
             violations.append(("out-of-range", (bitset.indices(c),)))
     in_range = not any(kind == "out-of-range" for kind, _ in violations)
-    if not violations and _is_circuit_table(family):
+    if not violations and _is_matroid_family(family):
         return VerificationReport("circuit-axioms", True, len(members))
     antichain: list[tuple[str, tuple]] = []
     elimination: list[tuple[str, tuple]] = []
@@ -447,7 +444,7 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
     return VerificationReport("circuit-axioms", not violations, len(members), tuple(violations))
 
 
-def _is_circuit_table(family: CircuitFamily) -> bool:
+def _is_matroid_family(family: CircuitFamily) -> bool:
     """Are the nonempty in-range members the circuits of a matroid, decided
     on the family's `dependence` table (False above the cap, where it has
     none)?  Iff they are distinct, no C - e contains a member, and the sets

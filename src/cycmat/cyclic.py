@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 from . import bitset
@@ -174,9 +175,9 @@ def _extensions(oracle: MatroidOracle, window: int):
 
 def _in_circuit(oracle: MatroidOracle, window: int) -> bool:
     """Does `window` lie in a circuit one element larger?  One lookup once
-    the oracle's `extension_counts` are built; until then the first of the
+    the oracle keeps its `extension_counts`; until then the first of the
     `_extensions` decides."""
-    counts = oracle._extension_counts
+    counts = oracle.kept("extension-counts")
     if counts is None:
         return any(_extensions(oracle, window))
     return bool(counts[window])
@@ -231,19 +232,12 @@ def _build_certificate(
 
 
 def certify(oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams) -> OrderingCertificate:
-    """Certificate of `ordering`, memoised on the oracle under the raw order
-    (rotations are distinct keys though CyclicOrdering compares them equal).
-    It is built outside the oracle's lock, which is not re-entrant.  It reads
-    the oracle's circuit and extension-count tables where they exist but
-    never builds them: one certificate asks far fewer sets than a table holds."""
-    key = (ordering.order, params)
-    with oracle._lock:
-        cert = oracle._certificates.get(key)
-    if cert is None:
-        cert = _build_certificate(oracle, ordering, params)
-        with oracle._lock:
-            cert = oracle._certificates.setdefault(key, cert)
-    return cert
+    """Certificate of `ordering`, kept in the oracle's `derived` store under
+    the raw order and the parameters (rotations are distinct keys though
+    CyclicOrdering compares them equal).  It reads the oracle's circuit and
+    extension-count tables where they are kept but never builds them: one
+    certificate asks far fewer sets than a table holds."""
+    return oracle.derived((ordering.order, params), lambda: _build_certificate(oracle, ordering, params))
 
 
 @dataclass(frozen=True)
@@ -290,9 +284,9 @@ def find_orderings(
     (s-1)- or (t-1)-window is in no s-circuit / t-cocircuit.  Leaves are
     generated lazily, so taking the first `limit` accepted ones is the
     search's one stop rule.  Up to the `bitset.lattice_cap` the oracle and
-    its dual first build their `extension_counts`, so every window test of
-    the search and of its certificates is one lookup; above it they ask
-    the predicates.
+    its dual first build their `extension_counts`, read once here, so every
+    window test of the search and of its certificates is one lookup; above
+    it they ask the predicates.
     """
     if mode not in (NEARLY, FULL):
         raise ValueError(f"mode must be '{NEARLY}' or '{FULL}'")
@@ -301,16 +295,17 @@ def find_orderings(
     n = oracle.n
     cap = bitset.env_cap(SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP)
     bitset.require_cap("ordering search", n, cap, SEARCH_CAP_ENV)
-    windows = ((params.s, oracle), (params.t, oracle.dual()))
-    if n <= bitset.lattice_cap():  # every window question becomes one lookup
-        for _, matroid in windows:
-            matroid.extension_counts()
+    tabled = n <= bitset.lattice_cap()  # every window question becomes one lookup
+    tests = [
+        (size, m.extension_counts().__getitem__ if tabled else partial(_in_circuit, m))
+        for size, m in ((params.s, oracle), (params.t, oracle.dual()))
+    ]
 
     def prefix_ok(bits: tuple[int, ...]) -> bool:
         # the (s-1)- and (t-1)-windows the last element completes; the bits
         # of a prefix are distinct, so their sum is the window's mask
-        for size, matroid in windows:
-            if len(bits) >= size - 1 and not _in_circuit(matroid, sum(bits[len(bits) - size + 1:])):
+        for size, in_circuit in tests:
+            if len(bits) >= size - 1 and not in_circuit(sum(bits[len(bits) - size + 1:])):
                 return False
         return True
 
@@ -327,8 +322,8 @@ def find_orderings(
                 yield from leaves(child, used | bit)
 
     def accepted(ordering: CyclicOrdering) -> bool:
-        # each leaf is visited once, so memoising it would only grow the
-        # oracle's certificate table by up to (n-1)!/2 entries
+        # each leaf is visited once, so keeping it would only grow the
+        # oracle's store by up to (n-1)!/2 certificates
         cert = _build_certificate(oracle, ordering, params)
         return cert.nearly if mode == NEARLY else cert.full
 
@@ -486,7 +481,7 @@ def unique_window_circuits(
     n, s, t = cert.n, cert.s, cert.t
     _require(cert.nearly, "uniqueness check needs a nearly structured ordering")
     _require(n >= s + 2 * t - 4, f"uniqueness check needs n >= s + 2t - 4, got n={n}")
-    counts = oracle._extension_counts
+    counts = oracle.kept("extension-counts")
     witnesses = []
     for i in range(1, n + 1):
         window = ordering.window(i, s - 1)

@@ -8,7 +8,8 @@ bytes equal ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, but it
 does not call that: with an indent the stdlib skips its C encoder for a
 pure-Python generator, several times slower than this emitter on a long
 circuit list.  A `CircuitFamily` value emits as its `as_indices()` list,
-written straight from the family's index arrays.
+and a 2-D signed integer numpy array as its `tolist()`, each written
+straight from its index arrays.
 """
 
 from __future__ import annotations
@@ -65,9 +66,7 @@ def doc_psi(n: int, s: int) -> dict:
 
 
 def doc_circuits(n: int, circuits: list[list[int]]) -> dict:
-    canon = sorted(
-        (sorted(set(c)) for c in circuits), key=lambda c: (len(c), c)
-    )
+    canon = CircuitFamily.from_masks(n, bitset.mask_rows(circuits, n)).as_indices()
     return {"schema": SCHEMA_VERSION, "matroid": {"circuits": {"n": n, "circuits": canon}}}
 
 
@@ -95,7 +94,8 @@ def doc_truncate(inner: dict, i: int) -> dict:
 
 def canonical_json(obj: Any) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte,
-    where a `CircuitFamily` value stands for its `as_indices()` list.  Dict
+    where a `CircuitFamily` value stands for its `as_indices()` list and a
+    2-D signed integer numpy array for its `tolist()`.  Dict
     keys must be strings: any other key raises TypeError rather than being
     coerced."""
     return _emit(obj, "\n") + "\n"
@@ -114,7 +114,9 @@ def _emit(obj: Any, newline: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, CircuitFamily):
-        return _emit_family(obj, newline)
+        return _emit_rows(obj.index_runs(), newline)
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "i":
+        return _emit_rows([obj], newline)
     if isinstance(obj, (list, tuple)) and obj:
         inner = newline + "  "
         if set(map(type, obj)) == {int}:  # bools are not exactly int
@@ -129,22 +131,28 @@ def _emit(obj: Any, newline: str) -> str:
     return json.dumps(obj)  # floats and empty containers; anything else raises TypeError
 
 
-def _emit_family(family: CircuitFamily, newline: str) -> str:
-    """`family.as_indices()` as `_emit` writes it, from its `index_runs`.
+def _emit_rows(runs: list[np.ndarray], newline: str) -> str:
+    """The rows of the 2-D integer arrays `runs`, in order, as `_emit`
+    writes one list of int lists.
 
-    Each index i gets two strings, its line inside a row and its line
-    closing one (which also opens the next row); a run of rows is one
-    object-array lookup of those strings, and the text is one join."""
-    runs = family.index_runs()
+    Each value v in 0..top gets two strings, its line inside a row and its
+    line closing one (which also opens the next row); a run of rows is one
+    object-array lookup of those strings, and the text is one join.  A
+    negative value, or values sparser than the rows, go row by row."""
+    runs = [run for run in runs if len(run)]
     if not runs:
         return "[]"
+    values = np.concatenate([run.ravel() for run in runs])
+    top = int(values.max(initial=0))
+    if values.min(initial=0) < 0 or top > values.size:  # a line per value would outgrow the rows
+        return _emit([row for run in runs for row in run.tolist()], newline)
     inner = newline + "  "
     deeper = inner + "  "
     reopen = "," + inner + "["
-    top = max(family.members).bit_length()  # the largest index
-    endings = (",", inner + "]" + reopen)  # index i's line is lines[i], its closing line lines[top + 1 + i]
-    lines = np.array([deeper + str(i) + end for end in endings for i in range(top + 1)], dtype=object)
-    closing = np.zeros(top + 1, dtype=np.int64)  # its last k entries, added to a k-index row, close the row
+    endings = (",", inner + "]" + reopen)  # v's line is lines[v], its closing line lines[top + 1 + v]
+    lines = np.array([deeper + str(v) + end for end in endings for v in range(top + 1)], dtype=object)
+    # the last k entries of `closing`, added to a row of k values, close the row
+    closing = np.zeros(1 + max(run.shape[1] for run in runs), dtype=np.int64)
     closing[-1] = top + 1
     pieces = [
         lines[run + closing[-run.shape[1]:]].ravel().tolist() if run.shape[1] else ["]" + reopen] * len(run)

@@ -81,7 +81,7 @@ def families(draw, min_n: int, max_n: int, spill: int = 0, max_size: int = 10):
 def _decides(masks, n: int) -> bool:
     """The table decision alone, on nonempty in-range masks: a wrong "fails"
     would not show through `validate_circuit_axioms`, which then walks pairs."""
-    return core._is_circuit_table(CircuitFamily(n, tuple(masks)))
+    return core._is_matroid_family(CircuitFamily(n, tuple(masks)))
 
 
 def _assert_matches_reference(case) -> None:

@@ -251,6 +251,50 @@ def _counting_copy(oracle):
     return MatroidOracle(oracle.ground, indep), asked
 
 
+def test_every_thread_gets_the_first_value_kept():
+    # threads released at once ask one fresh oracle for each value it
+    # derives, each thread in its own order; a value is built with no lock
+    # held, so no thread waits on another's build (a deadlock fails the
+    # map's timeout), and every thread gets the one value kept
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from cycmat.cyclic import STParams, certify, natural_ordering
+
+    M = psi(10, 3)
+    ordering, params = natural_ordering(10), STParams(3, 3)
+    questions = {
+        "circuits": M.circuits,
+        "cocircuits": M.cocircuits,
+        "extension counts": M.extension_counts,
+        "dual circuits": lambda: M.dual().circuits(),
+        "dual of the dual": lambda: M.dual().dual(),
+        "certificate": lambda: certify(M, ordering, params),
+        "dual certificate": lambda: certify(M.dual(), ordering, params),
+    }
+    keys = list(questions)
+    barrier = threading.Barrier(8)
+
+    def ask(i):
+        barrier.wait(timeout=10)
+        order = keys[i % len(keys):] + keys[:i % len(keys)]
+        return {key: questions[key]() for key in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    pool = ThreadPoolExecutor(max_workers=8)
+    try:
+        answers = list(pool.map(ask, range(8), timeout=30))
+    finally:
+        pool.shutdown(wait=False)  # a `with` block would wait on deadlocked threads
+        sys.setswitchinterval(interval)
+    for key in keys:
+        assert all(answer[key] is answers[0][key] for answer in answers), key
+        assert questions[key]() is answers[0][key], key
+    assert answers[0]["cocircuits"] is answers[0]["dual circuits"]
+
+
 def test_table_asks_the_predicate_once_per_subset():
     # enumeration and the exchange sweep share one table, filled with the
     # predicate's answer on every subset in ascending order; none of it goes

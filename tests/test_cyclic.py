@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,8 +229,13 @@ def test_certified_oracle_is_freed():
 
 def test_find_orderings_leaves_no_certificates():
     M = wheel(4)
-    assert find_orderings(M, ST33, mode=NEARLY)
-    assert M._certificates == {}
+    found = find_orderings(M, ST33, mode=NEARLY)
+    assert found
+    # every leaf of the search starts at element 1
+    for rest in itertools.permutations(range(2, M.n + 1)):
+        assert M.kept(((1, *rest), ST33)) is None, rest
+    # the keys read above are the ones certify keeps
+    assert certify(M, found[0], ST33) is M.kept((found[0].order, ST33))
 
 
 def test_find_orderings_respects_limit_and_cap():
@@ -337,8 +344,8 @@ def test_window_routes_agree(case):
     for order in orderings:
         ordering = CyclicOrdering(order)
         assert certify(fresh, ordering, params) == certify(tabled, ordering, params), order
-    assert fresh._circuit_marks is None and fresh.dual()._circuit_marks is None
-    assert fresh._independent is None and fresh.dual()._independent is None
+    for matroid in (fresh, fresh.dual()):
+        assert matroid.kept("circuit-table") is None and matroid.kept("independence-table") is None
 
 
 def test_window_routes_agree_on_the_search(monkeypatch):
@@ -349,7 +356,7 @@ def test_window_routes_agree_on_the_search(monkeypatch):
         monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "2")
         fresh = build()
         assert [o.order for o in find_orderings(fresh, params)] == found, fresh.name
-        assert fresh._independent is None and fresh._extension_counts is None
+        assert fresh.kept("independence-table") is None and fresh.kept("extension-counts") is None
         monkeypatch.delenv(bitset.LATTICE_CAP_ENV)
 
 
@@ -357,8 +364,8 @@ def test_certify_builds_no_table():
     M = psi(16, 4)
     assert certify(M, natural_ordering(16), STParams(4, 4)).full
     for matroid in (M, M.dual()):
-        assert matroid._independent is None
-        assert matroid._circuit_marks is None and matroid._extension_counts is None
+        assert matroid.kept("independence-table") is None
+        assert matroid.kept("circuit-table") is None and matroid.kept("extension-counts") is None
 
 
 @pytest.mark.parametrize("label, build, params", [

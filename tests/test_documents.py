@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,20 @@ def test_round_trip_byte_identical():
 def test_circuit_lists_canonicalised():
     doc = documents.doc_circuits(4, [[3, 2, 1], [4, 2, 1]])
     assert doc["matroid"]["circuits"]["circuits"] == [[1, 2, 3], [1, 2, 4]]
+
+
+def test_circuit_lists_of_one_family_give_one_document():
+    # a row repeated with its indices reordered is the same circuit, listed once
+    rows = [[1, 2, 3], [2, 4], [1, 3, 4]]
+    once = documents.doc_circuits(4, rows)
+    assert documents.doc_circuits(4, [*rows, [3, 1, 2]]) == once
+    assert documents.canonical_json(documents.doc_circuits(4, [[3, 1, 2], *rows[::-1]])) == (
+        documents.canonical_json(once)
+    )
+    assert once["matroid"]["circuits"]["circuits"] == [[2, 4], [1, 2, 3], [1, 3, 4]]
+    for bad in ([[1, 5]], [[0, 1]]):  # an index outside 1..n raises here, not at parse
+        with pytest.raises(ValueError):
+            documents.doc_circuits(4, bad)
 
 
 def test_parse_rejects_malformed():
@@ -169,6 +184,35 @@ def test_family_emits_as_its_index_lists(family):
     assert documents.canonical_json(nested) == (
         json.dumps([{"circuits": rows, "n": n}, rows], sort_keys=True, indent=2) + "\n"
     )
+
+
+@st.composite
+def _int_arrays(draw):
+    """A 2-D signed integer array of up to 12 rows and 8 columns, either
+    dimension possibly 0, with entries in a drawn range that may include
+    negatives."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 8))
+    lo = draw(st.integers(-120, 120))
+    top = lo + draw(st.integers(0, 40) | st.integers(0, 1200))  # dense, or sparse enough to go row by row
+    values = draw(st.lists(st.integers(lo, top), min_size=rows * cols, max_size=rows * cols))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.int16]))
+    return np.array(values, dtype=np.int64).reshape(rows, cols).astype(dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_arrays())
+@example(np.zeros((0, 5), dtype=np.int64))  # no rows: the payload of a search that found nothing
+@example(np.zeros((3, 0), dtype=np.int64))  # empty rows
+@example(np.array([[1, 2, 3, 4], [1, 3, 2, 4]]))  # orderings
+@example(np.array([[7, 7, 7, 7, 7]], dtype=np.int32))  # a row wider than its range of values
+@example(np.array([[-3, 0], [12, 5]]))  # negative, one- and two-digit values
+@example(np.array([[3, 10 ** 12], [-10 ** 12, 0]]))  # values too sparse for a line per value
+def test_array_emits_as_its_rows(rows):
+    listed = rows.tolist()
+    assert documents.canonical_json(rows) == json.dumps(listed, indent=2) + "\n"
+    payload = {"count": len(rows), "orderings": rows, "mode": "nearly"}
+    listed_payload = {"count": len(rows), "orderings": listed, "mode": "nearly"}
+    assert documents.canonical_json([payload]) == json.dumps([listed_payload], sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("value", [{1: "a"}, {True: 0}, {"a": {None: 1}}, [{("a",): 1}], {1: 2, "a": 3}])
