@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
 
 import numpy as np
 
@@ -99,8 +98,9 @@ def subset_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), indices(mask))
 
 
-def canonical_sort(masks: Iterable[int] | np.ndarray, n: int) -> list[int]:
-    """The distinct `masks` in `subset_key` order, without building index tuples.
+def canonical_sort(masks: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
+    """The distinct `masks` in `subset_key` order, as a `mask_array`, without
+    building index tuples.
 
     Among sets of one size, ascending index order is descending order of
     the mask with its bits reversed, so element 1 weighs most.  The size
@@ -119,7 +119,7 @@ def canonical_sort(masks: Iterable[int] | np.ndarray, n: int) -> list[int]:
     ordered = masks[np.lexsort((-reversed_, size))]
     distinct = np.ones(len(ordered), dtype=bool)
     distinct[1:] = ordered[1:] != ordered[:-1]  # equal masks sort next to each other
-    return ordered[distinct].tolist()
+    return ordered[distinct]
 
 
 def cyclic_interval(n: int, i: int, j: int) -> int:
@@ -249,19 +249,3 @@ def mask_array(masks: Iterable[int] | np.ndarray, n: int = 0) -> np.ndarray:
 def max_width(masks: np.ndarray, n: int = 0) -> int:
     """max(n, bit length of the widest of the nonnegative `masks`)."""
     return max(n, int(masks.max()).bit_length() if len(masks) else 0)
-
-
-def mask_rows(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """`mask_of` of each row of 1-based indices in 1..n, in one pass: each
-    index becomes its bit, and one ``bitwise_or.reduceat`` joins each row."""
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
-    if len(flat) and (flat.min() < 1 or flat.max() > n):  # a shift cannot place them
-        raise ValueError(f"element indices must lie in 1..{n}")
-    bits = np.left_shift(np.ones(1, dtype=object if n > WORD_BITS else np.int64), flat - 1)
-    masks = np.zeros(len(rows), dtype=bits.dtype)
-    filled = lengths > 0
-    if filled.any():  # an empty row is the empty mask, and reduceat cannot end on one
-        masks[filled] = np.bitwise_or.reduceat(bits, (np.cumsum(lengths) - lengths)[filled])
-    return masks
-

@@ -141,7 +141,7 @@ def _read(path: str) -> str:
 
 
 def _load_oracle(path: str):
-    return documents.to_oracle(documents.parse(_read(path)))
+    return documents.to_oracle(documents.decode(_read(path), "document"))
 
 
 def _cmd_gen(args) -> int:

@@ -46,12 +46,17 @@ class CircuitFamily:
 
     n: int
     members: tuple[int, ...]
+    _masks: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
     _dependence: bytearray | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int] | np.ndarray) -> "CircuitFamily":
-        """The distinct `masks`, given as Python ints or as a numpy array."""
-        return cls(n, tuple(bitset.canonical_sort(masks, n)))
+        """The distinct `masks`, given as Python ints or as a numpy array.
+        The family keeps the sorted `bitset.mask_array` for `index_runs`."""
+        ordered = bitset.canonical_sort(masks, n)
+        family = cls(n, tuple(ordered.tolist()))
+        object.__setattr__(family, "_masks", ordered)
+        return family
 
     def __iter__(self):
         return iter(self.members)
@@ -83,17 +88,20 @@ class CircuitFamily:
         in member order.
 
         The bits of all members are unpacked once, by a shift loop over the
-        `bitset.mask_array` (an object array above `bitset.WORD_BITS`), and
-        each run is reshaped in one step: the canonical order sorts by size
-        first, so a family has one run per size.
+        `bitset.mask_array` that `from_masks` kept (an object array above
+        `bitset.WORD_BITS`), and each run is reshaped in one step: the
+        canonical order sorts by size first, so a family has one run per
+        size.
         """
-        masks = bitset.mask_array(self.members, self.n)
+        masks = self._masks
+        if masks is None:  # a family built from its members directly
+            masks = bitset.mask_array(self.members, self.n)
         width = bitset.max_width(masks, self.n)
         bits = np.empty((len(masks), width), dtype=bool)
         for b in range(width):
             bits[:, b] = (masks >> b) & 1
         elements = np.flatnonzero(bits) % width + 1  # row by row, ascending within a row
-        sizes = bits.sum(axis=1)
+        sizes = np.count_nonzero(bits, axis=1)
         ends = np.cumsum(sizes)  # one past each member's last entry in `elements`
         bounds = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), len(sizes)]  # run starts, then len
         return [

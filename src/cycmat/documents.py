@@ -29,27 +29,21 @@ from .transversal import BipartitePresentation, psi, transversal_matroid
 SCHEMA_VERSION = 1
 
 # the one declaration of each representation: its payload fields, in the
-# order `validate_matroid` checks them, and its builder of a checked payload.
-# Each builder looks its functions up when called, so a rebinding of the
-# module's names (perfbench's tracer) reaches it, as in `CONSTRUCTIONS`.
+# order `validate_matroid` checks them, and its builder of a checked payload
+# (index lists already masks, a nested body already checked).  Each builder
+# looks its functions up when called, so a rebinding of the module's names
+# (perfbench's tracer) reaches it, as in `CONSTRUCTIONS`.
 _REPRESENTATIONS = {
     "uniform": (("r", "n"), lambda p: uniform(p["r"], p["n"])),
     "psi": (("n", "s"), lambda p: psi(p["n"], p["s"])),
     "circuits": (
         ("n", "circuits"),
-        lambda p: oracle_from_circuits(
-            GroundSet(p["n"]),
-            bitset.mask_rows(p["circuits"], p["n"]),
-            name="document-circuits",
-            validate=False,
-        ),
+        lambda p: oracle_from_circuits(GroundSet(p["n"]), p["circuits"], name="document-circuits", validate=False),
     ),
     "transversal": (
         ("n", "neighborhoods"),
         lambda p: transversal_matroid(
-            BipartitePresentation(
-                GroundSet(p["n"]), tuple(bitset.mask_rows(p["neighborhoods"], p["n"]).tolist())
-            )
+            BipartitePresentation(GroundSet(p["n"]), tuple(p["neighborhoods"].tolist()))
         ),
     ),
     "construction": (("kind", "r"), lambda p: CONSTRUCTIONS[p["kind"]](p["r"])),
@@ -66,7 +60,7 @@ def doc_psi(n: int, s: int) -> dict:
 
 
 def doc_circuits(n: int, circuits: list[list[int]]) -> dict:
-    canon = CircuitFamily.from_masks(n, bitset.mask_rows(circuits, n)).as_indices()
+    canon = CircuitFamily.from_masks(n, _index_masks(circuits, n)).as_indices()
     return {"schema": SCHEMA_VERSION, "matroid": {"circuits": {"n": n, "circuits": canon}}}
 
 
@@ -181,7 +175,8 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _validate(doc: Any) -> None:
+def _validate(doc: Any) -> dict:
+    """The checked matroid body of the document `doc` (`validate_matroid`)."""
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     if not _is_int(doc.get("schema")) or doc["schema"] != SCHEMA_VERSION:
@@ -196,14 +191,15 @@ def _validate(doc: Any) -> None:
             or len(set(labels)) != len(labels)
         ):
             raise ValueError("labels must be a list of distinct strings")
-    validate_matroid(doc.get("matroid"))
+    return validate_matroid(doc.get("matroid"))
 
 
-def validate_matroid(body: Any) -> None:
-    """Raise ValueError unless `body` is a matroid body with one known
-    representation.  Its payload's fields are checked in table order, each by
-    its name: index lists over n, a construction kind, a nested body, or an
-    integer."""
+def validate_matroid(body: Any) -> dict:
+    """The checked form of `body`, which `_build` takes: raise ValueError
+    unless `body` is a matroid body with one known representation.  Its
+    payload's fields are checked in table order, each by its name: index
+    lists over n (which become their masks), a construction kind, a nested
+    body (which becomes its checked form), or an integer."""
     kind = _kind(body)
     payload = body[kind]
     fields, _ = _REPRESENTATIONS[kind]
@@ -211,19 +207,22 @@ def validate_matroid(body: Any) -> None:
         raise ValueError("representation payload must be a JSON object")
     if set(payload).difference(fields):
         raise ValueError(f"{kind} payload carries unknown fields")
+    checked = {}
     for name in fields:
         value = payload.get(name)
         if name in ("circuits", "neighborhoods"):
-            _expect_index_lists(value, payload["n"])
+            value = _index_masks(value, payload["n"])
         elif name == "kind":
             if not isinstance(value, str) or value not in CONSTRUCTIONS:
                 raise ValueError(f"unknown construction kind {value!r}")
         elif name == "inner":
-            validate_matroid(value)
+            value = validate_matroid(value)
         elif not _is_int(value):
             raise ValueError(f"representation field {name!r} must be an integer")
-    if kind == "circuits" and not all(payload["circuits"]):
+        checked[name] = value
+    if kind == "circuits" and 0 in checked["circuits"]:  # the mask of an empty circuit
         raise ValueError("circuits must be nonempty")
+    return {kind: checked}
 
 
 def _kind(body: Any) -> str:
@@ -236,22 +235,45 @@ def _kind(body: Any) -> str:
     return kind
 
 
-def _expect_index_lists(value: Any, n: int) -> None:
-    """A list of lists of JSON integers in 1..n: one type test over the
-    rows and one over their concatenation (bools are not exactly int),
-    then its min and max."""
+_OUTSIDE = "set lists must hold 1-based element indices within the ground set"
+
+
+def _index_masks(value: Any, n: int) -> np.ndarray:
+    """The `bitset.mask_of` of each row of `value`, a list of lists of JSON
+    integers in 1..n, checked and converted in one walk over the indices.
+
+    One type test over the rows and one over their concatenation (bools
+    are not exactly int); the indices then go into one numpy array (int64,
+    or Python ints above `bitset.WORD_BITS`), whose min and max are the
+    range test, each becomes its bit, and one ``bitwise_or.reduceat``
+    joins each row."""
     if not isinstance(value, list):
         raise ValueError("expected a list of index lists")
     if not set(map(type, value)) <= {list}:
-        raise ValueError("set lists must hold 1-based element indices within the ground set")
+        raise ValueError(_OUTSIDE)
     flat = list(chain.from_iterable(value))
-    if flat and (set(map(type, flat)) != {int} or min(flat) < 1 or max(flat) > n):
-        raise ValueError("set lists must hold 1-based element indices within the ground set")
+    if flat and set(map(type, flat)) != {int}:
+        raise ValueError(_OUTSIDE)
+    try:
+        indices = np.array(flat, dtype=object if n > bitset.WORD_BITS else np.int64)
+    except OverflowError:  # beyond int64, so beyond n
+        raise ValueError(_OUTSIDE) from None
+    if flat and (indices.min() < 1 or indices.max() > n):
+        raise ValueError(_OUTSIDE)
+    bits = np.left_shift(np.ones(1, dtype=indices.dtype), indices - 1)
+    lengths = np.fromiter(map(len, value), dtype=np.int64, count=len(value))
+    masks = np.zeros(len(value), dtype=bits.dtype)
+    filled = lengths > 0
+    if flat:  # an empty row is the empty mask, and reduceat cannot end on one
+        masks[filled] = np.bitwise_or.reduceat(bits, (np.cumsum(lengths) - lengths)[filled])
+    return masks
 
 
-def to_oracle(doc: dict) -> MatroidOracle:
-    """The document's matroid.  Labels are checked against its size, then dropped."""
-    oracle = _build(doc["matroid"])
+def to_oracle(doc: Any) -> MatroidOracle:
+    """The matroid of the decoded document `doc`, which is checked as
+    `parse` checks it, with the same messages, and built from its checked
+    body.  Labels are checked against its size, then dropped."""
+    oracle = _build(_validate(doc))
     labels = doc.get("labels")
     if labels is not None and len(labels) != oracle.n:
         raise ValueError(f"document has {len(labels)} labels for {oracle.n} elements")
@@ -259,9 +281,10 @@ def to_oracle(doc: dict) -> MatroidOracle:
 
 
 def _build(body: dict) -> MatroidOracle:
-    kind = _kind(body)
+    """The oracle of a checked matroid body (`validate_matroid`)."""
+    ((kind, payload),) = body.items()
     _, build = _REPRESENTATIONS[kind]
-    return build(body[kind])
+    return build(payload)
 
 
 def parse_ordering(text: str, n: int) -> tuple[int, ...]:

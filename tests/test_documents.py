@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycmat import bitset, documents, psi, uniform, wheel
+from cycmat import bitset, cli, documents, psi, uniform, wheel
 from cycmat.constructions import CONSTRUCTIONS, truncate
 from cycmat.core import CircuitFamily
 
@@ -101,6 +101,8 @@ def test_labels_field():
     doc["labels"] = ["a", "a"]
     with pytest.raises(ValueError):
         documents.parse(documents.canonical_json(doc))
+    with pytest.raises(ValueError, match="distinct strings"):  # to_oracle checks the document too
+        documents.to_oracle(doc)
 
 
 def test_parse_ordering():
@@ -222,7 +224,7 @@ def test_canonical_json_rejects_non_string_keys(value):
 
 
 def per_element_index_lists(value, n):
-    """The per-element rule the bulk `_expect_index_lists` replaced, kept as its reference."""
+    """The per-element rule the bulk check of `_index_masks` replaced, kept as its reference."""
     if not isinstance(value, list):
         raise ValueError("expected a list of index lists")
     for entry in value:
@@ -280,8 +282,43 @@ _ROWS = st.lists(
 @example(3, None)
 @example(0, [[1]])
 @example(-1, [[]])
+@example(3, [[2 ** 63]])  # beyond int64: numpy's OverflowError is the range message
+@example(3, [[1], [2 ** 70]])
+@example(3, [[-(2 ** 63) - 1]])
+@example(70, [[70], [], [1, 63, 64]])  # above WORD_BITS: object masks
+@example(70, [[2 ** 70]])
+@example(3, [[], []])
 def test_bulk_index_list_check_matches_per_element_rule(n, value):
-    assert _outcome(documents._expect_index_lists, value, n) == _outcome(per_element_index_lists, value, n)
+    expected = _outcome(per_element_index_lists, value, n)
+    assert _outcome(documents._index_masks, value, n) == expected
+    if expected is None:
+        masks = documents._index_masks(value, n)
+        assert len(masks) == len(value)
+        assert masks.tolist() == [bitset.mask_of(row) for row in value]
+
+
+@st.composite
+def index_rows(draw):
+    n = draw(st.integers(min_value=1, max_value=80))
+    rows = draw(st.lists(st.lists(st.integers(min_value=1, max_value=n), max_size=6), max_size=12))
+    return n, rows
+
+
+@given(index_rows())
+@example((3, []))
+@example((3, [[], [1, 1], []]))  # empty rows and a repeated index
+@example((70, [[70], [], [1, 63, 64]]))  # above WORD_BITS: an object array
+def test_index_masks_is_mask_of_each_row(case):
+    n, rows = case
+    masks = documents._index_masks(rows, n)
+    assert len(masks) == len(rows)
+    assert masks.tolist() == [bitset.mask_of(row) for row in rows]
+
+
+@pytest.mark.parametrize("rows", [[[0, 1]], [[1], [4]], [[-1]]])
+def test_index_masks_rejects_indices_outside_the_ground_set(rows):
+    with pytest.raises(ValueError):
+        documents._index_masks(rows, 3)
 
 
 _REFERENCE_FIELDS = {
@@ -311,12 +348,12 @@ def reference_validate_matroid(body):
         _reference_int_fields(payload, "n", "s")
     elif kind == "circuits":
         _reference_int_fields(payload, "n")
-        documents._expect_index_lists(payload.get("circuits"), payload["n"])
+        documents._index_masks(payload.get("circuits"), payload["n"])
         if not all(payload["circuits"]):
             raise ValueError("circuits must be nonempty")
     elif kind == "transversal":
         _reference_int_fields(payload, "n")
-        documents._expect_index_lists(payload.get("neighborhoods"), payload["n"])
+        documents._index_masks(payload.get("neighborhoods"), payload["n"])
     elif kind == "construction":
         _reference_int_fields(payload)  # an object, before its kind is read
         if not isinstance(payload.get("kind"), str) or payload["kind"] not in CONSTRUCTIONS:
@@ -456,3 +493,29 @@ def test_builders_are_looked_up_when_called(monkeypatch):
     for doc in docs:
         documents.to_oracle(documents.parse(documents.canonical_json(doc)))
     assert calls == dict.fromkeys(names, 1)
+
+
+def test_random_documents_exit_0_or_2_from_the_cli(tmp_path, capsys):
+    """A random body, written as a document, makes `cycmat rank` return 0
+    or 2 and never raise: 2 exactly when the check or the build raises
+    ValueError.  `to_oracle` raises the message that `parse` raises."""
+    rng = random.Random(31)
+    path = tmp_path / "doc.json"
+    codes = Counter()
+    for _ in range(400):
+        doc = {"schema": 1, "matroid": _random_body(rng)}
+        text = json.dumps(doc)
+        path.write_text(text)
+        expected = 0
+        try:
+            documents._build(documents.validate_matroid(doc["matroid"]))
+        except ValueError:
+            expected = 2
+        rejected = _validation_outcome(documents.parse, text)
+        if rejected:
+            assert _validation_outcome(documents.to_oracle, json.loads(text)) == rejected
+        code = cli.main(["rank", str(path)])
+        assert code == expected, text
+        codes[code] += 1
+        capsys.readouterr()
+    assert codes[0] and codes[2]
