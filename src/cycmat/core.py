@@ -70,7 +70,8 @@ class CircuitFamily:
         not kept, so a family first asked under a lowered cap still builds
         its table when asked under a higher one."""
         if self._dependence is None and self.n <= bitset.lattice_cap():
-            object.__setattr__(self, "_dependence", bitset.dependence_table(self.n, self.members))
+            masks = self.members if self._masks is None else self._masks
+            object.__setattr__(self, "_dependence", bitset.dependence_table(self.n, masks))
         return self._dependence
 
     def contains_member(self, mask: int) -> bool:
@@ -137,15 +138,16 @@ class MatroidOracle:
     mask (a Hall table, a closed form); it is called once, on first use,
     in place of asking the predicate mask by mask.  `rank`, when given, is
     the rank function of the same predicate (one maximum matching, a closed
-    form); `rank(mask)` returns it in place of the greedy loop, and it
-    writes no memo entry.  The memo caches single `indep` queries and is
-    written without the lock: two threads that race on an entry store the
-    same value.  Everything else the oracle derives is kept by `derived`:
-    the independence table (the predicate's answer on all 2^n subsets,
-    which enumeration and the exchange sweep share), the circuit and
-    extension-count tables built from it, the circuits, the cocircuits
-    (every cocircuit question goes to the dual), the dual, the full rank
-    and `cyclic.certify`'s certificates.  Oracles can be shared across
+    form); until the independence table is kept, `rank(mask)` returns it
+    in place of the greedy loop, and it writes no memo entry.  The memo
+    caches single `indep` queries and is written without the lock: two
+    threads that race on an entry store the same value.  Everything else
+    the oracle derives is kept by `derived`: the independence table (the
+    predicate's answer on all 2^n subsets, which enumeration and the
+    exchange sweep share), the circuit, extension-count and rank tables
+    built from it, the circuits, the cocircuits (every cocircuit question
+    goes to the dual), the dual, the full rank and `cyclic.certify`'s
+    certificates.  Oracles can be shared across
     threads, and all derived state is freed with the oracle.
     """
 
@@ -208,19 +210,23 @@ class MatroidOracle:
         return cached
 
     def rank(self, mask: int | None = None) -> int:
-        """Size of a maximal independent subset: the supplied `rank` when the
-        oracle's builder gave one, otherwise built greedily through the memo.
-        With no `mask`, the rank of the ground set, kept.
+        """Size of a maximal independent subset.  Once the independence table
+        is kept, one lookup in the `rank_table`; before, the supplied `rank`
+        when the oracle's builder gave one, otherwise built greedily through
+        the memo.  With no `mask`, the rank of the ground set, kept.
 
-        Greedy extension is exact on matroids; the axiom sweep in
-        `verify_matroid_axioms` is the guard that the predicate really is one.
+        Greedy extension is exact on matroids, and the `rank_table` is the
+        greedy walk on any predicate, so the routes agree wherever the
+        supplied `rank` is the predicate's; the axiom sweep in
+        `verify_matroid_axioms` is the guard that the predicate is a matroid.
         """
         if mask is None:
             return self.derived("rank", lambda: self.rank(self.ground.full))
-        if self._rank is not None:
-            if mask & ~self.ground.full:
+        tabled = "independence-table" in self._derived
+        if tabled or self._rank is not None:
+            if mask & ~self.ground.full:  # a negative index would wrap
                 raise ValueError("subset is not contained in the ground set")
-            return self._rank(mask)
+            return int(self.rank_table()[mask]) if tabled else self._rank(mask)
         current = 0
         for bit in bitset.singletons(mask):
             if self.indep(current | bit):
@@ -307,14 +313,19 @@ class MatroidOracle:
 
         return self.derived("independence-table", build)
 
+    def rank_table(self) -> np.ndarray:
+        """``uint8`` array over all 2^n masks: `bitset.greedy_rank` of the
+        independence table, the greedy walk of `rank` on every mask."""
+        return self.derived("rank-table", lambda: bitset.greedy_rank(self.independence_table()))
+
     # -- derived matroids ----------------------------------------------------
 
     def dual(self) -> "MatroidOracle":
         """The dual, kept; its own dual is a new oracle, not this one.
 
         Its table is `is_coindependent` on every mask, rank(E - X) = rank(E)
-        with the greedy rank of `bitset.greedy_rank`, so it equals the
-        predicate even when this oracle is not a matroid.
+        read from the `rank_table`, so it equals the predicate even when
+        this oracle is not a matroid.
         """
         return self.derived(
             "dual",
@@ -324,7 +335,7 @@ class MatroidOracle:
         )
 
     def _coindependent(self) -> np.ndarray:
-        rank = bitset.greedy_rank(self.independence_table())
+        rank = self.rank_table()
         # reversing a 2^n array maps mask X to its complement
         return (rank == rank[-1])[::-1]
 
@@ -480,8 +491,12 @@ def _exchange_failure(independent: np.ndarray) -> tuple | None:
     n = len(independent).bit_length() - 1
     sizes = bitset.set_sizes(n)
     rank = bitset.lattice_rank(independent)
-    masks = np.arange(len(independent))
-    ext = sum(independent[masks | 1 << b].astype(np.int64) << b for b in range(n)) & ~masks
+    masks = np.arange(len(independent), dtype=np.int32)
+    ext = np.zeros(len(independent), dtype=np.int32)
+    for b in range(n):  # bit b of ext[Y], for Y without b, is independent[Y | b]
+        without, _ = bitset.halves(ext, b)
+        extends = bitset.halves(independent, b)[1].astype(np.int32)
+        np.bitwise_or(without, extends << b, out=without, order="C")
     failing = independent & (rank[bitset.full_mask(n) ^ ext] > sizes)
     if not failing.any():
         return None

@@ -344,16 +344,23 @@ def _classification_entry(pres, oracle: MatroidOracle) -> tuple[bool, Any]:
 
 
 def _deficiency_entry(pres, oracle: MatroidOracle) -> tuple[bool, Any]:
-    unions = pres.base.unions
-    for circuit in oracle.circuits():
-        for j_mask, union in enumerate(unions):
-            size = j_mask.bit_count()
-            if (union & ~circuit).bit_count() < size:
-                size_ok = circuit.bit_count() == union.bit_count() - size + 1
-                if not (bitset.is_subset(circuit, union) and size_ok):
-                    lefts = list(bitset.indices(j_mask))
-                    return False, {"circuit": list(bitset.indices(circuit)), "J": lefts}
-    return True, None
+    """Every circuit C and left set J with |N(J) - C| < |J| has C <= N(J)
+    and |C| = |N(J)| - |J| + 1.  One comparison over all (C, J), sizes read
+    from `bitset.set_sizes`; the witness is the first failing pair, circuits
+    in family order, then J by mask."""
+    n, full = oracle.n, oracle.ground.full
+    sizes, j_sizes = bitset.set_sizes(n), bitset.set_sizes(pres.base.m)
+    circuits = np.fromiter(oracle.circuits(), dtype=np.int64)[:, None]
+    unions = np.array(pres.base.unions, dtype=np.int64)
+    deficient = sizes[unions & ~circuits] < j_sizes
+    # a circuit outside the ground set is never inside N(J), whatever its size
+    spanned = (circuits & ~unions == 0) & (sizes[circuits & full] + j_sizes == sizes[unions] + 1)
+    failing = np.flatnonzero(deficient & ~spanned)
+    if not len(failing):
+        return True, None
+    i, j_mask = divmod(int(failing[0]), len(unions))
+    circuit = int(circuits[i, 0])
+    return False, {"circuit": list(bitset.indices(circuit)), "J": list(bitset.indices(j_mask))}
 
 
 def _matching_entry(pres, seed: int) -> tuple[bool, Any]:

@@ -74,9 +74,12 @@ class BipartitePresentation:
         |L(Y)| < |Y|, where L(Y) = {i : N(i) meets Y} has m - S[E - Y]
         members and S[X] = #{i : N(i) <= X}.  Two O(n 2^n) transforms and no
         matching; callers build it only for n up to the `bitset.lattice_cap`.
+        S counts in int32: m is far below 2^31, and neighbourhoods may repeat,
+        so a byte could overflow.
         """
         n = self.ground.n
-        inside = bitset.subset_reduce(np.bincount(self.neighborhoods, minlength=1 << n), np.add)
+        counts = np.bincount(self.neighborhoods, minlength=1 << n).astype(np.int32)
+        inside = bitset.subset_reduce(counts, np.add)
         # reversing a 2^n array maps mask Y to its complement E - Y
         deficient = self.m - inside[::-1] < bitset.set_sizes(n)
         return _read_only(~bitset.subset_reduce(deficient, np.maximum))

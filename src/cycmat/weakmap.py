@@ -78,10 +78,11 @@ def is_weak_map_by_independence(
     phi = phi or ElementBijection.identity(source.n)
     if len(phi.mapping) != source.n:
         raise ValueError("bijection size must match the ground sets")
-    # image[X] = phi^{-1}(X), one pass per element
+    # image[X] = phi^{-1}(X), one `bitset.halves` pass per element
     image = np.zeros(1 << target.n, dtype=np.int64)
     for b, j in enumerate(phi.inverse().mapping):
-        image.reshape(-1, 2, 1 << b)[:, 1] |= 1 << (j - 1)
+        _, with_ = bitset.halves(image, b)
+        np.bitwise_or(with_, 1 << (j - 1), out=with_, order="C")
     failing = np.flatnonzero(target.independence_table() & ~source.independence_table()[image])
     witnesses = (int(image[failing[0]]),) if len(failing) else ()
     return VerificationReport("weak-map", not witnesses, len(image), witnesses)

@@ -104,4 +104,5 @@ def test_greedy_dual_table_matches_is_coindependent_off_matroids(case):
     oracle = MatroidOracle(GroundSet(n), lambda m: m in independent)
     _assert_tables_are_predicates([], others=[oracle])
     rank = bitset.greedy_rank(oracle.independence_table())
-    assert rank.tolist() == [oracle.rank(m) for m in range(1 << n)]
+    walked = MatroidOracle(GroundSet(n), lambda m: m in independent)  # no table kept: the greedy walk
+    assert rank.tolist() == [walked.rank(m) for m in range(1 << n)]
