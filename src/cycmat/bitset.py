@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,6 +144,30 @@ def permute(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
+def permute_masks(masks: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
+    """`permute` of every mask of a `mask_array`, entry for entry: one shift
+    pass per element, moving bit i - 1 to bit perm[i - 1] - 1."""
+    out = np.zeros_like(masks)
+    for i, target in enumerate(perm):
+        out |= ((masks >> i) & 1) << (target - 1)
+    return out
+
+
+# the number of set bits of each byte value
+_BYTE_SIZES = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+
+
+def bit_counts(masks: np.ndarray) -> np.ndarray:
+    """``uint8`` array: the number of elements of each nonnegative mask of a
+    `mask_array`, eight bits at a time through a 256-entry table, so no
+    array over all 2^n masks is needed at any n."""
+    counts = np.zeros(masks.shape, dtype=np.uint8)
+    width = int(masks.max()).bit_length() if masks.size else 0
+    for shift in range(0, width, 8):
+        counts += _BYTE_SIZES[((masks >> shift) & 255).astype(np.intp)]
+    return counts
+
+
 def dependence_table(n: int, generators: Sequence[int] | np.ndarray) -> bytearray:
     """Table ``t`` with ``t[mask] = 1`` iff mask contains some generator.
 
@@ -251,11 +276,20 @@ def greedy_rank(independent: np.ndarray) -> np.ndarray:
     return rank
 
 
+@lru_cache(maxsize=None)
 def set_sizes(n: int) -> np.ndarray:
-    """``uint8`` array of 2^n entries: the number of elements of each mask."""
+    """Read-only ``uint8`` array of 2^n entries: the number of elements of
+    each mask.
+
+    A constant of n, built on the first call and shared by every later
+    one, like `transversal.interval_presentation`: callers compute from it
+    and never write to it.  Up to the `LATTICE_CAP` of 20 all sizes kept
+    take at most 2 MB.
+    """
     sizes = np.zeros(1 << n, dtype=np.uint8)
     for b in range(n):  # the masks with highest bit b are those below 2^b plus b
         np.add(sizes[:1 << b], 1, out=sizes[1 << b:2 << b])
+    sizes.flags.writeable = False
     return sizes
 
 

@@ -48,6 +48,8 @@ class CircuitFamily:
     members: tuple[int, ...]
     _masks: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
     _dependence: bytearray | None = field(default=None, init=False, compare=False, repr=False)
+    # (`_exchange_failure` of the sets `_dependence` leaves out,) once decided
+    _exchange: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int] | np.ndarray) -> "CircuitFamily":
@@ -64,15 +66,32 @@ class CircuitFamily:
     def __len__(self) -> int:
         return len(self.members)
 
+    def mask_array(self) -> np.ndarray:
+        """The members as a `bitset.mask_array`, in member order: the one
+        `from_masks` kept, or one built from `members`."""
+        return bitset.mask_array(self.members, self.n) if self._masks is None else self._masks
+
     def dependence(self) -> bytearray | None:
         """The members' `bitset.dependence_table`, built on the first call up
         to the `bitset.lattice_cap` and kept; None above the cap.  A None is
         not kept, so a family first asked under a lowered cap still builds
         its table when asked under a higher one."""
         if self._dependence is None and self.n <= bitset.lattice_cap():
-            masks = self.members if self._masks is None else self._masks
-            object.__setattr__(self, "_dependence", bitset.dependence_table(self.n, masks))
+            object.__setattr__(self, "_dependence", bitset.dependence_table(self.n, self.mask_array()))
         return self._dependence
+
+    def exchange_failure(self) -> tuple | None:
+        """`_exchange_failure` of the sets that contain no member, run once on
+        the `dependence` table and kept, so that `verify_matroid_axioms`
+        can read the verdict of an oracle with the same table.  With no
+        table (above the `bitset.lattice_cap`) it raises `CapExceeded`."""
+        if self._exchange is None:
+            table = self.dependence()
+            if table is None:
+                bitset.require_cap("the exchange test", self.n, bitset.lattice_cap())
+            independent = np.frombuffer(table, dtype=np.uint8) == 0
+            object.__setattr__(self, "_exchange", (_exchange_failure(independent),))
+        return self._exchange[0]
 
     def contains_member(self, mask: int) -> bool:
         """Does `mask` contain some member?  One lookup in `dependence`, or a
@@ -94,9 +113,7 @@ class CircuitFamily:
         canonical order sorts by size first, so a family has one run per
         size.
         """
-        masks = self._masks
-        if masks is None:  # a family built from its members directly
-            masks = bitset.mask_array(self.members, self.n)
+        masks = self.mask_array()
         width = bitset.max_width(masks, self.n)
         bits = np.empty((len(masks), width), dtype=bool)
         for b in range(width):
@@ -473,11 +490,11 @@ def _is_matroid_family(family: CircuitFamily) -> bool:
     if table is None or len(set(members)) != len(members):
         return False
     dependent = np.frombuffer(table, dtype=np.uint8)
-    arr = np.array(members, dtype=np.int64)
-    for b in range(len(dependent).bit_length() - 1):
-        if dependent[arr[(arr >> b) & 1 == 1] ^ (1 << b)].any():
+    masks = family.mask_array()
+    for b in range(family.n):
+        if dependent[masks[(masks >> b) & 1 == 1] ^ (1 << b)].any():
             return False
-    return _exchange_failure(dependent == 0) is None
+    return family.exchange_failure() is None
 
 
 def _exchange_failure(independent: np.ndarray) -> tuple | None:
@@ -512,7 +529,11 @@ def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
     Reads the oracle's independence table, the predicate's answer on every
     subset (shared with circuit enumeration, filled on first use); above
     the `bitset.lattice_cap` it raises `CapExceeded`.  The exchange test is
-    `_exchange_failure`, which also decides circuit families.
+    `_exchange_failure`, which also decides circuit families: when the
+    oracle's kept circuit family has already decided it
+    (`CircuitFamily.exchange_failure`) on a dependence table that is the
+    exact complement of the independence table, mask for mask, the sweep
+    reads that verdict; otherwise it runs the test on its own table.
     """
     n = oracle.n
     bitset.require_cap("the exchange sweep", n, bitset.lattice_cap())
@@ -528,7 +549,13 @@ def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
             "matroid-axioms", False, checked,
             (("downward-closure", bitset.indices(m), bit.bit_length()),),
         )
-    witness = _exchange_failure(independent)
+    family = oracle.kept("circuits")
+    if family is not None and family._exchange is not None and np.array_equal(
+        np.frombuffer(family._dependence, dtype=np.uint8) == 0, independent
+    ):
+        witness = family._exchange[0]
+    else:
+        witness = _exchange_failure(independent)
     return VerificationReport(
         "matroid-axioms", witness is None, checked, () if witness is None else (witness,)
     )

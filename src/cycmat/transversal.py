@@ -20,6 +20,7 @@ r*(X) = |X| - r(E) + r(E - X).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
@@ -118,7 +119,15 @@ class MatchingResult:
 def _augment(root: int, adjacency: list[int], match_of_right: dict[int, int]) -> bool:
     """Depth-first search for an augmenting path from `root` on an explicit
     stack, flipped into `match_of_right` when found.  Each frame fixes its
-    candidate rights on entry: its adjacency minus the rights seen so far."""
+    candidate rights on entry: its adjacency minus the rights seen so far.
+
+    The search's first step tries root's lowest right; when that right is
+    free it is the whole path, so it is taken without building the stack.
+    """
+    low = adjacency[root] & -adjacency[root]
+    if low and low not in match_of_right:
+        match_of_right[low] = root
+        return True
     seen = 0
     stack = [(root, bitset.singletons(adjacency[root]))]
     path: list[int] = []  # the right each frame below the top is trying
@@ -188,15 +197,22 @@ def max_matching(pres: BipartitePresentation, avoid: int = 0) -> MatchingResult:
     return MatchingResult(size, pairs, witness)
 
 
-def brute_force_matching_size(pres: BipartitePresentation, avoid: int = 0) -> int:
-    """Ore's defect form of Hall's theorem: m - max over J of |J| - |N(J) - avoid|.
+def brute_force_matching_size(pres: BipartitePresentation, avoids: Sequence[int]) -> np.ndarray:
+    """Ore's defect form of Hall's theorem, m - max over J of |J| - |N(J) - avoid|,
+    for each mask in `avoids`: an int array, one size per avoid, in order.
 
     Exhaustive over left sets and free of augmenting paths; the independent
-    cross-check for `max_matching`.  J = {} bounds the maximum below by 0.
+    cross-check for `max_matching`.  One array expression over
+    avoids x 2^m unions `pres.unions`, whose sizes come from
+    `bitset.bit_counts`, eight bits at a time, so no table over all 2^n
+    element masks is built at any n.  J = {} bounds the maximum below by 0.
     """
-    return pres.m - max(
-        j.bit_count() - (union & ~avoid).bit_count() for j, union in enumerate(pres.unions)
-    )
+    n = pres.ground.n
+    unions = bitset.mask_array(pres.unions, n)
+    avoids = bitset.mask_array(avoids, n)
+    free = bitset.bit_counts(unions[None, :] & ~avoids[:, None])
+    defect = bitset.set_sizes(pres.m).astype(np.int16) - free
+    return pres.m - defect.max(axis=1)
 
 
 def _matching_size(pres: BipartitePresentation):
@@ -306,6 +322,26 @@ class IntervalPresentation:
     def run_length(self, i: int, j: int) -> int:
         return (j - i) % self.m + 1
 
+    @cached_property
+    def interval_runs(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """(i, j, union, ends, length) for each cyclic run [i, j] of left
+        vertices whose `run_union` is the interval sigma(x_i, y_j), in
+        (i, j) order: `ends` holds the elements of the union that only N(i)
+        or only N(j) reach (the union minus the run [i + 1, j], and minus
+        the run [i, j - 1]; for i = j both runs are the whole cycle, so
+        `ends` is 0), and `length` is the `run_length`.  What
+        `classify_circuit` tests a circuit against."""
+        n, m = self.n, self.m
+        runs = []
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                union = self.run_union(i, j)
+                if union != bitset.cyclic_interval(n, self.xs[i - 1], self.ys[j - 1]):
+                    continue
+                inner = self.run_union(i % m + 1, j) & self.run_union(i, (j - 2) % m + 1)
+                runs.append((i, j, union, union & ~inner, self.run_length(i, j)))
+        return tuple(runs)
+
 
 @lru_cache(maxsize=None)
 def interval_presentation(n: int, s: int) -> IntervalPresentation:
@@ -374,34 +410,26 @@ def classify_circuit(
 ) -> CircuitClassification:
     """Classify a circuit of `oracle`, psi(n, s) for `pres` =
     `interval_presentation(n, s)`, or the same matroid as
-    `dual_transversal(pres.base)`."""
+    `dual_transversal(pres.base)`.
+
+    A circuit of n - m + 1 elements is spanning.  Otherwise the runs
+    [i, j] of `pres.interval_runs` are tried in (i, j) order, and the first
+    whose interval U holds the circuit C, with |C| = |U| - (j - i + 1) + 1,
+    C holding the elements only N(i) and only N(j) reach, and U in the
+    closure of C, classifies it; none leaves it unclassified.
+    """
     if oracle.n != pres.n:
         raise ValueError("the classified matroid must share the presentation's ground set")
     if not oracle.is_circuit(circuit):
         raise ValueError("classification requires a circuit of the dual matroid")
-    n, m = pres.n, pres.m
-    if circuit.bit_count() == n - m + 1:
+    size = circuit.bit_count()
+    if size == pres.n - pres.m + 1:
         return CircuitClassification("spanning")
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            union = pres.run_union(i, j)
-            interval = bitset.cyclic_interval(n, pres.xs[i - 1], pres.ys[j - 1])
-            if union != interval:
-                continue
-            if not bitset.is_subset(circuit, union):
-                continue
-            if circuit.bit_count() != union.bit_count() - pres.run_length(i, j) + 1:
-                continue
-            if i != j:
-                inner = pres.run_union(i % m + 1, j)
-                if not bitset.is_subset(union & ~inner, circuit):
-                    continue
-                inner = pres.run_union(i, (j - 2) % m + 1)
-                if not bitset.is_subset(union & ~inner, circuit):
-                    continue
-            # C lies in the interval and r(C) = |C| - 1, so the interval
-            # lies in cl(C) iff it has C's rank
-            if oracle.rank(interval) != circuit.bit_count() - 1:
-                continue
+    for i, j, union, ends, length in pres.interval_runs:
+        if circuit & ~union or ends & ~circuit or size != union.bit_count() - length + 1:
+            continue
+        # C lies in the interval and r(C) = |C| - 1, so the interval
+        # lies in cl(C) iff it has C's rank
+        if oracle.rank(union) == size - 1:
             return CircuitClassification("interval", i, j)
     return CircuitClassification("unclassified")

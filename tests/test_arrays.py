@@ -32,7 +32,7 @@ from cycmat import (
 )
 from cycmat import bitset, core
 from cycmat.constructions import free_spike, whirl
-from cycmat.suite import DEFAULT_SEED, FAMILY_NAMES, FixtureSet
+from cycmat.suite import DEFAULT_SEED, FAMILY_NAMES, FixtureSet, run_suite
 from cycmat.transversal import BipartitePresentation, transversal_matroid
 
 # peak traced allocation allowed for one n = 14 check; the unblocked pairwise
@@ -472,3 +472,53 @@ def test_exchange_sweep_memory_is_bounded(n14_fixtures):
     assert verify_matroid_axioms(oracle).ok  # fills the independence table first
     peak = _traced_peak(lambda: verify_matroid_axioms(oracle))
     assert peak < PEAK_BYTES, peak
+
+
+def _two_facet_oracle() -> MatroidOracle:
+    """The sets inside {1, 2} or {3}: downward closed, but {3} does not
+    extend from {1, 2}, so exchange fails.  It differs from U(1,3) only at
+    {1, 2}."""
+    independent = np.zeros(8, dtype=bool)
+    independent[[0b000, 0b001, 0b010, 0b100, 0b011]] = True
+    return MatroidOracle(GroundSet(3), lambda mask: bool(independent[mask]), table=lambda: independent)
+
+
+def test_sweep_runs_its_own_test_when_the_kept_family_has_another_table():
+    family = CircuitFamily.from_masks(3, [0b011, 0b101, 0b110])  # U(1,3)
+    assert validate_circuit_axioms(family, 3).ok and family.exchange_failure() is None
+    oracle = _two_facet_oracle()
+    oracle.derived("circuits", lambda: family)  # a passing verdict beside a failing table
+    report = verify_matroid_axioms(oracle)
+    assert report == VerificationReport("matroid-axioms", False, 8, (("exchange", (1, 2), (3,)),))
+
+
+def test_sweep_reads_the_verdict_of_a_family_on_the_same_table(monkeypatch):
+    oracle = _two_facet_oracle()
+    family = oracle.circuits()
+    assert not validate_circuit_axioms(family, 3).ok  # decides the family's exchange test
+    calls = []
+    monkeypatch.setattr(core, "_exchange_failure", lambda table: calls.append(table))
+    report = verify_matroid_axioms(oracle)
+    assert calls == []
+    assert report == VerificationReport("matroid-axioms", False, 8, (("exchange", (1, 2), (3,)),))
+
+
+def test_suite_runs_one_exchange_test_per_circuit_family(monkeypatch):
+    # 28 structural fixtures at max-n 14: each family's test is run once,
+    # by the spike builds or the circuit-axioms entries, and the exchange
+    # sweeps read it; before, every sweep ran the test again (60 runs)
+    calls = []
+    decide = core._exchange_failure
+    monkeypatch.setattr(core, "_exchange_failure", lambda table: calls.append(1) or decide(table))
+    report = run_suite(max_n=14)
+    assert report["summary"]["failed"] == 0
+    assert len(calls) == 28
+
+
+def test_exchange_test_of_a_family_refuses_above_the_cap(monkeypatch):
+    family = CircuitFamily.from_masks(10, psi(10, 3).circuits().members)
+    monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
+    with pytest.raises(CapExceeded):
+        family.exchange_failure()
+    monkeypatch.delenv(bitset.LATTICE_CAP_ENV)
+    assert family.exchange_failure() is None

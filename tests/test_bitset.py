@@ -1,3 +1,7 @@
+import random
+
+import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -85,3 +89,34 @@ def test_member_unions_is_the_union_of_the_masks_inside(n, masks):
             if bitset.is_subset(m, x):
                 want |= m
         assert union[x] == want
+
+
+def test_set_sizes_is_one_read_only_array_per_n():
+    sizes = bitset.set_sizes(9)
+    assert bitset.set_sizes(9) is sizes
+    assert sizes.tolist() == [m.bit_count() for m in range(1 << 9)]
+    with pytest.raises(ValueError):
+        sizes[3] = 0
+    with pytest.raises(ValueError):
+        np.add(sizes, 1, out=sizes)
+
+
+@pytest.mark.parametrize("n", [1, 8, 12, 62, 63, 70])
+def test_array_permute_equals_the_per_mask_permute(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        masks = [0, bitset.full_mask(n)] + [rng.getrandbits(n) for _ in range(40)]
+        image = bitset.permute_masks(bitset.mask_array(masks, n), perm)
+        assert image.tolist() == [bitset.permute(m, perm) for m in masks]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 14, 62, 63, 70])
+def test_bit_counts_equal_int_bit_count(n):
+    rng = random.Random(n)
+    masks = [0, bitset.full_mask(n)] + [rng.getrandbits(n) for _ in range(60)]
+    counts = bitset.bit_counts(bitset.mask_array(masks, n))
+    assert counts.tolist() == [m.bit_count() for m in masks]
+    grid = bitset.mask_array(masks, n).reshape(2, -1)
+    assert bitset.bit_counts(grid).tolist() == counts.reshape(2, -1).tolist()
+    assert bitset.bit_counts(bitset.mask_array([], n)).tolist() == []

@@ -18,7 +18,7 @@ import pytest
 
 from cycmat import GroundSet, MatroidOracle, bitset
 from cycmat.constructions import truncate
-from cycmat.core import _exchange_failure
+from cycmat.core import CircuitFamily, _exchange_failure
 from cycmat.suite import PSI_GRID, _deficiency_entry
 from cycmat.transversal import BipartitePresentation, interval_presentation
 from cycmat.weakmap import ElementBijection, is_weak_map_by_independence
@@ -248,7 +248,9 @@ def test_deficiency_entry_matches_the_loop(n, s, psi_oracles):
             else:  # a mask outside the ground set
                 corrupted.insert(rng.randrange(len(corrupted) + 1), rng.getrandbits(n) | 1 << n)
         rng.shuffle(corrupted)
-        stub = SimpleNamespace(n=n, ground=oracle.ground, circuits=lambda c=corrupted: c)
+        # `circuits()` returns a family, here one kept in the corrupted order
+        family = CircuitFamily(n, tuple(corrupted))
+        stub = SimpleNamespace(n=n, ground=oracle.ground, circuits=lambda c=family: c)
         expected = _deficiency_loop(pres, stub)
         assert _deficiency_entry(pres, stub) == expected
         failures += not expected[0]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -120,7 +121,7 @@ def test_witness_certifies_deficiency():
     for _ in range(120):
         avoid = rng.getrandbits(12)
         result = max_matching(pres.base, avoid)
-        assert result.size == brute_force_matching_size(pres.base, avoid)
+        assert result.size == brute_force_matching_size(pres.base, [avoid])[0]
         if not result.complete:
             union = pres.base.neighborhood_union(result.witness)
             deficiency = len(result.witness) - (union & ~avoid).bit_count()
@@ -205,7 +206,7 @@ def presentations_and_avoids(draw):
 @given(presentations_and_avoids())
 def test_defect_formula_matches_augmenting_paths_and_recursion(case):
     pres, avoid = case
-    size = brute_force_matching_size(pres, avoid)
+    (size,) = brute_force_matching_size(pres, [avoid])
     assert size == max_matching(pres, avoid).size
     assert size == reference_matching_size(pres, avoid)
 
@@ -601,3 +602,174 @@ def test_interval_run_union():
     assert pres.run_union(1, 2) == bitset.cyclic_interval(8, 1, 5)
     assert pres.run_union(4, 1) == bitset.cyclic_interval(8, 7, 3)
     assert pres.run_length(4, 1) == 2
+
+
+def reference_defect_sizes(pres, avoids):
+    """Ore's defect one avoid at a time, the loop the array form replaced."""
+    return [
+        pres.m - max(j.bit_count() - (union & ~avoid).bit_count() for j, union in enumerate(pres.unions))
+        for avoid in avoids
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 5, 10, 14, 62, 63, 70])
+def test_array_defect_equals_the_per_avoid_defect(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        m = rng.randint(1, 7)
+        nbrs = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)]
+        nbrs[rng.randrange(m)] = nbrs[rng.randrange(m)]  # a repeated neighbourhood
+        pres = BipartitePresentation(GroundSet(n), tuple(nbrs))
+        avoids = [0, pres.ground.full] + [rng.getrandbits(n) for _ in range(12)]
+        assert brute_force_matching_size(pres, avoids).tolist() == reference_defect_sizes(pres, avoids)
+        assert brute_force_matching_size(pres, []).tolist() == []
+
+
+def reference_matching_entry(pres, seed, matching=max_matching):
+    """The entry's loop before the defect ran on all avoids at once."""
+    rng = random.Random(seed)
+    n = pres.n
+    avoids = [0] + [1 << i for i in range(n)] + [rng.getrandbits(n) for _ in range(40)]
+    for avoid in avoids:
+        avoid &= pres.base.ground.full
+        fast = matching(pres.base, avoid)
+        (slow,) = reference_defect_sizes(pres.base, [avoid])
+        if fast.size != slow:
+            return False, {"avoid": list(bitset.indices(avoid)), "fast": fast.size, "slow": slow}
+        if fast.size < pres.m:
+            lefts = fast.witness
+            union = pres.base.unions[bitset.mask_of(lefts)]
+            if len(lefts) - (union & ~avoid).bit_count() != pres.m - fast.size:
+                return False, {"avoid": list(bitset.indices(avoid)), "witness": list(lefts)}
+    return True, None
+
+
+@pytest.mark.parametrize("n, s", [(n, s) for n, s in PSI_GRID if n <= 12])
+def test_matching_entry_keeps_the_first_failing_avoid(n, s, monkeypatch):
+    from cycmat import suite
+
+    pres = interval_presentation(n, s)
+    assert suite._matching_entry(pres, 7) == reference_matching_entry(pres, 7) == (True, None)
+
+    def off_by_one(base, avoid=0):
+        result = max_matching(base, avoid)
+        if avoid.bit_count() % 3 == 2:  # a wrong size on some avoids, never the first
+            return transversal.MatchingResult(result.size + 1, result.pairs, result.witness)
+        return result
+
+    expected = reference_matching_entry(pres, 7, off_by_one)
+    monkeypatch.setattr(suite, "max_matching", off_by_one)
+    assert not expected[0]
+    assert suite._matching_entry(pres, 7) == expected
+
+
+def reference_classify(oracle, pres, circuit):
+    """The m^2 loop over runs, each union rebuilt, that `interval_runs` replaced."""
+    if oracle.n != pres.n:
+        raise ValueError("the classified matroid must share the presentation's ground set")
+    if not oracle.is_circuit(circuit):
+        raise ValueError("classification requires a circuit of the dual matroid")
+    n, m = pres.n, pres.m
+    if circuit.bit_count() == n - m + 1:
+        return transversal.CircuitClassification("spanning")
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            union = pres.run_union(i, j)
+            interval = bitset.cyclic_interval(n, pres.xs[i - 1], pres.ys[j - 1])
+            if union != interval or not bitset.is_subset(circuit, union):
+                continue
+            if circuit.bit_count() != union.bit_count() - pres.run_length(i, j) + 1:
+                continue
+            if i != j:
+                if not bitset.is_subset(union & ~pres.run_union(i % m + 1, j), circuit):
+                    continue
+                if not bitset.is_subset(union & ~pres.run_union(i, (j - 2) % m + 1), circuit):
+                    continue
+            if oracle.rank(interval) != circuit.bit_count() - 1:
+                continue
+            return transversal.CircuitClassification("interval", i, j)
+    return transversal.CircuitClassification("unclassified")
+
+
+@pytest.mark.parametrize("n, s", [(n, s) for n, s in PSI_GRID if n <= 12])
+def test_classification_over_kept_runs_equals_the_loop(n, s, psi_oracles):
+    pres, oracle = interval_presentation(n, s), psi_oracles[(n, s)]
+    for circuit in oracle.circuits():
+        assert classify_circuit(oracle, pres, circuit) == reference_classify(oracle, pres, circuit)
+    # the lone circuit of psi(10,3)'s interval run [1, 2] is left unclassified
+    pres = interval_presentation(10, 3)
+    circuit = bitset.mask_of([1, 2, 4, 5])
+    lone = oracle_from_circuits(GroundSet(10), [circuit])
+    assert classify_circuit(lone, pres, circuit) == reference_classify(lone, pres, circuit)
+    assert classify_circuit(lone, pres, circuit).kind == "unclassified"
+    # U(3,5) on e_1..e_5: {1,2,3,4} fills run [1, 2]'s interval {1..5} up to
+    # rank and size, but misses e_5, which only N(2) reaches
+    quads = [bitset.mask_of(q) for q in itertools.combinations(range(1, 6), 4)]
+    uniform_part = oracle_from_circuits(GroundSet(10), quads)
+    for quad in quads:
+        assert classify_circuit(uniform_part, pres, quad) == reference_classify(uniform_part, pres, quad)
+    assert classify_circuit(uniform_part, pres, bitset.mask_of([1, 2, 3, 4])).kind == "unclassified"
+    for route in (classify_circuit, reference_classify):
+        with pytest.raises(ValueError, match="requires a circuit"):
+            route(psi(10, 3), pres, bitset.mask_of([1, 2]))
+
+
+def test_interval_runs_are_the_runs_whose_union_is_the_interval():
+    pres = interval_presentation(12, 4)
+    m = pres.m
+    runs = {(i, j): rest for i, j, *rest in pres.interval_runs}
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            union = pres.run_union(i, j)
+            interval = bitset.cyclic_interval(12, pres.xs[i - 1], pres.ys[j - 1])
+            assert ((i, j) in runs) == (union == interval)
+    assert list(runs) == sorted(runs)
+    assert runs[(1, 1)] == [pres.base.neighborhoods[0], 0, 1]
+    # N(1) | N(2) = {1..6}: only N(1) reaches 1, 2 and only N(2) reaches 5, 6
+    assert runs[(1, 2)] == [bitset.mask_of(range(1, 7)), bitset.mask_of([1, 2, 5, 6]), 2]
+
+
+def reference_augment(root, adjacency, match_of_right):
+    """`_augment` without its first-step shortcut: every search on the stack."""
+    seen = 0
+    stack = [(root, bitset.singletons(adjacency[root]))]
+    path = []
+    while stack:
+        bit = next(stack[-1][1], None)
+        if bit is None:
+            stack.pop()
+            del path[-1:]
+            continue
+        seen |= bit
+        path.append(bit)
+        holder = match_of_right.get(bit)
+        if holder is None:
+            for (left, _), right in zip(stack, path):
+                match_of_right[right] = left
+            return True
+        stack.append((holder, bitset.singletons(adjacency[holder] & ~seen)))
+    return False
+
+
+def _chain_presentation():
+    nbrs = [bitset.mask_of([i, i + 1]) for i in range(1, 1500)] + [bitset.mask_of([1])]
+    return BipartitePresentation(GroundSet(1501), tuple(nbrs))
+
+
+def test_first_step_shortcut_keeps_pairs_and_witness(monkeypatch):
+    rng = random.Random(20261020)
+    cases = []
+    for _ in range(300):
+        n, m = rng.randint(1, 20), rng.randint(1, 12)
+        nbrs = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)]
+        nbrs[rng.randrange(m)] = nbrs[rng.randrange(m)]
+        pres = BipartitePresentation(GroundSet(n), tuple(nbrs))
+        cases += [(pres, 0), (pres, rng.getrandbits(n)), (pres, pres.ground.full)]
+    cases.append((_chain_presentation(), 0))
+    cases.append((_chain_presentation(), bitset.mask_of([1])))
+    got = [max_matching(pres, avoid) for pres, avoid in cases]
+    with monkeypatch.context() as patch:
+        patch.setattr(transversal, "_augment", reference_augment)
+        want = [max_matching(pres, avoid) for pres, avoid in cases]
+    assert got == want
+    assert any(not result.complete for result in got) and any(result.complete for result in got)
