@@ -299,7 +299,7 @@ def mask_array(masks: Iterable[int] | np.ndarray, n: int = 0) -> np.ndarray:
     give the same results on both.  An array of either kind is kept."""
     if not isinstance(masks, np.ndarray):
         masks = list(masks)
-        masks = np.array(masks, dtype=object if max(masks, default=0).bit_length() > WORD_BITS else np.int64)
+        masks = np.array(masks, dtype=object if int(max(masks, default=0)).bit_length() > WORD_BITS else np.int64)
     if n > WORD_BITS and masks.dtype != object:
         masks = masks.astype(object)
     return masks

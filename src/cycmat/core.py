@@ -39,37 +39,44 @@ class GroundSet:
         return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircuitFamily:
-    """Complete list of minimal dependent sets, canonically sorted, and the
-    one test of "does X contain a member?" (`contains_member`)."""
+    """Complete list of minimal dependent sets, held once as the mask array
+    `masks` in the given order (`from_masks` sorts), and the one test of
+    "does X contain a member?" (`contains_member`).  A negative mask raises
+    `ValueError`.  Families are equal when n and masks are; none is hashable."""
 
     n: int
-    members: tuple[int, ...]
-    _masks: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
-    _dependence: bytearray | None = field(default=None, init=False, compare=False, repr=False)
+    masks: np.ndarray
+    _dependence: bytearray | None = field(default=None, init=False, repr=False)
     # (`_exchange_failure` of the sets `_dependence` leaves out,) once decided
-    _exchange: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _exchange: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        masks = bitset.mask_array(self.masks, self.n)
+        if len(masks) and masks.min() < 0:
+            raise ValueError("member masks must be nonnegative")
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int] | np.ndarray) -> "CircuitFamily":
-        """The distinct `masks`, given as Python ints or as a numpy array.
-        The family keeps the sorted `bitset.mask_array` for `index_runs`."""
-        ordered = bitset.canonical_sort(masks, n)
-        family = cls(n, tuple(ordered.tolist()))
-        object.__setattr__(family, "_masks", ordered)
-        return family
+        """The distinct `masks`, given as Python ints or as a numpy array, in
+        `bitset.canonical_sort` order."""
+        return cls(n, bitset.canonical_sort(masks, n))
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The members as Python ints, in order: a tuple built on each call."""
+        return tuple(self.masks.tolist())
 
     def __iter__(self):
-        return iter(self.members)
+        return iter(self.masks.tolist())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
-    def mask_array(self) -> np.ndarray:
-        """The members as a `bitset.mask_array`, in member order: the one
-        `from_masks` kept, or one built from `members`."""
-        return bitset.mask_array(self.members, self.n) if self._masks is None else self._masks
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CircuitFamily) and self.n == other.n and np.array_equal(self.masks, other.masks)
 
     def dependence(self) -> bytearray | None:
         """The members' `bitset.dependence_table`, built on the first call up
@@ -77,7 +84,7 @@ class CircuitFamily:
         not kept, so a family first asked under a lowered cap still builds
         its table when asked under a higher one."""
         if self._dependence is None and self.n <= bitset.lattice_cap():
-            object.__setattr__(self, "_dependence", bitset.dependence_table(self.n, self.mask_array()))
+            object.__setattr__(self, "_dependence", bitset.dependence_table(self.n, self.masks))
         return self._dependence
 
     def exchange_failure(self) -> tuple | None:
@@ -94,12 +101,11 @@ class CircuitFamily:
         return self._exchange[0]
 
     def contains_member(self, mask: int) -> bool:
-        """Does `mask` contain some member?  One lookup in `dependence`, or a
-        scan over the members above the cap."""
+        """Does `mask` contain some member?  One lookup in `dependence`, or
+        one array expression over the members above the cap."""
         table = self.dependence()
         if table is None:
-            outside = ~mask
-            return any(m & outside == 0 for m in self.members)
+            return not (self.masks & ~mask).all()  # some member leaves no bit outside mask
         return bool(table[mask])
 
     def index_runs(self) -> list[np.ndarray]:
@@ -107,13 +113,12 @@ class CircuitFamily:
         ``(count, size)`` array per run of consecutive members of one size,
         in member order.
 
-        The bits of all members are unpacked once, by a shift loop over the
-        `bitset.mask_array` that `from_masks` kept (an object array above
-        `bitset.WORD_BITS`), and each run is reshaped in one step: the
-        canonical order sorts by size first, so a family has one run per
-        size.
+        The bits of all members are unpacked once, by a shift loop over
+        `masks` (an object array above `bitset.WORD_BITS`), and each run is
+        reshaped in one step: the canonical order sorts by size first, so a
+        family from `from_masks` has one run per size.
         """
-        masks = self.mask_array()
+        masks = self.masks
         width = bitset.max_width(masks, self.n)
         bits = np.empty((len(masks), width), dtype=bool)
         for b in range(width):
@@ -447,21 +452,21 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
     ascending.  A member outside the ground set leaves elimination
     undefined, so it is not tested then.  Raw masks (numpy integers
     included), or a family over another n, are wrapped in input order as one
-    `CircuitFamily` of Python ints.
+    `CircuitFamily`; a negative mask raises `ValueError`.
     """
     if not isinstance(family, CircuitFamily) or family.n != n:
-        family = CircuitFamily(n, tuple(map(int, family)))  # unsorted: the witnesses keep the input's order
-    members = family.members
-    violations: list[tuple[str, tuple]] = []
+        family = CircuitFamily(n, list(family))  # unsorted: the witnesses keep the input's order
     full = bitset.full_mask(n)
+    in_range = not (family.masks & ~full).any()
+    if in_range and family.masks.all() and _is_matroid_family(family):  # no member empty
+        return VerificationReport("circuit-axioms", True, len(family))
+    members = family.masks.tolist()
+    violations: list[tuple[str, tuple]] = []
     for c in members:
         if c == 0:
             violations.append(("empty-circuit", ()))
         if c & ~full:
             violations.append(("out-of-range", (bitset.indices(c),)))
-    in_range = not any(kind == "out-of-range" for kind, _ in violations)
-    if not violations and _is_matroid_family(family):
-        return VerificationReport("circuit-axioms", True, len(members))
     antichain: list[tuple[str, tuple]] = []
     elimination: list[tuple[str, tuple]] = []
     for a, b in itertools.combinations(members, 2):
@@ -485,12 +490,11 @@ def _is_matroid_family(family: CircuitFamily) -> bool:
     on the family's `dependence` table (False above the cap, where it has
     none)?  Iff they are distinct, no C - e contains a member, and the sets
     that contain none pass the exchange test."""
-    table = family.dependence()
-    members = family.members
-    if table is None or len(set(members)) != len(members):
+    table, masks = family.dependence(), family.masks
+    ordered = np.sort(masks)
+    if table is None or (ordered[1:] == ordered[:-1]).any():  # sorted, a repeated member is adjacent
         return False
     dependent = np.frombuffer(table, dtype=np.uint8)
-    masks = family.mask_array()
     for b in range(family.n):
         if dependent[masks[(masks >> b) & 1 == 1] ^ (1 << b)].any():
             return False

@@ -278,7 +278,7 @@ def _structural_checks(fixtures: FixtureSet, record) -> None:
 
 
 def _orthogonality_entry(oracle: MatroidOracle) -> tuple[bool, Any]:
-    pair = orthogonality_violation(oracle.circuits(), oracle.cocircuits(), oracle.n)
+    pair = orthogonality_violation(oracle.circuits().masks, oracle.cocircuits().masks, oracle.n)
     if pair is None:
         return True, None
     return False, _mask_list(pair)
@@ -319,8 +319,8 @@ def _dual_equivalence_entry(pres) -> tuple[bool, Any]:
 
 def _self_duality_entry(n: int, s: int, oracle: MatroidOracle) -> tuple[bool, Any]:
     perm = self_duality_map(n, s)
-    image = bitset.permute_masks(oracle.circuits().mask_array(), perm)
-    return _family_difference(set(oracle.cocircuits().members), set(image.tolist()))
+    image = bitset.permute_masks(oracle.circuits().masks, perm)
+    return _family_difference(set(oracle.cocircuits()), set(image.tolist()))
 
 
 def _family_difference(expected: set[int], actual: set[int]) -> tuple[bool, Any]:
@@ -349,7 +349,7 @@ def _deficiency_entry(pres, oracle: MatroidOracle) -> tuple[bool, Any]:
     in family order, then J by mask."""
     n, full = oracle.n, oracle.ground.full
     sizes, j_sizes = bitset.set_sizes(n), bitset.set_sizes(pres.base.m)
-    circuits = oracle.circuits().mask_array()[:, None]
+    circuits = oracle.circuits().masks[:, None]
     unions = np.array(pres.base.unions, dtype=np.int64)
     deficient = sizes[unions & ~circuits] < j_sizes
     # a circuit outside the ground set is never inside N(J), whatever its size
@@ -500,8 +500,8 @@ def _relation_checks(fixtures: FixtureSet, record) -> None:
             record("quotient-truncation", params,
                    lambda: is_quotient(fx.oracle, fixtures.build(truncate, fx.oracle, 1)).ok)
             record("truncation-circuits", params, lambda: _family_difference(
-                set(truncation_circuits(fx.oracle, 1).members),
-                set(fixtures.build(truncate, fx.oracle, 1).circuits().members)))
+                set(truncation_circuits(fx.oracle, 1)),
+                set(fixtures.build(truncate, fx.oracle, 1).circuits())))
 
 
 def _pipeline_entry(fixtures: FixtureSet, oracle: MatroidOracle, st: STParams) -> tuple[bool, Any]:

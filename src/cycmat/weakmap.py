@@ -78,11 +78,7 @@ def is_weak_map_by_independence(
     phi = phi or ElementBijection.identity(source.n)
     if len(phi.mapping) != source.n:
         raise ValueError("bijection size must match the ground sets")
-    # image[X] = phi^{-1}(X), one `bitset.halves` pass per element
-    image = np.zeros(1 << target.n, dtype=np.int64)
-    for b, j in enumerate(phi.inverse().mapping):
-        _, with_ = bitset.halves(image, b)
-        np.bitwise_or(with_, 1 << (j - 1), out=with_, order="C")
+    image = bitset.permute_masks(np.arange(1 << target.n), phi.inverse().mapping)  # phi^{-1}(X) at X
     failing = np.flatnonzero(target.independence_table() & ~source.independence_table()[image])
     witnesses = (int(image[failing[0]]),) if len(failing) else ()
     return VerificationReport("weak-map", not witnesses, len(image), witnesses)
@@ -101,11 +97,10 @@ def is_quotient(upper: MatroidOracle, lower: MatroidOracle) -> VerificationRepor
     if upper.n != lower.n:
         raise ValueError("quotients need a common ground set")
     bitset.require_cap("the quotient test", upper.n, bitset.lattice_cap())
-    circuits = upper.circuits().members
-    union = bitset.member_unions(upper.n, lower.circuits().members)
-    cs = np.array(circuits, dtype=np.int64)
-    failing = np.flatnonzero(union[cs] != cs)
-    witnesses = (circuits[failing[0]],) if len(failing) else ()
+    circuits = upper.circuits().masks
+    union = bitset.member_unions(upper.n, lower.circuits().masks)
+    failing = np.flatnonzero(union[circuits] != circuits)
+    witnesses = (int(circuits[failing[0]]),) if len(failing) else ()
     return VerificationReport("quotient", not witnesses, len(circuits), witnesses)
 
 

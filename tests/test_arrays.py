@@ -439,6 +439,33 @@ def _traced_peak(thunk) -> int:
         tracemalloc.stop()
 
 
+def _traced_kept(thunk) -> tuple[object, int]:
+    """`thunk()` and the traced bytes still allocated once it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = thunk()
+        return value, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+# bytes a family may keep beside its mask array: the object and the array header
+FAMILY_OVERHEAD_BYTES = 4096
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["ints", "array"])
+def test_family_holds_its_members_once(as_array):
+    # masks above 256 are new int objects, not Python's cached small ints, so a
+    # tuple of them beside the array would show (about 6x the array's bytes)
+    masks = list(range(257, 257 + 50_000))
+    given = np.array(masks, dtype=np.int64) if as_array else masks
+    family, kept = _traced_kept(lambda: CircuitFamily.from_masks(16, given))
+    assert len(family) == len(masks)
+    array_bytes = np.dtype(np.int64).itemsize * len(masks)
+    assert kept <= array_bytes + FAMILY_OVERHEAD_BYTES, (kept, array_bytes)
+
+
 def test_passing_n14_family_visits_no_pair(n14_fixtures, monkeypatch):
     def no_pairs(*args):
         raise AssertionError("a passing family walked its pairs")

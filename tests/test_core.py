@@ -152,6 +152,94 @@ def test_family_from_an_int64_array_equals_family_from_ints(n, masks):
     assert all(type(m) is int for m in from_array.members)
 
 
+def _inputs(n: int, masks: list[int]) -> dict:
+    """The same masks as every input a family takes: a list, a tuple, an int64
+    array while they fit in `bitset.WORD_BITS`, an object array above it."""
+    inputs = {"list": list(masks), "tuple": tuple(masks)}
+    if max(masks, default=0).bit_length() <= bitset.WORD_BITS:
+        inputs["int64"] = np.array(masks, dtype=np.int64)
+    if n > bitset.WORD_BITS:
+        inputs["object"] = np.array(masks, dtype=object)
+    return inputs
+
+
+@st.composite
+def sized_masks(draw, min_n: int = 1, max_n: int = 80, max_size: int = 30):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=bitset.full_mask(n)), max_size=max_size))
+    return n, masks
+
+
+@settings(max_examples=200)
+@given(sized_masks())
+@example((70, [1 << 69 | 1, 0b11, 1 << 69 | 1]))  # a repeated member above WORD_BITS
+@example((5, []))
+def test_family_is_the_same_from_every_input(case):
+    n, masks = case
+    for build, expected in ((CircuitFamily, tuple(masks)),
+                            (CircuitFamily.from_masks, tuple(sorted(set(masks), key=bitset.subset_key)))):
+        for kind, given_masks in _inputs(n, masks).items():
+            family = build(n, given_masks)
+            assert family == build(n, masks), kind
+            assert family.members == expected and all(type(m) is int for m in family.members), kind
+            assert len(family) == len(expected) and list(family) == list(expected), kind
+            assert family.as_indices() == [list(bitset.indices(m)) for m in expected], kind
+
+
+@given(sized_masks())
+def test_families_that_differ_compare_unequal(case):
+    n, masks = case
+    family = CircuitFamily(n, masks)
+    assert family != CircuitFamily(n + 1, masks)
+    assert family != CircuitFamily(n, [*masks, 0])
+    if masks:
+        assert family != CircuitFamily(n, masks[1:])
+        changed = [masks[0] ^ 1, *masks[1:]]
+        assert family != CircuitFamily(n, changed)
+    assert family != list(masks)
+    with pytest.raises(TypeError):
+        hash(family)
+
+
+@settings(max_examples=100)
+@given(sized_masks(min_n=2, max_n=9, max_size=12))
+def test_contains_member_agrees_between_the_table_and_the_scan(case):
+    n, masks = case
+    expected = np.frombuffer(CircuitFamily(n, masks).dependence(), dtype=np.uint8).astype(bool).tolist()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(bitset.LATTICE_CAP_ENV, str(n - 1))
+        scanned = CircuitFamily(n, masks)
+        assert scanned.dependence() is None
+        assert [scanned.contains_member(x) for x in range(1 << n)] == expected
+
+
+@settings(max_examples=100)
+@given(sized_masks(), st.lists(st.integers(min_value=0, max_value=(1 << 80) - 1), max_size=10))
+def test_contains_member_scan_matches_the_member_loop(case, probes):
+    # above the lattice cap, on int64 and object arrays alike
+    n, masks = case
+    probes = [x & bitset.full_mask(n) for x in probes] + [0, bitset.full_mask(n)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(bitset.LATTICE_CAP_ENV, "1")
+        for kind, given_masks in _inputs(n, masks).items():
+            family = CircuitFamily(n, given_masks)
+            for x in probes:
+                assert family.contains_member(x) == any(m & ~x == 0 for m in masks), (kind, x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: validate_circuit_axioms([-1], 3),
+    lambda: oracle_from_circuits(GroundSet(3), [-2]),
+    lambda: oracle_from_circuits(GroundSet(3), [-2], validate=False).rank(),
+    lambda: CircuitFamily(70, [1 << 69, -(1 << 69)]),
+    lambda: CircuitFamily.from_masks(4, np.array([3, -1])),
+], ids=["validate", "oracle", "oracle-unvalidated", "object-array", "from-masks"])
+def test_negative_member_mask_is_refused(call):
+    # it used to loop forever naming its indices, or wrap -2 to the mask 0b110
+    with pytest.raises(ValueError, match="nonnegative"):
+        call()
+
+
 def test_circuits_cap():
     with pytest.raises(CapExceeded):
         uniform(2, 21).circuits()
