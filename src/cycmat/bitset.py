@@ -113,6 +113,7 @@ def canonical_sort(masks: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
     `mask_array`, then one ``np.lexsort``; masks wider than `WORD_BITS`
     run the same expressions on an object array.  The width is
     max(n, widest mask), so masks outside the n elements sort as well.
+    The result is fresh and read-only.
     """
     masks = mask_array(masks, n)
     width = max_width(masks, n)
@@ -124,7 +125,9 @@ def canonical_sort(masks: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
     ordered = masks[np.lexsort((-reversed_, size))]
     distinct = np.ones(len(ordered), dtype=bool)
     distinct[1:] = ordered[1:] != ordered[:-1]  # equal masks sort next to each other
-    return ordered[distinct]
+    ordered = ordered[distinct]
+    ordered.flags.writeable = False
+    return ordered
 
 
 def cyclic_interval(n: int, i: int, j: int) -> int:

@@ -41,10 +41,12 @@ class GroundSet:
 
 @dataclass(frozen=True, eq=False)
 class CircuitFamily:
-    """Complete list of minimal dependent sets, held once as the mask array
-    `masks` in the given order (`from_masks` sorts), and the one test of
-    "does X contain a member?" (`contains_member`).  A negative mask raises
-    `ValueError`.  Families are equal when n and masks are; none is hashable."""
+    """Complete list of minimal dependent sets, held once as the read-only
+    mask array `masks` in the given order (`from_masks` sorts), and the one
+    test of "does X contain a member?" (`contains_member`).  A caller's
+    array is copied unless it is read-only and owns its data.  A negative
+    mask raises `ValueError`.  Families are equal when n and masks are;
+    none is hashable."""
 
     n: int
     masks: np.ndarray
@@ -54,8 +56,11 @@ class CircuitFamily:
 
     def __post_init__(self) -> None:
         masks = bitset.mask_array(self.masks, self.n)
+        if masks is self.masks and (masks.flags.writeable or masks.base is not None):
+            masks = masks.copy()  # the caller's array: keep one that no caller can write
         if len(masks) and masks.min() < 0:
             raise ValueError("member masks must be nonnegative")
+        masks.flags.writeable = False
         object.__setattr__(self, "masks", masks)
 
     @classmethod
@@ -89,9 +94,10 @@ class CircuitFamily:
 
     def exchange_failure(self) -> tuple | None:
         """`_exchange_failure` of the sets that contain no member, run once on
-        the `dependence` table and kept, so that `verify_matroid_axioms`
-        can read the verdict of an oracle with the same table.  With no
-        table (above the `bitset.lattice_cap`) it raises `CapExceeded`."""
+        the `dependence` table and kept: the one exchange test, which
+        `validate_circuit_axioms` and `verify_matroid_axioms` both read, in
+        either order.  With no table (above the `bitset.lattice_cap`) it
+        raises `CapExceeded`."""
         if self._exchange is None:
             table = self.dependence()
             if table is None:
@@ -532,12 +538,14 @@ def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
 
     Reads the oracle's independence table, the predicate's answer on every
     subset (shared with circuit enumeration, filled on first use); above
-    the `bitset.lattice_cap` it raises `CapExceeded`.  The exchange test is
-    `_exchange_failure`, which also decides circuit families: when the
-    oracle's kept circuit family has already decided it
-    (`CircuitFamily.exchange_failure`) on a dependence table that is the
-    exact complement of the independence table, mask for mask, the sweep
-    reads that verdict; otherwise it runs the test on its own table.
+    the `bitset.lattice_cap` it raises `CapExceeded`.  Downward closure and
+    exchange are read off the oracle's circuits: a downward-closed table
+    marks exactly the sets that contain no circuit; else the lowest mask X
+    where the two differ is independent over a dependent set, and since no
+    X - e is such a set, some X - e is dependent.  When they agree, the
+    verdict is the family's `CircuitFamily.exchange_failure`, run once
+    whichever check asks first.  A kept family from another table raises
+    `RuntimeError`.
     """
     n = oracle.n
     bitset.require_cap("the exchange sweep", n, bitset.lattice_cap())
@@ -545,21 +553,19 @@ def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
     if not independent[0]:
         return VerificationReport("matroid-axioms", False, 1, (("empty-set",),))
     checked = 1 << n
-    broken = np.flatnonzero(independent & ~bitset.all_maximal_subsets(independent))
-    if len(broken):
-        m = int(broken[0])
-        bit = next(b for b in bitset.singletons(m) if not independent[m ^ b])
+    family = oracle.circuits()
+    dependent = np.frombuffer(family.dependence(), dtype=np.uint8)  # 1 where a circuit lies inside
+    differ = np.flatnonzero(dependent == independent)  # marked in both tables, or in neither
+    if len(differ):
+        m = int(differ[0])
+        bit = next((b for b in bitset.singletons(m) if not independent[m ^ b]), None)
+        if bit is None or not independent[m]:
+            raise RuntimeError(f"the kept circuit family is not the independence table's at mask {m}")
         return VerificationReport(
             "matroid-axioms", False, checked,
             (("downward-closure", bitset.indices(m), bit.bit_length()),),
         )
-    family = oracle.kept("circuits")
-    if family is not None and family._exchange is not None and np.array_equal(
-        np.frombuffer(family._dependence, dtype=np.uint8) == 0, independent
-    ):
-        witness = family._exchange[0]
-    else:
-        witness = _exchange_failure(independent)
+    witness = family.exchange_failure()
     return VerificationReport(
         "matroid-axioms", witness is None, checked, () if witness is None else (witness,)
     )

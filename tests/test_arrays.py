@@ -515,8 +515,8 @@ def test_sweep_runs_its_own_test_when_the_kept_family_has_another_table():
     assert validate_circuit_axioms(family, 3).ok and family.exchange_failure() is None
     oracle = _two_facet_oracle()
     oracle.derived("circuits", lambda: family)  # a passing verdict beside a failing table
-    report = verify_matroid_axioms(oracle)
-    assert report == VerificationReport("matroid-axioms", False, 8, (("exchange", (1, 2), (3,)),))
+    with pytest.raises(RuntimeError, match="at mask 3"):  # {1, 2}: independent, all of its subsets too
+        verify_matroid_axioms(oracle)
 
 
 def test_sweep_reads_the_verdict_of_a_family_on_the_same_table(monkeypatch):
@@ -530,10 +530,23 @@ def test_sweep_reads_the_verdict_of_a_family_on_the_same_table(monkeypatch):
     assert report == VerificationReport("matroid-axioms", False, 8, (("exchange", (1, 2), (3,)),))
 
 
+@pytest.mark.parametrize("sweep_first", [True, False], ids=["sweep-first", "axioms-first"])
+def test_one_exchange_test_per_table_in_either_order(monkeypatch, sweep_first):
+    # the first check to ask runs the family's test; the other reads its verdict
+    calls = []
+    decide = core._exchange_failure
+    monkeypatch.setattr(core, "_exchange_failure", lambda table: calls.append(1) or decide(table))
+    oracle = psi(16, 5)
+    checks = [lambda: verify_matroid_axioms(oracle), lambda: validate_circuit_axioms(oracle.circuits(), 16)]
+    for check in checks if sweep_first else checks[::-1]:
+        assert check().ok
+    assert len(calls) == 1
+
+
 def test_suite_runs_one_exchange_test_per_circuit_family(monkeypatch):
     # 28 structural fixtures at max-n 14: each family's test is run once,
-    # by the spike builds or the circuit-axioms entries, and the exchange
-    # sweeps read it; before, every sweep ran the test again (60 runs)
+    # by whichever of the spike builds, the circuit-axioms entries and the
+    # exchange sweeps asks first; once every sweep ran the test again (60 runs)
     calls = []
     decide = core._exchange_failure
     monkeypatch.setattr(core, "_exchange_failure", lambda table: calls.append(1) or decide(table))

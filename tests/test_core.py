@@ -240,6 +240,41 @@ def test_negative_member_mask_is_refused(call):
         call()
 
 
+def _read_only_view(masks: np.ndarray) -> np.ndarray:
+    view = masks.view()
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.parametrize("n, dtype", [(2, np.int64), (70, object)])
+@pytest.mark.parametrize("share", [lambda a: a, lambda a: a[:], _read_only_view],
+                         ids=["array", "view", "read-only-view"])
+def test_family_keeps_masks_that_no_caller_can_write(n, dtype, share):
+    given = np.array([3], dtype=dtype)
+    family = CircuitFamily(n, share(given))
+    assert not family.contains_member(1)  # up to the cap, this builds the kept table
+    given[0] = 1
+    assert family.members == (3,) and not family.contains_member(1)
+    with pytest.raises(ValueError, match="read-only"):
+        family.masks[0] = 1
+    assert family.members == (3,)
+
+
+def test_family_keeps_the_canonical_sort_without_a_copy(monkeypatch):
+    sorted_masks = []
+    canonical_sort = bitset.canonical_sort
+
+    def recorded(*args):
+        sorted_masks.append(canonical_sort(*args))
+        return sorted_masks[-1]
+
+    monkeypatch.setattr(bitset, "canonical_sort", recorded)
+    family = CircuitFamily.from_masks(3, np.array([6, 3, 5]))
+    [kept] = sorted_masks
+    assert family.masks is kept and not kept.flags.writeable
+    assert family.members == (3, 5, 6)
+
+
 def test_circuits_cap():
     with pytest.raises(CapExceeded):
         uniform(2, 21).circuits()

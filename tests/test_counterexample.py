@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from cycmat import bitset, psi, uniform
@@ -181,6 +183,30 @@ def test_rank_bound_rejects_parameters():
         rank_bound_contradiction(ForcedLedger(12, 3), psi(12, 3))
     with pytest.raises(ValueError, match="the ledger is for n=12, the oracle has n=16"):
         rank_bound_contradiction(forced_dependents(12, 5), psi(16, 5))
+
+
+# the spanning entries of forced_dependents(16, 5): e_1..e_3 and e_11..e_13
+# with one of e_14, e_15, e_16, keyed by that element last
+SPANNING_16_5 = [(11, 3, 3, x) for x in (14, 15, 16)]
+
+
+def test_rank_bound_needs_every_spanning_entry():
+    ledger = forced_dependents(16, 5)
+    assert [bitset.indices(ledger.entries[k].target)[-1] for k in SPANNING_16_5] == [14, 15, 16]
+    del ledger.entries[SPANNING_16_5[1]]
+    with pytest.raises(RuntimeError, match=r"missing the spanning entry \(11, 3, 3, 15\)"):
+        rank_bound_contradiction(ledger, psi(16, 5))
+
+
+@pytest.mark.parametrize("target", [
+    bitset.mask_of([1, 2, 3, 11, 12, 13, 14, 15]),  # widened by e_15, so no circuit either
+    bitset.cyclic_interval(16, 11, 15),  # a circuit of psi(16, 5), but two elements past the prefix
+])
+def test_rank_bound_refuses_a_spanning_set_beyond_the_prefix(target):
+    ledger = forced_dependents(16, 5)
+    key = SPANNING_16_5[0]
+    ledger.entries[key] = dataclasses.replace(ledger.entries[key], target=target)
+    assert rank_bound_contradiction(ledger, psi(16, 5)).ok is False
 
 
 def test_rank_bound_rejects_a_matroid_that_is_not_psi():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from cycmat import CapExceeded, GroundSet, bitset, psi, uniform, wheel, whirl
 from cycmat.constructions import free_spike, truncate
-from cycmat.core import MatroidOracle
+from cycmat.core import MatroidOracle, oracle_from_circuits
 from cycmat.transversal import BipartitePresentation, transversal_matroid
 from cycmat.cyclic import (
     FULL,
@@ -533,6 +534,51 @@ def test_window_reports_ask_each_window_rank_once(monkeypatch, check, windows):
     assert check(M, o, params).ok
     assert len(asked) <= windows
     assert len(set(asked)) == len(asked)
+
+
+ST44 = STParams(4, 4)
+
+
+def _planted(oracle: MatroidOracle, **changes) -> MatroidOracle:
+    """`oracle` with psi(12,4)'s natural (4,4)-certificate, `changes` applied,
+    kept under the ordering's store key, where every window check reads it."""
+    cert = certify(psi(12, 4), natural_ordering(12), ST44)
+    oracle.derived((natural_ordering(12).order, ST44), lambda: dataclasses.replace(cert, **changes))
+    return oracle
+
+
+def test_window_checks_name_a_dropped_cocircuit_start():
+    M = _planted(psi(12, 4), cocircuit_starts=(3, 5, 7, 9, 11))
+    flanks = check_adjacent_windows(M, natural_ordering(12), ST44)
+    # circuit windows 5 and 9 are flanked at 5 - t = 1 and 9 + s = 13, that is 1
+    assert (flanks.ok, flanks.witnesses) == (
+        False, (("missing-flank-cocircuit", 5, 1), ("missing-flank-cocircuit", 9, 13)))
+    structure = check_window_structure(M, natural_ordering(12), ST44)
+    assert (structure.ok, structure.witnesses) == (False, (("expected-cocircuit", 1, 1),))
+
+
+def test_window_checks_name_a_dropped_circuit_start():
+    M = _planted(psi(12, 4), circuit_starts=(3, 5, 7, 9, 11))
+    flanks = check_adjacent_windows(M, natural_ordering(12), ST44)
+    assert (flanks.ok, flanks.witnesses) == (
+        False, (("missing-flank-circuit", 5, 1), ("missing-flank-circuit", 9, 13)))
+
+
+def test_window_structure_names_an_added_circuit_start():
+    # e_2..e_5 is no circuit of psi(12,4): at even s its cocircuit would
+    # share start 2, and e_3..e_6 is a circuit and a cocircuit, not independent
+    M = _planted(psi(12, 4), circuit_starts=(1, 2, 3, 5, 7, 9, 11))
+    report = check_window_structure(M, natural_ordering(12), ST44)
+    assert (report.ok, report.witnesses) == (False, (
+        ("expected-cocircuit", 2, 2), ("expected-independent", 2, 3), ("expected-coindependent", 2, 3)))
+
+
+def test_unique_window_circuits_names_a_second_extension():
+    # {1, 2, 3, 7} beside psi(12,4)'s circuits: e_1..e_3 extends to two circuits
+    circuits = [*psi(12, 4).circuits(), bitset.mask_of([1, 2, 3, 7])]
+    M = _planted(oracle_from_circuits(GroundSet(12), circuits, validate=False))
+    report = unique_window_circuits(M, natural_ordering(12), ST44)
+    assert (report.ok, report.witnesses) == (False, (("window-circuit-count", 1, 2),))
 
 
 def test_rank_formula(psi_oracles):

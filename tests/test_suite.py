@@ -7,6 +7,7 @@ including the checks whose matroid lies outside the run's grid (for example
 each matroid once.
 """
 
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -15,8 +16,9 @@ import pytest
 
 from cycmat import bitset, counterexample, suite
 from cycmat.cli import main
-from cycmat.constructions import truncate
-from cycmat.core import MatroidOracle, VerificationReport
+from cycmat.constructions import truncate, uniform
+from cycmat.core import GroundSet, MatroidOracle, VerificationReport
+from cycmat.cyclic import NEARLY, STParams, certify, find_orderings
 from cycmat.documents import canonical_json
 from cycmat.suite import DEFAULT_SEED, FAMILY_NAMES, FixtureSet, run_suite
 from cycmat.transversal import (
@@ -235,6 +237,34 @@ def test_self_duality_reports_what_a_wrong_map_misses_and_adds(monkeypatch):
             "extra": [list(bitset.indices(m)) for m in sorted(mapped - actual)[:2]],
         },
     }
+
+
+def test_orthogonality_entry_names_the_first_meeting_pair():
+    # not a matroid: the sets inside {1, 2} or {3}; its circuits {1, 3} and
+    # {2, 3} meet its cocircuits {1} and {2} in one element each
+    independent = np.zeros(8, dtype=bool)
+    independent[[0b000, 0b001, 0b010, 0b100, 0b011]] = True
+    oracle = MatroidOracle(GroundSet(3), lambda mask: bool(independent[mask]), table=lambda: independent)
+    assert suite._orthogonality_entry(oracle) == (False, [[1, 3], [1]])
+
+
+def test_upgrade_entry_names_a_nearly_ordering_that_is_not_full():
+    # psi(8,3) is above the (3,3) bounds; its one nearly ordering is planted
+    # as nearly but not full, which the upgrade statement rules out
+    oracle, st = psi(8, 3), STParams(3, 3)
+    [ordering] = find_orderings(oracle, st, mode=NEARLY)
+    cert = certify(psi(8, 3), ordering, st)
+    oracle.derived((ordering.order, st), lambda: dataclasses.replace(
+        cert, kind=NEARLY, failures=(("circuit-window-step", 1),)))
+    assert suite._upgrade_entry(oracle, st) == (False, {"order": list(range(1, 9))})
+
+
+def test_ledger_entry_names_the_first_independent_target():
+    # every set is independent in U(8,8), so the first ledger entry fails first
+    ledger = counterexample.forced_dependents(8, 4)
+    first = next(iter(ledger.entries))
+    assert first == (counterexample.AXIOM, 1)
+    assert suite._ledger_entry(ledger, uniform(8, 8)) == (False, [first])
 
 
 def _old_report_entry(report):
