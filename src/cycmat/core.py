@@ -109,10 +109,15 @@ class CircuitFamily:
     def contains_member(self, mask: int) -> bool:
         """Does `mask` contain some member?  One lookup in `dependence`, or
         one array expression over the members above the cap."""
-        table = self.dependence()
+        return self.member_test()(mask)
+
+    def member_test(self) -> Callable[[int], bool]:
+        """`contains_member` with `dependence`, and so the cap, fetched once,
+        for a caller that asks many masks."""
+        table, masks = self.dependence(), self.masks
         if table is None:
-            return not (self.masks & ~mask).all()  # some member leaves no bit outside mask
-        return bool(table[mask])
+            return lambda mask: not (masks & ~mask).all()  # some member leaves no bit outside mask
+        return lambda mask: bool(table[mask])
 
     def index_runs(self) -> list[np.ndarray]:
         """Each member's 1-based element indices, ascending, as one
@@ -452,7 +457,7 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
     intersection, some member lies inside (C1 | C2) - e.  Up to the
     `bitset.lattice_cap` the family is decided on its `dependence` table, and
     a passing family visits no pair.  Otherwise the pairs are walked, each
-    (C1 | C2) - e asked of `contains_member`, and the failures collected, not
+    (C1 | C2) - e asked of `member_test`, and the failures collected, not
     raised: first per member, then antichain failures, then elimination
     failures, each by pair in `itertools.combinations` order and e
     ascending.  A member outside the ground set leaves elimination
@@ -475,6 +480,7 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
             violations.append(("out-of-range", (bitset.indices(c),)))
     antichain: list[tuple[str, tuple]] = []
     elimination: list[tuple[str, tuple]] = []
+    contains = family.member_test() if in_range else None
     for a, b in itertools.combinations(members, 2):
         common = a & b
         if common in (a, b):
@@ -483,7 +489,7 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
             continue
         union = a | b
         for bit in bitset.singletons(common):
-            if not family.contains_member(union ^ bit):
+            if not contains(union ^ bit):
                 elimination.append(
                     ("elimination", (bitset.indices(a), bitset.indices(b), bit.bit_length()))
                 )

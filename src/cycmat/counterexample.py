@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from . import bitset
 from .core import MatroidOracle, VerificationReport
+from .cyclic import REFUTATION, require
 
 AXIOM = "axiom"
 
@@ -25,15 +26,6 @@ def _idx(n: int, i: int) -> int:
 
 def _bit(n: int, i: int) -> int:
     return 1 << (_idx(n, i) - 1)
-
-
-def _require_params(n: int, s: int) -> None:
-    """Two-block sets, the forced-set induction and the rank bound all need
-    s >= 4 and an even n >= 4s - 8."""
-    if s < 4:
-        raise ValueError(f"two-block sets need s >= 4, got s={s}")
-    if n % 2 or n < 4 * s - 8:
-        raise ValueError(f"two-block sets need even n >= 4s - 8, got n={n}, s={s}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,7 @@ class TwoBlockSpec:
 
     def __post_init__(self) -> None:
         s, n = self.s, self.n
-        _require_params(n, s)
+        require(REFUTATION, n, s, None, "the quotient refutation")
         if self.i != _idx(n, self.i) or self.i % 2 == 0:
             raise ValueError(f"start index must be odd and in [n], got i={self.i}")
         if not (2 <= self.k <= s - 1 and 2 <= self.ell <= s - 1):
@@ -113,7 +105,7 @@ def psi_two_block_circuits(oracle: MatroidOracle, s: int) -> VerificationReport:
     """Every admissible augmented two-block set is a circuit of `oracle`, which is
     psi(n, s) with n = oracle.n, each tested directly, so no enumeration caps n."""
     n = oracle.n
-    _require_params(n, s)
+    require(REFUTATION, n, s, None, "the quotient refutation")
     checked = 0
     witnesses = []
     for spec in iter_specs(n, s):
@@ -279,7 +271,7 @@ class ForcedLedger:
 def forced_dependents(n: int, s: int) -> ForcedLedger:
     """Replay the elimination induction: derive every admissible augmented
     two-block set as dependent in any matroid whose odd s-windows are circuits."""
-    _require_params(n, s)
+    require(REFUTATION, n, s, None, "the quotient refutation")
     ledger = ForcedLedger(n, s)
     for spec in iter_specs(n, s):
         for x in spec.admissible():
@@ -318,7 +310,7 @@ class ContradictionReport:
 def rank_bound_contradiction(ledger: ForcedLedger, oracle: MatroidOracle) -> ContradictionReport:
     """The rank bound from `ledger` = forced_dependents(n, s) and `oracle` = psi(n, s)."""
     n, s = ledger.n, ledger.s
-    _require_params(n, s)
+    require(REFUTATION, n, s, None, "the quotient refutation")
     if oracle.n != n:
         raise ValueError(f"the ledger is for n={n}, the oracle has n={oracle.n}")
     prefix = bitset.cyclic_interval(n, 1, s)

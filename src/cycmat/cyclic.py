@@ -11,14 +11,14 @@ nearly-to-fully upgrade at the proven size bounds).
 
 Each window check takes a whole ordering and returns one
 `VerificationReport` over every window start (and every window length the
-statement covers), its witnesses in start-then-length order.  The four
-checks that need a full certificate on n > s + t - 2 elements pass one
-gate, `_full_certificate`.
+statement covers), its witnesses in start-then-length order.  Every check
+asks its hypotheses of one table of `Hypothesis` rows, and `require`
+raises the `ValueError` of an unmet row.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -35,6 +35,59 @@ SEARCH_CAP_ENV = "CYCMAT_SEARCH_CAP"
 
 
 @dataclass(frozen=True)
+class Hypothesis:
+    """A hypothesis of the paper on (n, s, t): its name, its formula as text
+    and the predicate deciding it, asked with None for an n or t it ignores."""
+
+    name: str
+    formula: str
+    holds: Callable[[int | None, int, int | None], bool]
+
+
+def require(row: Hypothesis, n: int | None, s: int, t: int | None, what: str) -> None:
+    """Raise the `ValueError` naming `what`, `row` and (n, s, t) unless `row` holds."""
+    if not row.holds(n, s, t):
+        got = ", ".join(f"{k}={v}" for k, v in (("n", n), ("s", s), ("t", t)) if v is not None)
+        raise ValueError(f"{what} needs {row.formula}, got {got}")
+
+
+# The table: no other line of the package writes these formulas.  Nearly structure
+# needs the floor; full structure above the floor also needs even n and s = t mod 2.
+WINDOW_SIZES = Hypothesis("window-sizes", "s, t >= 2", lambda n, s, t: s >= 2 and t >= 2)
+CERTIFICATE_FLOOR = Hypothesis("certificate-floor", "n >= max(s,t) - 1", lambda n, s, t: n >= max(s, t) - 1)
+FLOOR = Hypothesis("floor", "n >= s + t - 2", lambda n, s, t: n >= s + t - 2)
+ABOVE_FLOOR = Hypothesis("above-floor", "n > s + t - 2", lambda n, s, t: n > s + t - 2)
+EVEN_SIZE = Hypothesis("even-size", "even n", lambda n, s, t: n % 2 == 0)
+WINDOW_PARITY = Hypothesis("window-parity", "s = t mod 2", lambda n, s, t: (s - t) % 2 == 0)
+# the rank of a fully structured matroid, which must be whole
+RANK_FORMULA = Hypothesis("rank-formula", "rank (n + s - t)/2", lambda n, s, t: (n + s - t) % 2 == 0)
+ODD_START_UPGRADE = Hypothesis("odd-start-upgrade", "n >= s + t", lambda n, s, t: n >= s + t)
+UNIQUENESS = Hypothesis("uniqueness", "n >= s + 2t - 4", lambda n, s, t: n >= s + 2 * t - 4)
+# C1, nearly implies fully: its guard and its size bound
+UPGRADE_SIZES = Hypothesis("upgrade-sizes", "s, t >= 3", lambda n, s, t: s >= 3 and t >= 3)
+UPGRADE_BOUND = Hypothesis(
+    "upgrade-bound", "n >= 3 min(s,t) + max(s,t) - 5 and n >= min(s,t) + 2 max(s,t) - 1",
+    lambda n, s, t: n >= 3 * min(s, t) + max(s, t) - 5 and n >= min(s, t) + 2 * max(s, t) - 1)
+# T^((t-s)/2)(psi(n, s)) is fully (s, t)-structured; C2, fully structured is its weak-map image
+TRUNCATED_PSI = Hypothesis(
+    "truncated-psi", "2 <= s <= t, s = t mod 2 and even n >= s + t - 2",
+    lambda n, s, t: 2 <= s <= t and (t - s) % 2 == 0 and n % 2 == 0 and n >= s + t - 2)
+CANONICAL_IMAGE = Hypothesis(
+    "canonical-image", "2 <= s <= t, s = t mod 2 and even n > s + t - 2",
+    lambda n, s, t: 2 <= s <= t and (t - s) % 2 == 0 and n % 2 == 0 and n > s + t - 2)
+PSI_FLOOR = Hypothesis(
+    "psi-floor", "even n, s >= 2 and n >= 2s - 2", lambda n, s, t: n % 2 == 0 and s >= 2 and n >= 2 * s - 2)
+# the quotient refutation: two-block sets, the forced ledger and the rank bound
+REFUTATION = Hypothesis(
+    "refutation", "s >= 4 and even n >= 4s - 8", lambda n, s, t: s >= 4 and n % 2 == 0 and n >= 4 * s - 8)
+
+
+def formula_rank(n: int, s: int, t: int) -> int:
+    """The `RANK_FORMULA` rank, rounded down."""
+    return (n + s - t) // 2
+
+
+@dataclass(frozen=True)
 class STParams:
     """Circuit size s and cocircuit size t, both at least 2."""
 
@@ -42,16 +95,7 @@ class STParams:
     t: int
 
     def __post_init__(self) -> None:
-        if self.s < 2 or self.t < 2:
-            raise ValueError(f"window sizes must exceed one, got s={self.s}, t={self.t}")
-
-    @property
-    def t1(self) -> int:
-        return min(self.s, self.t)
-
-    @property
-    def t2(self) -> int:
-        return max(self.s, self.t)
+        require(WINDOW_SIZES, None, self.s, self.t, "(s, t)-structure")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,13 +193,17 @@ class OrderingCertificate:
     def full(self) -> bool:
         return self.kind == FULL
 
+    def position(self, start: int) -> int:
+        """The window start `start`, reduced into 1..n."""
+        return (start - 1) % self.n + 1
+
     def circuit_at(self, start: int) -> bool:
         """Is the s-window at cyclic position `start` a circuit?"""
-        return (start - 1) % self.n + 1 in self.circuit_starts
+        return self.position(start) in self.circuit_starts
 
     def cocircuit_at(self, start: int) -> bool:
         """Is the t-window at cyclic position `start` a cocircuit?"""
-        return (start - 1) % self.n + 1 in self.cocircuit_starts
+        return self.position(start) in self.cocircuit_starts
 
 
 def _phase(starts: tuple[int, ...]) -> int | None:
@@ -189,10 +237,7 @@ def _build_certificate(
     n, s, t = oracle.n, params.s, params.t
     if ordering.n != n:
         raise ValueError("ordering length must match the ground set")
-    if n < max(s, t) - 1:
-        raise ValueError(
-            f"an (s,t)-structured matroid needs at least max(s,t)-1 elements, got n={n}"
-        )
+    require(CERTIFICATE_FLOOR, n, s, t, "an (s, t)-certificate")
     failures: list[tuple[str, int]] = []
     dual = oracle.dual()
 
@@ -223,7 +268,7 @@ def _build_certificate(
 
     kind = FULL if not failures else NEARLY if nearly_ok else NEITHER
     phase = cophase = None
-    if kind == FULL and n > s + t - 2:
+    if kind == FULL and ABOVE_FLOOR.holds(n, s, t):
         phase = _phase(circuit_starts)
         cophase = _phase(cocircuit_starts)
     return OrderingCertificate(
@@ -253,22 +298,13 @@ class BoundsReport:
 
 
 def size_bounds(n: int, params: STParams) -> BoundsReport:
-    """Evaluate the proven size constraints: the floor n >= s + t - 2 always,
-    and for full structure on n > s + t - 2 also n even with s = t mod 2."""
+    """Evaluate the proven size constraints: the `FLOOR` always, and above
+    it (`ABOVE_FLOOR`) for full structure also `EVEN_SIZE` and
+    `WINDOW_PARITY`.  `violated` names the rows that fail, in that order."""
     s, t = params.s, params.t
-    violated: list[str] = []
-    nearly_allowed = n >= s + t - 2
-    if not nearly_allowed:
-        violated.append("floor")
-    full_allowed = nearly_allowed
-    if n > s + t - 2:
-        if n % 2:
-            violated.append("even-size")
-            full_allowed = False
-        if (s - t) % 2:
-            violated.append("window-parity")
-            full_allowed = False
-    return BoundsReport(n, s, t, nearly_allowed, full_allowed, tuple(violated))
+    rows = (FLOOR, EVEN_SIZE, WINDOW_PARITY) if ABOVE_FLOOR.holds(n, s, t) else (FLOOR,)
+    violated = tuple(row.name for row in rows if not row.holds(n, s, t))
+    return BoundsReport(n, s, t, FLOOR.holds(n, s, t), not violated, violated)
 
 
 def find_orderings(
@@ -330,19 +366,17 @@ def find_orderings(
     return list(islice(filter(accepted, leaves((1,), 1)), limit))
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _full_certificate(
-    oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams, what: str
+def require_certificate(
+    oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams, what: str,
+    mode: str = FULL, row: Hypothesis = ABOVE_FLOOR,
 ) -> OrderingCertificate:
-    """The certificate of `ordering`, which `what` needs to be full on
-    n > s + t - 2 elements, where every window has distinct elements."""
+    """The certificate of `ordering`, which `what` needs to meet `mode` on n
+    elements that meet `row`, asked first: by default full above the floor,
+    where every window has distinct elements."""
+    require(row, oracle.n, params.s, params.t, what)
     cert = certify(oracle, ordering, params)
-    _require(cert.full, f"{what} needs a fully structured ordering")
-    _require(cert.n > cert.s + cert.t - 2, f"{what} needs n > s + t - 2, got n={cert.n}")
+    if not (cert.full if mode == FULL else cert.nearly):
+        raise ValueError(f"{what} needs a {'fully' if mode == FULL else mode} structured ordering")
     return cert
 
 
@@ -351,7 +385,7 @@ def check_adjacent_windows(
 ) -> VerificationReport:
     """Each circuit window is flanked by cocircuit windows at distance t on
     both sides, and dually."""
-    cert = _full_certificate(oracle, ordering, params, "adjacent-window check")
+    cert = require_certificate(oracle, ordering, params, "adjacent-window check")
     s, t = cert.s, cert.t
     witnesses = []
     checked = 0
@@ -359,12 +393,12 @@ def check_adjacent_windows(
         for start in (i - t, i + s):
             checked += 1
             if not cert.cocircuit_at(start):
-                witnesses.append(("missing-flank-cocircuit", i, start))
+                witnesses.append(("missing-flank-cocircuit", i, cert.position(start)))
     for i in cert.cocircuit_starts:
         for start in (i - s, i + t):
             checked += 1
             if not cert.circuit_at(start):
-                witnesses.append(("missing-flank-circuit", i, start))
+                witnesses.append(("missing-flank-circuit", i, cert.position(start)))
     return VerificationReport("adjacent-windows", not witnesses, checked, tuple(witnesses))
 
 
@@ -374,20 +408,21 @@ def check_window_structure(
     """Parity structure at each circuit window: for even s, t the cocircuit
     window shares the start; for odd s, t it is shifted by one.  The shifted
     s-window is independent and the appropriate t-window coindependent."""
-    cert = _full_certificate(oracle, ordering, params, "window-structure check")
+    cert = require_certificate(oracle, ordering, params, "window-structure check")
     s, t = cert.s, cert.t
-    _require((s - t) % 2 == 0, "window-structure check needs s = t mod 2")
+    require(WINDOW_PARITY, cert.n, s, t, "window-structure check")
     even = s % 2 == 0
     witnesses = []
     checked = 0
     for i in cert.circuit_starts:
-        cocirc_start = i if even else i + 1
-        coindep_start = i + 1 if even else i
+        after = cert.position(i + 1)
+        cocirc_start = i if even else after
+        coindep_start = after if even else i
         checked += 3
         if not cert.cocircuit_at(cocirc_start):
             witnesses.append(("expected-cocircuit", i, cocirc_start))
-        if not oracle.indep(ordering.window(i + 1, s)):
-            witnesses.append(("expected-independent", i, i + 1))
+        if not oracle.indep(ordering.window(after, s)):
+            witnesses.append(("expected-independent", i, after))
         if not oracle.dual().indep(ordering.window(coindep_start, t)):
             witnesses.append(("expected-coindependent", i, coindep_start))
     return VerificationReport("window-structure", not witnesses, checked, tuple(witnesses))
@@ -409,7 +444,7 @@ def check_window_closure(
     s-window is one.  Neither element lies in the window while k <= n-t, so
     each is a rank equality: r(W(i, k+1)) = r(W(i, k)) ahead and
     r(W(i-1, k+1)) = r(W(i, k)) behind."""
-    cert = _full_certificate(oracle, ordering, params, "closure check")
+    cert = require_certificate(oracle, ordering, params, "closure check")
     n, s, t = cert.n, cert.s, cert.t
     ks = range(s - 1, n - t + 1)
     rank = _window_ranks(oracle, ordering, range(s - 1, n - t + 2))
@@ -434,7 +469,7 @@ def window_rank_prediction(
     floor((s+k-1)/2) when the leading s-window is a circuit and the ceiling
     otherwise.  A witness is (i, k, predicted, actual).
     """
-    cert = _full_certificate(oracle, ordering, params, "window-rank check")
+    cert = require_certificate(oracle, ordering, params, "window-rank check")
     n, s, t = cert.n, cert.s, cert.t
     rank = _window_ranks(oracle, ordering, range(1, n - t + 2))
     witnesses = []
@@ -449,38 +484,31 @@ def window_rank_prediction(
 
 
 def check_rank_formula(oracle: MatroidOracle, params: STParams) -> bool:
-    """Rank (n+s-t)/2 and corank (n-s+t)/2, exactly."""
+    """Rank (n+s-t)/2 exactly (`RANK_FORMULA`), so corank (n-s+t)/2."""
     n, s, t = oracle.n, params.s, params.t
-    if (n + s - t) % 2:
-        return False
-    r = oracle.rank()
-    return r == (n + s - t) // 2 and n - r == (n - s + t) // 2
+    return RANK_FORMULA.holds(n, s, t) and oracle.rank() == formula_rank(n, s, t)
 
 
 def full_from_odd_circuits(
     oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams
 ) -> OrderingCertificate:
-    """When a nearly structured ordering on n >= s + t elements has circuits
-    at every odd window start, the full certificate must follow; returns it
-    for the caller to assert."""
-    cert = certify(oracle, ordering, params)
-    n, s, t = cert.n, cert.s, cert.t
-    _require(cert.nearly, "upgrade needs a nearly structured ordering")
-    _require(n >= s + t, f"upgrade needs n >= s + t, got n={n}")
-    missing = [i for i in range(1, n + 1, 2) if i not in cert.circuit_starts]
-    _require(not missing, f"odd window starts {missing} are not circuits")
+    """When a nearly structured ordering on n >= s + t elements
+    (`ODD_START_UPGRADE`) has circuits at every odd window start, the full
+    certificate must follow; returns it for the caller to assert."""
+    cert = require_certificate(oracle, ordering, params, "the odd-start upgrade", NEARLY, ODD_START_UPGRADE)
+    missing = [i for i in range(1, cert.n + 1, 2) if i not in cert.circuit_starts]
+    if missing:
+        raise ValueError(f"odd window starts {missing} are not circuits")
     return cert
 
 
 def unique_window_circuits(
     oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams
 ) -> VerificationReport:
-    """On n >= s + 2t - 4 elements, each (s-1)-window extends to exactly one
-    s-element circuit."""
-    cert = certify(oracle, ordering, params)
-    n, s, t = cert.n, cert.s, cert.t
-    _require(cert.nearly, "uniqueness check needs a nearly structured ordering")
-    _require(n >= s + 2 * t - 4, f"uniqueness check needs n >= s + 2t - 4, got n={n}")
+    """On n >= s + 2t - 4 elements (`UNIQUENESS`), each (s-1)-window extends
+    to exactly one s-element circuit."""
+    cert = require_certificate(oracle, ordering, params, "uniqueness check", NEARLY, UNIQUENESS)
+    n, s = cert.n, cert.s
     counts = oracle.kept("extension-counts")
     witnesses = []
     for i in range(1, n + 1):
@@ -494,14 +522,11 @@ def unique_window_circuits(
 def upgrade_from_nearly(
     oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams
 ) -> VerificationReport:
-    """Nearly structured implies fully structured once n >= 3*t1 + t2 - 5 and
-    n >= t1 + 2*t2 - 1; below the bounds the check is vacuous (noted)."""
-    s, t = params.s, params.t
-    _require(s >= 3 and t >= 3, "the nearly-to-fully upgrade needs s, t >= 3")
-    cert = certify(oracle, ordering, params)
-    _require(cert.nearly, "upgrade needs a nearly structured ordering")
-    t1, t2 = params.t1, params.t2
-    if cert.n >= 3 * t1 + t2 - 5 and cert.n >= t1 + 2 * t2 - 1:
+    """Nearly structured implies fully structured (C1) for s, t >= 3
+    (`UPGRADE_SIZES`) once n meets `UPGRADE_BOUND`; below the bound the
+    check is vacuous (noted)."""
+    cert = require_certificate(oracle, ordering, params, "the nearly-to-fully upgrade", NEARLY, UPGRADE_SIZES)
+    if UPGRADE_BOUND.holds(cert.n, cert.s, cert.t):
         return VerificationReport(
             "nearly-upgrade", cert.full, 1,
             () if cert.full else ((cert.kind, cert.failures),),

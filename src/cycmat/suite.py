@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import bitset
+from . import bitset, cyclic
 from .constructions import free_spike, truncate, truncation_circuits, uniform, wheel, whirl
 from .core import (
     GroundSet,
@@ -388,20 +388,20 @@ def _matching_entry(pres, seed: int) -> tuple[bool, Any]:
 def _window_checks(fixtures: FixtureSet, record) -> None:
     for fx in fixtures.cyclic_fixtures():
         oracle, st = fx.oracle, fx.st
-        n = oracle.n
-        params = {"matroid": fx.label, "s": st.s, "t": st.t}
+        n, s, t = oracle.n, st.s, st.t
+        params = {"matroid": fx.label, "s": s, "t": t}
         ordering = natural_ordering(n)
         record("rank-formula", params, check_rank_formula, oracle, st)
-        if n > st.s + st.t - 2:
+        if cyclic.ABOVE_FLOOR.holds(n, s, t):
             record("window-flanks", params, check_adjacent_windows, oracle, ordering, st)
-            if (st.s - st.t) % 2 == 0:
+            if cyclic.WINDOW_PARITY.holds(n, s, t):
                 record("window-structure", params, check_window_structure, oracle, ordering, st)
             record("window-closure", params, check_window_closure, oracle, ordering, st)
             record("window-rank", params, window_rank_prediction, oracle, ordering, st)
-        if n >= st.s + st.t:
+        if cyclic.ODD_START_UPGRADE.holds(n, s, t):
             record("odd-start-upgrade", params,
                    lambda: full_from_odd_circuits(oracle, ordering, st).full)
-        if n >= st.s + 2 * st.t - 4:
+        if cyclic.UNIQUENESS.holds(n, s, t):
             record("unique-window-circuit", params, unique_window_circuits, oracle, ordering, st)
         record("reversal-closure", params, lambda: (
             certify(oracle, ordering.reversed_order(), st).full

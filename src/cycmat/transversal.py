@@ -28,6 +28,7 @@ import numpy as np
 
 from . import bitset
 from .core import GroundSet, MatroidOracle
+from .cyclic import PSI_FLOOR, require
 
 
 @dataclass(frozen=True)
@@ -268,20 +269,14 @@ def dual_transversal(pres: BipartitePresentation) -> MatroidOracle:
 class IntervalPresentation:
     """N(i) = {e_{2i-1}, ..., e_{2i+s-2}} = sigma(x_i, y_i) for i in [n/2],
     derived from (n, s) alone: distinct intervals with monotone endpoints,
-    an antichain by construction.  Requires n even and n >= 2s - 2; below
-    that floor the intervals wrap onto themselves and are rejected."""
+    an antichain by construction.  Requires `PSI_FLOOR`; below it the
+    intervals wrap onto themselves and are rejected."""
 
     n: int
     s: int
 
     def __post_init__(self) -> None:
-        n, s = self.n, self.s
-        if n % 2:
-            raise ValueError(f"ground set size must be even, got n={n}")
-        if s < 2:
-            raise ValueError(f"interval length must be at least 2, got s={s}")
-        if n < 2 * s - 2:
-            raise ValueError(f"need n >= 2s - 2 to avoid wrap-around degeneracy, got n={n}, s={s}")
+        require(PSI_FLOOR, self.n, self.s, None, "psi(n, s)")
 
     @property
     def m(self) -> int:

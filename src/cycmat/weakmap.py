@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bitset
+from . import bitset, cyclic
 from .core import MatroidOracle, VerificationReport
-from .cyclic import CyclicOrdering, STParams, certify, natural_ordering
+from .cyclic import CyclicOrdering, STParams, certify, check_rank_formula, natural_ordering
 from .transversal import IntervalPresentation
 
 
@@ -139,34 +139,30 @@ def interval_rank_condition(
     return VerificationReport("interval-rank", True, m * m)
 
 
-def _require_target(target: MatroidOracle, n: int, s: int, t: int) -> None:
-    """T^((t-s)/2)(psi(n, s)) needs t >= s >= 2, s = t mod 2 and an even
-    n >= s + t - 2; `target` must have n elements and rank (n + s - t)/2."""
-    if not 2 <= s <= t:
-        raise ValueError(f"need t >= s >= 2, got s={s}, t={t}")
-    if (t - s) % 2:
-        raise ValueError(f"need s = t mod 2, got s={s}, t={t}")
-    if n % 2 or n < s + t - 2:
-        raise ValueError(f"need even n >= s + t - 2, got n={n}")
-    if target.n != n or 2 * target.rank() != n + s - t:
-        raise ValueError(
-            f"the target needs n={n} and rank (n + s - t)/2, "
-            f"got n={target.n}, rank={target.rank()}"
-        )
+def _require_target(target: MatroidOracle, n: int, params: STParams) -> None:
+    """`target`, the caller's T^((t-s)/2)(psi(n, s)), needs n elements and
+    the `RANK_FORMULA` rank (`cyclic.check_rank_formula`)."""
+    if target.n != n or not check_rank_formula(target, params):
+        raise ValueError(f"the target needs n={n} and {cyclic.RANK_FORMULA.formula}, "
+                         f"got n={target.n}, rank={target.rank()}")
 
 
 def truncated_psi_certificate(target: MatroidOracle, s: int, t: int):
     """Certificate of the natural ordering of `target`, the caller's
-    T^((t-s)/2)(psi(n, s)), for parameters (s, t); the result must be full."""
-    _require_target(target, target.n, s, t)
-    return certify(target, natural_ordering(target.n), STParams(s, t))
+    T^((t-s)/2)(psi(n, s)), for parameters (s, t) that meet `cyclic.TRUNCATED_PSI`;
+    the result must be full."""
+    cyclic.require(cyclic.TRUNCATED_PSI, target.n, s, t, "T^((t-s)/2)(psi(n, s))")
+    params = STParams(s, t)
+    _require_target(target, target.n, params)
+    return certify(target, natural_ordering(target.n), params)
 
 
 def weak_image_of_truncated_psi(
     oracle: MatroidOracle, ordering: CyclicOrdering, params: STParams, target: MatroidOracle
 ) -> VerificationReport:
-    """A fully (s, t)-structured matroid on n >= s + t - 1 elements is a
-    weak-map image of `target`, the ((t-s)/2)-th truncation of psi(n, s).
+    """A fully (s, t)-structured matroid on n elements is a weak-map image
+    of `target`, the ((t-s)/2)-th truncation of psi(n, s), when (n, s, t)
+    meets `cyclic.CANONICAL_IMAGE` (C2); dualise first when t < s.
 
     The caller passes the target in, so a run that already holds it does not
     build it again; its size and rank (n + s - t)/2 are checked.  The
@@ -174,16 +170,9 @@ def weak_image_of_truncated_psi(
     positions, so that the image's odd-start circuit phase lines up; the
     applied rotation is recorded in the report note.
     """
-    s, t = params.s, params.t
-    if t < s:
-        raise ValueError("the canonical image needs t >= s; dualise first")
-    n = oracle.n
-    if n < s + t - 1:
-        raise ValueError(f"the canonical image needs n >= s + t - 1, got n={n}")
-    _require_target(target, n, s, t)
-    cert = certify(oracle, ordering, params)
-    if not cert.full:
-        raise ValueError("the compared matroid must carry a full certificate")
+    cert = cyclic.require_certificate(
+        oracle, ordering, params, "the canonical image", row=cyclic.CANONICAL_IMAGE)
+    _require_target(target, cert.n, params)
     if cert.circuit_phase is None:
         raise ValueError("circuit windows have no single parity; cannot align")
     rotation = 0 if cert.circuit_phase == 1 else 1

@@ -227,6 +227,20 @@ def test_contains_member_scan_matches_the_member_loop(case, probes):
                 assert family.contains_member(x) == any(m & ~x == 0 for m in masks), (kind, x)
 
 
+@pytest.mark.parametrize("masks", [[7, 11, 13, 14], [7, 11, 13, 14, 28, 3]], ids=["passing", "failing"])
+def test_pair_walk_reads_the_cap_once(monkeypatch, masks):
+    # above the cap every (pair, common element) is asked of one containment
+    # test; the cap is read for `_is_matroid_family` and once for the walk
+    monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "3")
+    reads = []
+    cap = bitset.lattice_cap
+    monkeypatch.setattr(bitset, "lattice_cap", lambda: reads.append(1) or cap())
+    report = validate_circuit_axioms(masks, 5)
+    assert len(reads) <= 2
+    monkeypatch.delenv(bitset.LATTICE_CAP_ENV)
+    assert report == validate_circuit_axioms(masks, 5)  # the table route gives the same report
+
+
 @pytest.mark.parametrize("call", [
     lambda: validate_circuit_axioms([-1], 3),
     lambda: oracle_from_circuits(GroundSet(3), [-2]),

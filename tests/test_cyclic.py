@@ -13,6 +13,8 @@ from cycmat.cyclic import (
     FULL,
     NEARLY,
     CyclicOrdering,
+    UPGRADE_BOUND,
+    WINDOW_SIZES,
     STParams,
     certify,
     check_adjacent_windows,
@@ -33,10 +35,13 @@ ST33 = STParams(3, 3)
 
 
 def test_st_params_validation():
-    with pytest.raises(ValueError):
-        STParams(1, 3)
+    for s, t in ((1, 3), (3, 1), (1, 1)):
+        with pytest.raises(ValueError) as info:
+            STParams(s, t)
+        assert str(info.value) == f"(s, t)-structure needs {WINDOW_SIZES.formula}, got s={s}, t={t}"
     p = STParams(3, 5)
-    assert (p.t1, p.t2) == (3, 5)
+    assert (p.s, p.t) == (3, 5)
+    assert STParams(2, 2) == STParams(2, 2)
 
 
 def test_ordering_must_be_permutation():
@@ -552,7 +557,7 @@ def test_window_checks_name_a_dropped_cocircuit_start():
     flanks = check_adjacent_windows(M, natural_ordering(12), ST44)
     # circuit windows 5 and 9 are flanked at 5 - t = 1 and 9 + s = 13, that is 1
     assert (flanks.ok, flanks.witnesses) == (
-        False, (("missing-flank-cocircuit", 5, 1), ("missing-flank-cocircuit", 9, 13)))
+        False, (("missing-flank-cocircuit", 5, 1), ("missing-flank-cocircuit", 9, 1)))
     structure = check_window_structure(M, natural_ordering(12), ST44)
     assert (structure.ok, structure.witnesses) == (False, (("expected-cocircuit", 1, 1),))
 
@@ -561,7 +566,7 @@ def test_window_checks_name_a_dropped_circuit_start():
     M = _planted(psi(12, 4), circuit_starts=(3, 5, 7, 9, 11))
     flanks = check_adjacent_windows(M, natural_ordering(12), ST44)
     assert (flanks.ok, flanks.witnesses) == (
-        False, (("missing-flank-circuit", 5, 1), ("missing-flank-circuit", 9, 13)))
+        False, (("missing-flank-circuit", 5, 1), ("missing-flank-circuit", 9, 1)))
 
 
 def test_window_structure_names_an_added_circuit_start():
@@ -645,8 +650,7 @@ def test_empirical_contrapositive_below_bounds():
     for M, p in ((wheel(3), ST33), (whirl(3), ST33)):
         for o in find_orderings(M, p, mode=NEARLY):
             if not certify(M, o, p).full:
-                t1, t2 = p.t1, p.t2
-                assert M.n < max(3 * t1 + t2 - 5, t1 + 2 * t2 - 1)
+                assert not UPGRADE_BOUND.holds(M.n, p.s, p.t)
 
 
 def test_upgrade_applies_above_bounds(psi_oracles):

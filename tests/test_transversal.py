@@ -14,6 +14,7 @@ from cycmat.core import (
     oracle_from_circuits,
     verify_matroid_axioms,
 )
+from cycmat.cyclic import PSI_FLOOR
 from cycmat.suite import PSI_GRID
 from cycmat.transversal import (
     _matching_size,
@@ -55,18 +56,16 @@ def test_interval_presentation_shape():
 
 
 def test_interval_presentation_rejects_bad_params():
-    messages = {
-        (9, 3): "ground set size must be even, got n=9",
-        (7, 3): "ground set size must be even, got n=7",
-        (8, 1): "interval length must be at least 2, got s=1",
-        (4, 4): "need n >= 2s - 2 to avoid wrap-around degeneracy, got n=4, s=4",
-        (6, 5): "need n >= 2s - 2 to avoid wrap-around degeneracy, got n=6, s=5",
-    }
-    for (n, s), message in messages.items():
+    # odd n, s below 2, and n below 2s - 2 (the intervals would wrap onto themselves)
+    for n, s in ((9, 3), (7, 3), (8, 1), (4, 4), (6, 5)):
+        assert not PSI_FLOOR.holds(n, s, None)
         for build in (IntervalPresentation, interval_presentation):
             with pytest.raises(ValueError) as info:
                 build(n, s)
-            assert str(info.value) == message
+            assert str(info.value) == f"psi(n, s) needs {PSI_FLOOR.formula}, got n={n}, s={s}"
+    # the other side of each edge
+    for n, s in ((8, 3), (8, 2), (6, 4), (8, 5)):
+        assert PSI_FLOOR.holds(n, s, None) and IntervalPresentation(n, s).m == n // 2
 
 
 def test_interval_presentation_holds_only_n_and_s():
