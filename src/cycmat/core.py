@@ -10,6 +10,7 @@ an accident.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from collections.abc import Callable, Iterable
@@ -109,15 +110,10 @@ class CircuitFamily:
     def contains_member(self, mask: int) -> bool:
         """Does `mask` contain some member?  One lookup in `dependence`, or
         one array expression over the members above the cap."""
-        return self.member_test()(mask)
-
-    def member_test(self) -> Callable[[int], bool]:
-        """`contains_member` with `dependence`, and so the cap, fetched once,
-        for a caller that asks many masks."""
-        table, masks = self.dependence(), self.masks
+        table = self.dependence()
         if table is None:
-            return lambda mask: not (masks & ~mask).all()  # some member leaves no bit outside mask
-        return lambda mask: bool(table[mask])
+            return not (self.masks & ~mask).all()  # some member leaves no bit outside mask
+        return bool(table[mask])
 
     def index_runs(self) -> list[np.ndarray]:
         """Each member's 1-based element indices, ascending, as one
@@ -456,14 +452,16 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
     Weak elimination: for distinct members C1, C2 and e in their
     intersection, some member lies inside (C1 | C2) - e.  Up to the
     `bitset.lattice_cap` the family is decided on its `dependence` table, and
-    a passing family visits no pair.  Otherwise the pairs are walked, each
-    (C1 | C2) - e asked of `member_test`, and the failures collected, not
-    raised: first per member, then antichain failures, then elimination
-    failures, each by pair in `itertools.combinations` order and e
-    ascending.  A member outside the ground set leaves elimination
-    undefined, so it is not tested then.  Raw masks (numpy integers
-    included), or a family over another n, are wrapped in input order as one
-    `CircuitFamily`; a negative mask raises `ValueError`.
+    a passing family visits no pair.  Otherwise the pairs are walked and the
+    failures collected, not raised: first per member, then antichain
+    failures, then elimination failures, each by pair in
+    `itertools.combinations` order and e ascending.  An e of C1 & C2 fails
+    iff every member inside C1 | C2 holds e: a pair's failing elements are
+    the AND of those members, kept per union for the last 2^16 unions, and
+    no containment test is asked.  A member outside the ground set leaves
+    elimination undefined, so it is not tested then.  Raw masks (numpy
+    integers included), or a family over another n, are wrapped in input
+    order as one `CircuitFamily`; a negative mask raises `ValueError`.
     """
     if not isinstance(family, CircuitFamily) or family.n != n:
         family = CircuitFamily(n, list(family))  # unsorted: the witnesses keep the input's order
@@ -480,19 +478,19 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
             violations.append(("out-of-range", (bitset.indices(c),)))
     antichain: list[tuple[str, tuple]] = []
     elimination: list[tuple[str, tuple]] = []
-    contains = family.member_test() if in_range else None
+
+    @functools.lru_cache(maxsize=1 << 16)
+    def inside_and(union: int) -> int:  # within C1 & C2, as both lie inside; 0 if a member is empty
+        return int(np.bitwise_and.reduce(family.masks[(family.masks & ~union) == 0]))
+
     for a, b in itertools.combinations(members, 2):
         common = a & b
         if common in (a, b):
             antichain.append(("antichain", (bitset.indices(a), bitset.indices(b))))
-        if not in_range:
+        if not in_range or not common:
             continue
-        union = a | b
-        for bit in bitset.singletons(common):
-            if not contains(union ^ bit):
-                elimination.append(
-                    ("elimination", (bitset.indices(a), bitset.indices(b), bit.bit_length()))
-                )
+        for bit in bitset.singletons(inside_and(a | b)):
+            elimination.append(("elimination", (bitset.indices(a), bitset.indices(b), bit.bit_length())))
     violations += antichain + elimination
     return VerificationReport("circuit-axioms", not violations, len(members), tuple(violations))
 

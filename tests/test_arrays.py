@@ -129,17 +129,23 @@ def test_validate_matches_reference_wide_masks(case):
 @pytest.mark.parametrize("build", [
     lambda: psi(8, 3), lambda: psi(10, 3), lambda: whirl(4), lambda: free_spike(4)[0],
 ])
-def test_validate_matches_reference_on_matroids(build):
+def test_validate_matches_reference_on_matroids(build, monkeypatch):
     oracle = build()
-    for family in (oracle.circuits(), oracle.cocircuits()):
-        report = validate_circuit_axioms(family, oracle.n)
-        assert report.ok
-        assert report == reference_validate_circuit_axioms(family, oracle.n)
-    # drop a circuit: elimination fails, in the reference's order
-    broken = oracle.circuits().members[1:]
-    report = validate_circuit_axioms(broken, oracle.n)
-    assert not report.ok
-    assert report == reference_validate_circuit_axioms(broken, oracle.n)
+    kept = (oracle.circuits().masks, oracle.cocircuits().masks)
+    for lowered in (False, True):
+        if lowered:  # after the build, which needs the table route; each family then takes the pair walk
+            monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "3")
+        for masks in kept:
+            family = CircuitFamily(oracle.n, masks)  # fresh, so it holds no table
+            report = validate_circuit_axioms(family, oracle.n)
+            assert report.ok
+            assert report == reference_validate_circuit_axioms(family, oracle.n)
+            assert (family._dependence is None) == lowered  # decided by the pair walk when lowered
+        # drop a circuit: elimination fails, in the reference's order
+        broken = kept[0].tolist()[1:]
+        report = validate_circuit_axioms(broken, oracle.n)
+        assert not report.ok
+        assert report == reference_validate_circuit_axioms(broken, oracle.n)
 
 
 @st.composite

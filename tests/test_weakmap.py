@@ -252,6 +252,21 @@ def test_interval_rank_condition_above_the_cap_names_a_violation():
     assert free.rank(union) == 4 and dual.rank(union) == 3
 
 
+@pytest.mark.parametrize("n", [8, 22])
+def test_interval_rank_condition_asks_the_run_of_all_intervals(n):
+    # U(1, n/2) on the odd elements plus the free matroid on the even ones:
+    # only the union of all m intervals has larger rank here (n/2 + 1) than
+    # in psi(n, 3) (n/2), so the run-length loop must reach k = m
+    odd = [bitset.mask_of([i]) for i in range(1, n + 1, 2)]
+    parallel = [a | b for j, a in enumerate(odd) for b in odd[j + 1:]]
+    oracle = oracle_from_circuits(GroundSet(n), parallel)
+    pres, dual = interval_presentation(n, 3), psi(n, 3)
+    m = pres.m
+    assert oracle.rank() == m + 1 and dual.rank() == m
+    report = interval_rank_condition(oracle, pres, dual)
+    assert report == VerificationReport("interval-rank", False, m * m, ((1, m),))
+
+
 def test_interval_rank_condition_above_a_lowered_cap(monkeypatch):
     # the weak-map confirmation lists circuits, which the lowered cap refuses
     monkeypatch.setenv("CYCMAT_MAX_N", "6")
