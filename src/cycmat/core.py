@@ -149,13 +149,25 @@ class CircuitFamily:
 @dataclass(frozen=True)
 class VerificationReport:
     """Pass/fail record of one check, with counterwitnesses: the one result
-    of every pass/fail check in the package."""
+    of every pass/fail check in the package.  It fails exactly when it
+    names a witness."""
 
     check: str
-    ok: bool
     checked: int
     witnesses: tuple = ()
     note: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return not self.witnesses
+
+    @classmethod
+    def of(cls, check: str, cases: Iterable, note: str = "") -> "VerificationReport":
+        """The report of `cases`, each None where it holds and its witness
+        where it fails: `checked` counts the cases, and the witnesses are
+        the failing ones in order."""
+        cases = list(cases)
+        return cls(check, len(cases), tuple(c for c in cases if c is not None), note)
 
 
 class MatroidOracle:
@@ -468,7 +480,7 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
     full = bitset.full_mask(n)
     in_range = not (family.masks & ~full).any()
     if in_range and family.masks.all() and _is_matroid_family(family):  # no member empty
-        return VerificationReport("circuit-axioms", True, len(family))
+        return VerificationReport("circuit-axioms", len(family))
     members = family.masks.tolist()
     violations: list[tuple[str, tuple]] = []
     for c in members:
@@ -492,7 +504,7 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
         for bit in bitset.singletons(inside_and(a | b)):
             elimination.append(("elimination", (bitset.indices(a), bitset.indices(b), bit.bit_length())))
     violations += antichain + elimination
-    return VerificationReport("circuit-axioms", not violations, len(members), tuple(violations))
+    return VerificationReport("circuit-axioms", len(members), tuple(violations))
 
 
 def _is_matroid_family(family: CircuitFamily) -> bool:
@@ -555,7 +567,7 @@ def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
     bitset.require_cap("the exchange sweep", n, bitset.lattice_cap())
     independent = oracle.independence_table()
     if not independent[0]:
-        return VerificationReport("matroid-axioms", False, 1, (("empty-set",),))
+        return VerificationReport("matroid-axioms", 1, (("empty-set",),))
     checked = 1 << n
     family = oracle.circuits()
     dependent = np.frombuffer(family.dependence(), dtype=np.uint8)  # 1 where a circuit lies inside
@@ -566,10 +578,8 @@ def verify_matroid_axioms(oracle: MatroidOracle) -> VerificationReport:
         if bit is None or not independent[m]:
             raise RuntimeError(f"the kept circuit family is not the independence table's at mask {m}")
         return VerificationReport(
-            "matroid-axioms", False, checked,
+            "matroid-axioms", checked,
             (("downward-closure", bitset.indices(m), bit.bit_length()),),
         )
     witness = family.exchange_failure()
-    return VerificationReport(
-        "matroid-axioms", witness is None, checked, () if witness is None else (witness,)
-    )
+    return VerificationReport("matroid-axioms", checked, () if witness is None else (witness,))

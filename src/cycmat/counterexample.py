@@ -106,14 +106,10 @@ def psi_two_block_circuits(oracle: MatroidOracle, s: int) -> VerificationReport:
     psi(n, s) with n = oracle.n, each tested directly, so no enumeration caps n."""
     n = oracle.n
     require(REFUTATION, n, s, None, "the quotient refutation")
-    checked = 0
-    witnesses = []
-    for spec in iter_specs(n, s):
-        for x in spec.admissible():
-            checked += 1
-            if not oracle.is_circuit(spec.with_x(x)):
-                witnesses.append((spec.i, spec.k, spec.ell, x))
-    return VerificationReport("two-block-circuits", not witnesses, checked, tuple(witnesses))
+    return VerificationReport.of("two-block-circuits", (
+        None if oracle.is_circuit(spec.with_x(x)) else (spec.i, spec.k, spec.ell, x)
+        for spec in iter_specs(n, s) for x in spec.admissible()
+    ))
 
 
 @dataclass(frozen=True)
@@ -150,12 +146,9 @@ class ForcedLedger:
 
     def verify_dependent(self, oracle: MatroidOracle) -> VerificationReport:
         """Sanity sweep: every ledger target is dependent in `oracle`."""
-        witnesses = tuple(
-            key for key, entry in self.entries.items() if oracle.indep(entry.target)
-        )
-        return VerificationReport(
-            "forced-sets-dependent", not witnesses, len(self.entries), witnesses
-        )
+        return VerificationReport.of("forced-sets-dependent", (
+            key if oracle.indep(entry.target) else None for key, entry in self.entries.items()
+        ))
 
     def _add(self, entry: ForcedEntry) -> tuple:
         self.entries[entry.key] = entry

@@ -387,19 +387,14 @@ def check_adjacent_windows(
     both sides, and dually."""
     cert = require_certificate(oracle, ordering, params, "adjacent-window check")
     s, t = cert.s, cert.t
-    witnesses = []
-    checked = 0
-    for i in cert.circuit_starts:
-        for start in (i - t, i + s):
-            checked += 1
-            if not cert.cocircuit_at(start):
-                witnesses.append(("missing-flank-cocircuit", i, cert.position(start)))
-    for i in cert.cocircuit_starts:
-        for start in (i - s, i + t):
-            checked += 1
-            if not cert.circuit_at(start):
-                witnesses.append(("missing-flank-circuit", i, cert.position(start)))
-    return VerificationReport("adjacent-windows", not witnesses, checked, tuple(witnesses))
+    flanks = (
+        (cert.circuit_starts, (-t, s), cert.cocircuit_at, "missing-flank-cocircuit"),
+        (cert.cocircuit_starts, (-s, t), cert.circuit_at, "missing-flank-circuit"),
+    )
+    return VerificationReport.of("adjacent-windows", (
+        None if present(i + d) else (kind, i, cert.position(i + d))
+        for starts, offsets, present, kind in flanks for i in starts for d in offsets
+    ))
 
 
 def check_window_structure(
@@ -412,20 +407,16 @@ def check_window_structure(
     s, t = cert.s, cert.t
     require(WINDOW_PARITY, cert.n, s, t, "window-structure check")
     even = s % 2 == 0
-    witnesses = []
-    checked = 0
+    cases, dual = [], oracle.dual()
     for i in cert.circuit_starts:
         after = cert.position(i + 1)
-        cocirc_start = i if even else after
-        coindep_start = after if even else i
-        checked += 3
-        if not cert.cocircuit_at(cocirc_start):
-            witnesses.append(("expected-cocircuit", i, cocirc_start))
-        if not oracle.indep(ordering.window(after, s)):
-            witnesses.append(("expected-independent", i, after))
-        if not oracle.dual().indep(ordering.window(coindep_start, t)):
-            witnesses.append(("expected-coindependent", i, coindep_start))
-    return VerificationReport("window-structure", not witnesses, checked, tuple(witnesses))
+        cocirc, coindep = (i, after) if even else (after, i)  # cocircuit and coindependent window starts
+        cases += (
+            None if cert.cocircuit_at(cocirc) else ("expected-cocircuit", i, cocirc),
+            None if oracle.indep(ordering.window(after, s)) else ("expected-independent", i, after),
+            None if dual.indep(ordering.window(coindep, t)) else ("expected-coindependent", i, coindep),
+        )
+    return VerificationReport.of("window-structure", cases)
 
 
 def _window_ranks(oracle: MatroidOracle, ordering: CyclicOrdering, lengths: range) -> dict:
@@ -448,15 +439,12 @@ def check_window_closure(
     n, s, t = cert.n, cert.s, cert.t
     ks = range(s - 1, n - t + 1)
     rank = _window_ranks(oracle, ordering, range(s - 1, n - t + 2))
-    witnesses = []
-    for i in range(1, n + 1):
-        before = (i - 2) % n + 1
-        for k in ks:
-            if (rank[i, k + 1] == rank[i, k]) != cert.circuit_at(i + k - s + 1):
-                witnesses.append(("closure-ahead", i, k))
-            if (rank[before, k + 1] == rank[i, k]) != cert.circuit_at(i - 1):
-                witnesses.append(("closure-behind", i, k))
-    return VerificationReport("window-closure", not witnesses, 2 * n * len(ks), tuple(witnesses))
+    return VerificationReport.of("window-closure", (
+        case for i in range(1, n + 1) for k in ks for case in (  # the start before i is i - 1 or n
+            None if (rank[i, k + 1] == rank[i, k]) == cert.circuit_at(i + k - s + 1) else ("closure-ahead", i, k),
+            None if (rank[i - 1 or n, k + 1] == rank[i, k]) == cert.circuit_at(i - 1) else ("closure-behind", i, k),
+        )
+    ))
 
 
 def window_rank_prediction(
@@ -472,15 +460,16 @@ def window_rank_prediction(
     cert = require_certificate(oracle, ordering, params, "window-rank check")
     n, s, t = cert.n, cert.s, cert.t
     rank = _window_ranks(oracle, ordering, range(1, n - t + 2))
-    witnesses = []
-    for (i, k), actual in rank.items():
+
+    def predicted(i: int, k: int) -> int:
         if k < s:
-            predicted = k
-        else:
-            predicted = (s + k - 1) // 2 if cert.circuit_at(i) else (s + k) // 2
-        if predicted != actual:
-            witnesses.append(("window-rank", i, k, predicted, actual))
-    return VerificationReport("window-rank", not witnesses, len(rank), tuple(witnesses))
+            return k
+        return (s + k - 1) // 2 if cert.circuit_at(i) else (s + k) // 2
+
+    return VerificationReport.of("window-rank", (
+        None if (p := predicted(i, k)) == actual else ("window-rank", i, k, p, actual)
+        for (i, k), actual in rank.items()
+    ))
 
 
 def check_rank_formula(oracle: MatroidOracle, params: STParams) -> bool:
@@ -510,13 +499,14 @@ def unique_window_circuits(
     cert = require_certificate(oracle, ordering, params, "uniqueness check", NEARLY, UNIQUENESS)
     n, s = cert.n, cert.s
     counts = oracle.kept("extension-counts")
-    witnesses = []
-    for i in range(1, n + 1):
-        window = ordering.window(i, s - 1)
-        count = sum(1 for _ in _extensions(oracle, window)) if counts is None else int(counts[window])
-        if count != 1:
-            witnesses.append(("window-circuit-count", i, count))
-    return VerificationReport("unique-window-circuit", not witnesses, n, tuple(witnesses))
+
+    def count(window: int) -> int:
+        return sum(1 for _ in _extensions(oracle, window)) if counts is None else int(counts[window])
+
+    return VerificationReport.of("unique-window-circuit", (
+        None if (c := count(ordering.window(i, s - 1))) == 1 else ("window-circuit-count", i, c)
+        for i in range(1, n + 1)
+    ))
 
 
 def upgrade_from_nearly(
@@ -527,8 +517,5 @@ def upgrade_from_nearly(
     check is vacuous (noted)."""
     cert = require_certificate(oracle, ordering, params, "the nearly-to-fully upgrade", NEARLY, UPGRADE_SIZES)
     if UPGRADE_BOUND.holds(cert.n, cert.s, cert.t):
-        return VerificationReport(
-            "nearly-upgrade", cert.full, 1,
-            () if cert.full else ((cert.kind, cert.failures),),
-        )
-    return VerificationReport("nearly-upgrade", True, 0, note="size bounds not met; vacuous")
+        return VerificationReport.of("nearly-upgrade", [None if cert.full else (cert.kind, cert.failures)])
+    return VerificationReport.of("nearly-upgrade", [], "size bounds not met; vacuous")

@@ -60,8 +60,8 @@ def is_weak_map(
     circuits = source.circuits()
     for circuit in circuits:
         if target.indep(phi.apply(circuit)):
-            return VerificationReport("weak-map", False, len(circuits), (circuit,))
-    return VerificationReport("weak-map", True, len(circuits))
+            return VerificationReport("weak-map", len(circuits), (circuit,))
+    return VerificationReport("weak-map", len(circuits))
 
 
 def is_weak_map_by_independence(
@@ -81,7 +81,7 @@ def is_weak_map_by_independence(
     image = bitset.permute_masks(np.arange(1 << target.n), phi.inverse().mapping)  # phi^{-1}(X) at X
     failing = np.flatnonzero(target.independence_table() & ~source.independence_table()[image])
     witnesses = (int(image[failing[0]]),) if len(failing) else ()
-    return VerificationReport("weak-map", not witnesses, len(image), witnesses)
+    return VerificationReport("weak-map", len(image), witnesses)
 
 
 def is_quotient(upper: MatroidOracle, lower: MatroidOracle) -> VerificationReport:
@@ -101,7 +101,7 @@ def is_quotient(upper: MatroidOracle, lower: MatroidOracle) -> VerificationRepor
     union = bitset.member_unions(upper.n, lower.circuits().masks)
     failing = np.flatnonzero(union[circuits] != circuits)
     witnesses = (int(circuits[failing[0]]),) if len(failing) else ()
-    return VerificationReport("quotient", not witnesses, len(circuits), witnesses)
+    return VerificationReport("quotient", len(circuits), witnesses)
 
 
 def interval_rank_condition(
@@ -130,13 +130,13 @@ def interval_rank_condition(
         for k in range(1, m + 1):
             union = pres.run_union(i, (i + k - 2) % m + 1)
             if oracle.rank(union) > dual.rank(union):
-                return VerificationReport("interval-rank", False, m * m, ((i, k),))
+                return VerificationReport("interval-rank", m * m, ((i, k),))
     if pres.n <= bitset.lattice_cap() and not is_weak_map(dual, oracle).ok:
         raise RuntimeError(
             "interval rank condition held but the weak map failed; "
             "this cannot happen for a loop-free interval presentation"
         )
-    return VerificationReport("interval-rank", True, m * m)
+    return VerificationReport("interval-rank", m * m)
 
 
 def _require_target(target: MatroidOracle, n: int, params: STParams) -> None:

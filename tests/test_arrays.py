@@ -54,7 +54,7 @@ def reference_validate_circuit_axioms(family, n: int) -> VerificationReport:
         if bitset.is_subset(a, b) or bitset.is_subset(b, a):
             violations.append(("antichain", (bitset.indices(a), bitset.indices(b))))
     if any(kind == "out-of-range" for kind, _ in violations):
-        return VerificationReport("circuit-axioms", False, len(members), tuple(violations))
+        return VerificationReport("circuit-axioms", len(members), tuple(violations))
     for a, b in itertools.combinations(members, 2):
         common = a & b
         if not common:
@@ -65,7 +65,7 @@ def reference_validate_circuit_axioms(family, n: int) -> VerificationReport:
                 violations.append(
                     ("elimination", (bitset.indices(a), bitset.indices(b), bit.bit_length()))
                 )
-    return VerificationReport("circuit-axioms", not violations, len(members), tuple(violations))
+    return VerificationReport("circuit-axioms", len(members), tuple(violations))
 
 
 @st.composite
@@ -180,7 +180,7 @@ def test_family_built_under_a_lower_cap_still_validates(monkeypatch):
     scanned = CircuitFamily.from_masks(10, members)
     assert not scanned.contains_member(0) and scanned._dependence is None  # scanned above the lowered cap
     monkeypatch.delenv(bitset.LATTICE_CAP_ENV)
-    assert validate_circuit_axioms(scanned, 10) == VerificationReport("circuit-axioms", True, len(members))
+    assert validate_circuit_axioms(scanned, 10) == VerificationReport("circuit-axioms", len(members))
     broken = CircuitFamily.from_masks(10, members[1:])
     monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
     broken.contains_member(0)  # asked under the lowered cap, validated above it
@@ -190,7 +190,7 @@ def test_family_built_under_a_lower_cap_still_validates(monkeypatch):
     tabled = CircuitFamily.from_masks(10, members)
     assert tabled.dependence() is not None
     monkeypatch.setenv(bitset.LATTICE_CAP_ENV, "8")
-    assert validate_circuit_axioms(tabled, 10) == VerificationReport("circuit-axioms", True, len(members))
+    assert validate_circuit_axioms(tabled, 10) == VerificationReport("circuit-axioms", len(members))
 
 
 def test_oracle_first_asked_under_a_lower_cap_still_fills_its_table(monkeypatch):
@@ -218,7 +218,7 @@ def test_family_asked_under_a_lower_cap_is_decided_on_its_table(monkeypatch):
         raise AssertionError("a passing family walked its pairs")
 
     monkeypatch.setattr(core.itertools, "combinations", no_pairs)
-    assert validate_circuit_axioms(family, 10) == VerificationReport("circuit-axioms", True, len(family))
+    assert validate_circuit_axioms(family, 10) == VerificationReport("circuit-axioms", len(family))
     assert family._dependence is not None
 
 
@@ -517,6 +517,7 @@ def _two_facet_oracle() -> MatroidOracle:
 
 
 def test_sweep_runs_its_own_test_when_the_kept_family_has_another_table():
+    """A kept family from another table makes the sweep raise `RuntimeError`."""
     family = CircuitFamily.from_masks(3, [0b011, 0b101, 0b110])  # U(1,3)
     assert validate_circuit_axioms(family, 3).ok and family.exchange_failure() is None
     oracle = _two_facet_oracle()
@@ -533,7 +534,7 @@ def test_sweep_reads_the_verdict_of_a_family_on_the_same_table(monkeypatch):
     monkeypatch.setattr(core, "_exchange_failure", lambda table: calls.append(table))
     report = verify_matroid_axioms(oracle)
     assert calls == []
-    assert report == VerificationReport("matroid-axioms", False, 8, (("exchange", (1, 2), (3,)),))
+    assert report == VerificationReport("matroid-axioms", 8, (("exchange", (1, 2), (3,)),))
 
 
 @pytest.mark.parametrize("sweep_first", [True, False], ids=["sweep-first", "axioms-first"])

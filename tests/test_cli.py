@@ -236,6 +236,16 @@ def test_bad_input_files_exit_2(capsys, tmp_path, command, payload):
     assert code == 2 and out == ""
 
 
+def test_gen_transversal_from_a_valid_file(capsys, tmp_path):
+    path, doc = tmp_path / "input.json", tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 6, "neighborhoods": [[3, 1, 3], [2]]}))
+    code, _, _ = run_cli(capsys, "gen", "--transversal", str(path), "--out", str(doc))
+    assert code == 0
+    assert documents.parse(doc.read_text())["matroid"] == {"transversal": {"n": 6, "neighborhoods": [[1, 3], [2]]}}
+    code, out, _ = run_cli(capsys, "rank", str(doc))
+    assert code == 0 and json.loads(out)["rank"] == 2
+
+
 DEEP = "[" * 5000 + "]" * 5000
 
 

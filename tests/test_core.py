@@ -9,6 +9,7 @@ from cycmat import (
     CapExceeded,
     GroundSet,
     MatroidOracle,
+    VerificationReport,
     oracle_from_circuits,
     orthogonality_check,
     psi,
@@ -611,3 +612,20 @@ def test_oracle_from_circuits_builds_one_table(monkeypatch):
     M = oracle_from_circuits(GroundSet(12), circuits, validate=True)
     assert M.indep(bitset.mask_of([1, 3, 5]))
     assert sizes == [12]
+
+
+WITNESSES = st.one_of(st.integers(), st.tuples(st.text(max_size=3), st.integers()))
+
+
+@given(st.lists(st.none() | WITNESSES, max_size=12), st.text(max_size=5))
+def test_report_of_counts_every_case_and_fails_by_its_witnesses(cases, note):
+    report = VerificationReport.of("check", iter(cases), note)
+    failing = tuple(c for c in cases if c is not None)
+    assert report == VerificationReport("check", len(cases), failing, note)
+    assert report.ok == (not failing)
+
+
+def test_report_of_no_case_is_a_vacuous_pass():
+    report = VerificationReport.of("nearly-upgrade", [], "size bounds not met; vacuous")
+    assert report.ok and report.checked == 0 and report.witnesses == ()
+    assert report.note == "size bounds not met; vacuous"

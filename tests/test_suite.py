@@ -273,14 +273,14 @@ def _old_report_entry(report):
 
 
 FAILING = VerificationReport(
-    "circuit-axioms", False, 3, (("elimination", (7, 11)), ("nested", (3, 7)))
+    "circuit-axioms", 3, (("elimination", (7, 11)), ("nested", (3, 7)))
 )
 
 
 @pytest.mark.parametrize("result, expected", [
     (FAILING, _old_report_entry(FAILING)),
-    (VerificationReport("circuit-axioms", True, 3), (True, None)),
-    (VerificationReport("weak-map", False, 5), (False, None)),
+    (VerificationReport("circuit-axioms", 3), (True, None)),
+    (VerificationReport("weak-map", 5, ((1, 2),)), (False, [(1, 2)])),
     (True, (True, None)),
     (False, (False, None)),
     ((True, {"nearly_orderings": 2}), (True, {"nearly_orderings": 2})),

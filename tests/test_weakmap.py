@@ -221,7 +221,7 @@ def test_quotient_examples():
 def test_interval_rank_condition_wheel():
     wheel4, dual = wheel(4), psi(8, 3)
     report = interval_rank_condition(wheel4, interval_presentation(8, 3), dual)
-    assert report == VerificationReport("interval-rank", True, 16)
+    assert report == VerificationReport("interval-rank", 16)
     assert is_weak_map(dual, wheel4).ok
 
 
@@ -240,7 +240,7 @@ def test_interval_rank_condition_free_matroid_fails():
 def test_interval_rank_condition_above_the_cap_rests_on_the_lemma():
     pres = interval_presentation(22, 4)
     report = interval_rank_condition(truncate(psi(22, 4), 1), pres, psi(22, 4))
-    assert report == VerificationReport("interval-rank", True, 121)
+    assert report == VerificationReport("interval-rank", 121)
 
 
 def test_interval_rank_condition_above_the_cap_names_a_violation():
@@ -264,14 +264,14 @@ def test_interval_rank_condition_asks_the_run_of_all_intervals(n):
     m = pres.m
     assert oracle.rank() == m + 1 and dual.rank() == m
     report = interval_rank_condition(oracle, pres, dual)
-    assert report == VerificationReport("interval-rank", False, m * m, ((1, m),))
+    assert report == VerificationReport("interval-rank", m * m, ((1, m),))
 
 
 def test_interval_rank_condition_above_a_lowered_cap(monkeypatch):
     # the weak-map confirmation lists circuits, which the lowered cap refuses
     monkeypatch.setenv("CYCMAT_MAX_N", "6")
     report = interval_rank_condition(wheel(4), interval_presentation(8, 3), psi(8, 3))
-    assert report == VerificationReport("interval-rank", True, 16)
+    assert report == VerificationReport("interval-rank", 16)
 
 
 def test_interval_rank_condition_rejects_a_dual_of_the_wrong_size():
