@@ -5,11 +5,15 @@ throughout) occupies bit ``i - 1``.  Python integers are arbitrary precision,
 so the same representation covers both the machine-word fast path and any
 larger ground set without a separate code path.  Array operations over many
 masks hold them in a numpy array (`mask_array`): int64 while every mask fits
-in 62 bits, Python ints above, under the same numpy expressions.  Arrays
-indexed by all 2^n masks are transformed over the subset lattice one bit at
-a time: `halves` pairs each mask without bit b with the same mask plus b,
-and every per-bit pass (`subset_reduce`, which takes the ufunc that joins
-two subsets, and the kernels beside it) is one ufunc call on those views.
+in 62 bits, Python ints above, under the same numpy expressions.  Kernels
+that read each mask of such an array (`canonical_sort`, `bit_counts`,
+`permute_masks`, `mask_elements`) read its byte columns (`mask_bytes`)
+through 256-entry tables, or peel one element per pass, so none makes a
+pass per bit of the ground set.  Arrays indexed by all 2^n masks are
+transformed over the subset lattice one bit at a time: `halves` pairs each
+mask without bit b with the same mask plus b, and every per-bit pass
+(`subset_reduce`, which takes the ufunc that joins two subsets, and the
+kernels beside it) is one ufunc call on those views.
 """
 
 from __future__ import annotations
@@ -108,21 +112,18 @@ def canonical_sort(masks: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
     building index tuples.
 
     Among sets of one size, ascending index order is descending order of
-    the mask with its bits reversed, so element 1 weighs most.  The size
-    and the reversed mask come from one shift loop over the bits of the
-    `mask_array`, then one ``np.lexsort``; masks wider than `WORD_BITS`
-    run the same expressions on an object array.  The width is
-    max(n, widest mask), so masks outside the n elements sort as well.
-    The result is fresh and read-only.
+    the mask with its bits reversed, so element 1 weighs most.  So one
+    ``np.lexsort`` orders the `mask_bytes` columns: its keys are the size
+    (the sum of `_BYTE_SIZES` over the columns), then each column, lowest
+    byte first, through `_BYTE_RANKS`.  No reversed mask is built, so no
+    width overflows.  The width is max(n, widest mask), so masks outside the
+    n elements sort as well.  The result is fresh and read-only.
     """
     masks = mask_array(masks, n)
     width = max_width(masks, n)
-    size, reversed_ = np.zeros_like(masks), np.zeros_like(masks)
-    for b in range(width):
-        bit = (masks >> b) & 1
-        size += bit
-        reversed_ |= bit << (width - 1 - b)
-    ordered = masks[np.lexsort((-reversed_, size))]
+    columns = mask_bytes(masks, width)
+    ranks = [np.take(_BYTE_RANKS, column) for column in reversed(columns.T)]  # lexsort's last key weighs most
+    ordered = masks[np.lexsort((*ranks, _size_of_bytes(columns, width)))]
     distinct = np.ones(len(ordered), dtype=bool)
     distinct[1:] = ordered[1:] != ordered[:-1]  # equal masks sort next to each other
     ordered = ordered[distinct]
@@ -148,27 +149,90 @@ def permute(mask: int, perm: tuple[int, ...]) -> int:
 
 
 def permute_masks(masks: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
-    """`permute` of every mask of a `mask_array`, entry for entry: one shift
-    pass per element, moving bit i - 1 to bit perm[i - 1] - 1."""
+    """`permute` of every mask of a `mask_array`, entry for entry: the OR of
+    one `byte_images` lookup per `mask_bytes` column.  Bits past len(perm)
+    are dropped."""
+    columns = mask_bytes(masks, max_width(masks, len(perm)))
     out = np.zeros_like(masks)
-    for i, target in enumerate(perm):
-        out |= ((masks >> i) & 1) << (target - 1)
+    for j, image in enumerate(byte_images(perm, masks.dtype)):
+        out |= np.take(image, columns[..., j])
     return out
+
+
+def byte_images(perm: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """``(⌈len(perm)/8⌉, 256)`` array: row j holds the `permute` image of
+    each byte value v placed at byte j, that is of v << 8j, bits past
+    len(perm) dropped.  Each entry is the OR of the targets
+    1 << (perm[i] - 1) that `_BYTE_BITS` selects, one reduction for all."""
+    count = -(-len(perm) // 8)
+    targets = np.zeros(8 * count, dtype=dtype)
+    targets[:len(perm)] = [1 << (target - 1) for target in perm]
+    return np.bitwise_or.reduce(np.where(_BYTE_BITS, targets.reshape(count, 1, 8), 0), axis=-1)
+
+
+def bit_counts(masks: np.ndarray) -> np.ndarray:
+    """The number of elements of each nonnegative mask of a `mask_array`,
+    the sum of `_BYTE_SIZES` over its `mask_bytes` columns, so no array over
+    all 2^n masks is needed at any n.  ``uint8`` while every mask fits in
+    255 bits, a wider unsigned dtype above."""
+    width = int(masks.max()).bit_length() if masks.size else 0
+    return _size_of_bytes(mask_bytes(masks, width), width)
 
 
 # the number of set bits of each byte value
 _BYTE_SIZES = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+# 255 minus each byte value with its bits reversed: ascending on a byte of a
+# mask is ascending index order (among masks that agree on the bytes below)
+_BYTE_RANKS = np.array([255 - int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+# ``_BYTE_BITS[v, b]``: is bit b of the byte value v set?
+_BYTE_BITS = np.array([[v >> b & 1 == 1 for b in range(8)] for v in range(256)])
 
 
-def bit_counts(masks: np.ndarray) -> np.ndarray:
-    """``uint8`` array: the number of elements of each nonnegative mask of a
-    `mask_array`, eight bits at a time through a 256-entry table, so no
-    array over all 2^n masks is needed at any n."""
-    counts = np.zeros(masks.shape, dtype=np.uint8)
-    width = int(masks.max()).bit_length() if masks.size else 0
-    for shift in range(0, width, 8):
-        counts += _BYTE_SIZES[((masks >> shift) & 255).astype(np.intp)]
-    return counts
+def mask_bytes(masks: np.ndarray, width: int) -> np.ndarray:
+    """``uint8`` array of shape ``masks.shape + (⌈width/8⌉,)``: byte j of each
+    nonnegative mask of a `mask_array` at ``[..., j]``, lowest byte first.
+
+    The byte columns that every per-mask kernel reads instead of one pass
+    per bit: an int64 array is viewed as its little-endian bytes, and an
+    object array is written out once by ``int.to_bytes``.  `width` must
+    cover every mask (`max_width`); an object mask that is negative or
+    wider raises `ValueError`.
+    """
+    count = -(-width // 8)
+    if masks.dtype != object:
+        words = np.ascontiguousarray(masks, dtype="<i8")
+        return words.view(np.uint8).reshape(*masks.shape, 8)[..., :count]
+    try:
+        data = b"".join([int(m).to_bytes(count, "little") for m in masks.ravel().tolist()])
+    except OverflowError:
+        raise ValueError(f"masks must be nonnegative and fit in {width} bits") from None
+    return np.frombuffer(data, dtype=np.uint8).reshape(*masks.shape, count)
+
+
+def mask_elements(masks: np.ndarray, k: int) -> np.ndarray:
+    """``(len(masks), k)`` intp array: the 1-based indices, ascending, of
+    each mask of a `mask_array` whose masks all have k elements.
+
+    k passes each peel the lowest bit (``m & -m``) and read its index as the
+    exponent of that power of two as a float64, on int64 and object arrays
+    alike.  That is exact below 2^1024; a wider mask raises `OverflowError`.
+    """
+    rows = np.empty((k, len(masks)), dtype=np.intp)
+    rest = masks.copy()
+    for row in rows:
+        low = rest & -rest
+        row[:] = np.frexp(low.astype(np.float64))[1]  # 2^b is 0.5 * 2^(b + 1)
+        rest ^= low
+    return np.ascontiguousarray(rows.T)
+
+
+def _size_of_bytes(columns: np.ndarray, width: int) -> np.ndarray:
+    """The number of set bits of each mask, from its `mask_bytes` columns,
+    in the smallest unsigned dtype that holds `width`."""
+    sizes = np.zeros(columns.shape[:-1], dtype=np.min_scalar_type(width))
+    for j in range(columns.shape[-1]):
+        sizes += np.take(_BYTE_SIZES, columns[..., j])
+    return sizes
 
 
 def dependence_table(n: int, generators: Sequence[int] | np.ndarray) -> bytearray:

@@ -120,22 +120,17 @@ class CircuitFamily:
         ``(count, size)`` array per run of consecutive members of one size,
         in member order.
 
-        The bits of all members are unpacked once, by a shift loop over
-        `masks` (an object array above `bitset.WORD_BITS`), and each run is
-        reshaped in one step: the canonical order sorts by size first, so a
-        family from `from_masks` has one run per size.
+        The sizes come from `bitset.bit_counts`, and each run's indices
+        from one `bitset.mask_elements` call, which makes one pass per
+        member size, never one per bit of the ground set.  The canonical
+        order sorts by size first, so a family from `from_masks` has one
+        run per size.
         """
         masks = self.masks
-        width = bitset.max_width(masks, self.n)
-        bits = np.empty((len(masks), width), dtype=bool)
-        for b in range(width):
-            bits[:, b] = (masks >> b) & 1
-        elements = np.flatnonzero(bits) % width + 1  # row by row, ascending within a row
-        sizes = np.count_nonzero(bits, axis=1)
-        ends = np.cumsum(sizes)  # one past each member's last entry in `elements`
+        sizes = bitset.bit_counts(masks)
         bounds = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), len(sizes)]  # run starts, then len
         return [
-            elements[ends[lo] - sizes[lo]:ends[hi - 1]].reshape(hi - lo, sizes[lo])
+            bitset.mask_elements(masks[lo:hi], int(sizes[lo]))
             for lo, hi in zip(bounds, bounds[1:])
             if lo < hi  # only the empty family has no run
         ]

@@ -120,3 +120,92 @@ def test_bit_counts_equal_int_bit_count(n):
     grid = bitset.mask_array(masks, n).reshape(2, -1)
     assert bitset.bit_counts(grid).tolist() == counts.reshape(2, -1).tolist()
     assert bitset.bit_counts(bitset.mask_array([], n)).tolist() == []
+
+
+# widths on each side of a byte boundary, and of the int64 / object switch
+INT64_WIDTHS = (7, 8, 9, 15, 16, 17, 56, 57, 62)
+OBJECT_WIDTHS = (63, 64, 65, 70)
+
+
+def boundary_masks(n: int) -> list[int]:
+    """Masks whose widest is exactly n bits: the empty mask, the top
+    element alone and with element 1, the full set, random masks with and
+    without the top element, and three members repeated."""
+    rng = random.Random(n)
+    top = 1 << (n - 1)
+    masks = [0, top, top | 1, bitset.full_mask(n)]
+    masks += [rng.getrandbits(n) | top for _ in range(30)] + [rng.getrandbits(n) for _ in range(30)]
+    return masks + masks[2:5]
+
+
+def test_byte_tables_equal_their_definitions():
+    for v in range(256):
+        assert bitset._BYTE_SIZES[v] == v.bit_count()
+        assert bitset._BYTE_RANKS[v] == 255 - sum(1 << (7 - b) for b in range(8) if v >> b & 1)
+        assert bitset._BYTE_BITS[v].tolist() == [v >> b & 1 == 1 for b in range(8)]
+    assert bitset._BYTE_SIZES.dtype == bitset._BYTE_RANKS.dtype == np.uint8
+
+
+@pytest.mark.parametrize("n", INT64_WIDTHS + OBJECT_WIDTHS)
+def test_byte_images_are_the_permute_of_each_byte(n):
+    perm = tuple(random.Random(n).sample(range(1, n + 1), n))
+    dtype = object if n > bitset.WORD_BITS else np.int64
+    images = bitset.byte_images(perm, dtype)
+    assert images.shape == (-(-n // 8), 256) and images.dtype == dtype
+    for j, row in enumerate(images):
+        assert row.tolist() == [bitset.permute(v << 8 * j & bitset.full_mask(n), perm) for v in range(256)]
+
+
+@pytest.mark.parametrize("n", INT64_WIDTHS + OBJECT_WIDTHS)
+def test_byte_kernels_equal_the_per_mask_definitions(n):
+    masks = boundary_masks(n)
+    array = bitset.mask_array(masks, n)
+    assert array.dtype == (object if n in OBJECT_WIDTHS else np.int64)
+    count = -(-n // 8)
+    columns = bitset.mask_bytes(array, n)
+    assert columns.dtype == np.uint8
+    assert columns.tolist() == [list(m.to_bytes(count, "little")) for m in masks]
+    assert bitset.bit_counts(array).tolist() == [m.bit_count() for m in masks]
+    perm = tuple(random.Random(-n).sample(range(1, n + 1), n))
+    image = bitset.permute_masks(array, perm)
+    assert image.dtype == array.dtype and image.tolist() == [bitset.permute(m, perm) for m in masks]
+    for k in {m.bit_count() for m in masks}:
+        with_k = [m for m in masks if m.bit_count() == k]
+        elements = bitset.mask_elements(bitset.mask_array(with_k, n), k)
+        assert elements.dtype == np.intp and elements.shape == (len(with_k), k)
+        assert elements.tolist() == [list(bitset.indices(m)) for m in with_k]
+
+
+@pytest.mark.parametrize("n", INT64_WIDTHS + OBJECT_WIDTHS)
+def test_canonical_sort_at_byte_boundaries(n):
+    masks = boundary_masks(n)
+    expected = sorted(set(masks), key=bitset.subset_key)
+    for given_masks in (masks, bitset.mask_array(masks, n)):
+        ordered = bitset.canonical_sort(given_masks, n)
+        assert ordered.tolist() == expected and not ordered.flags.writeable
+        assert ordered.dtype == (object if n in OBJECT_WIDTHS else np.int64)
+    # members wider than n sort by their own width
+    assert bitset.canonical_sort(masks, n - 6).tolist() == expected
+    assert bitset.canonical_sort([], n).tolist() == []
+
+
+@pytest.mark.parametrize("n", [8, 62, 70])
+def test_byte_kernels_on_no_mask(n):
+    empty = bitset.mask_array([], n)
+    perm = tuple(range(n, 0, -1))
+    assert bitset.mask_bytes(empty, n).shape == (0, -(-n // 8))
+    assert bitset.bit_counts(empty).tolist() == []
+    assert bitset.permute_masks(empty, perm).tolist() == []
+    assert bitset.mask_elements(empty, 3).shape == (0, 3)
+
+
+def test_bit_counts_above_255_elements():
+    masks = bitset.mask_array([bitset.full_mask(300), 1 << 299, 0])
+    assert bitset.bit_counts(masks).tolist() == [300, 1, 0]
+
+
+def test_object_mask_bytes_refuse_a_mask_that_does_not_fit():
+    with pytest.raises(ValueError, match="nonnegative"):
+        bitset.mask_bytes(bitset.mask_array([1 << 69, -1]), 70)
+    with pytest.raises(ValueError, match="fit in 64 bits"):
+        bitset.mask_bytes(bitset.mask_array([1 << 69]), 64)

@@ -96,6 +96,40 @@ def test_circuits_command_keeps_listed_family_with_labels(capsys, tmp_path):
     assert len(json.loads(outputs[0])["circuits"]) == n
 
 
+def _shuffled_4_subsets() -> tuple[int, list[list[int]]]:
+    """The benchmark's circuits document shape: every 4-subset of 16
+    elements, each row shuffled and the rows shuffled."""
+    rng = random.Random(16)
+    rows = [rng.sample(c, 4) for c in itertools.combinations(range(1, 17), 4)]
+    rng.shuffle(rows)
+    return 16, rows
+
+
+def _wide_windows() -> tuple[int, list[list[int]]]:
+    """Cyclic windows on 70 elements, 3-windows at every start and
+    9-windows at every other one, each row shuffled and the rows shuffled:
+    object-array masks, some on both sides of bit 62."""
+    rng = random.Random(70)
+    rows = [rng.sample([(i + k) % 70 + 1 for k in range(size)], size)
+            for size, starts in ((3, range(70)), (9, range(0, 70, 2))) for i in starts]
+    rng.shuffle(rows)
+    return 70, rows
+
+
+# the same two documents, generated by the same code, run as a process in CI
+@pytest.mark.parametrize("document", [_shuffled_4_subsets, _wide_windows])
+def test_circuits_documents_round_trip(capsys, tmp_path, document):
+    n, rows = document()
+    if n > bitset.WORD_BITS:
+        assert any(min(r) <= bitset.WORD_BITS < max(r) for r in rows)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"schema": 1, "matroid": {"circuits": {"n": n, "circuits": rows}}}))
+    code, out, err = run_cli(capsys, "circuits", str(path))
+    assert code == 0, err
+    canonical = sorted({tuple(sorted(r)) for r in rows}, key=lambda r: (len(r), r))  # by brute force
+    assert out == json.dumps({"circuits": [list(r) for r in canonical], "n": n}, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("n", [12, 25])
 def test_circuits_document_builds_its_table_only_when_asked(capsys, tmp_path, monkeypatch, n):
     # listing a document's circuits reads no dependence table; rank and indep build

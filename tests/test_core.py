@@ -130,6 +130,25 @@ def test_family_order_and_indices_match_the_definitions(n, indices):
     assert family.as_indices() == [list(bitset.indices(m)) for m in expected]
 
 
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 56, 57, 62, 63, 64, 65, 70])
+def test_index_runs_at_byte_boundaries(n):
+    # the top element is set in some member, so the widest member is n bits
+    # wide: int64 masks up to 62, object arrays above
+    rng = np.random.default_rng(n)
+    top = 1 << (n - 1)
+    masks = [0, top, top | 1, top | 1, bitset.full_mask(n)]  # the empty mask and a repeated member
+    masks += [int(m) | top * int(b) for m, b in zip(rng.integers(0, 1 << min(n, 62), 40), rng.integers(0, 2, 40))]
+    for family in (CircuitFamily.from_masks(n, masks), CircuitFamily(n, masks),
+                   CircuitFamily.from_masks(n - 5, masks)):  # sorted, unsorted, and members wider than n
+        assert family.masks.dtype == (object if n > bitset.WORD_BITS else np.int64)
+        runs = family.index_runs()
+        assert all(run.dtype == np.intp and run.flags.c_contiguous and run.flags.writeable for run in runs)
+        assert [row for run in runs for row in run.tolist()] == [list(bitset.indices(m)) for m in family.members]
+        assert family.as_indices() == [list(bitset.indices(m)) for m in family.members]
+    assert len(CircuitFamily.from_masks(n, masks).index_runs()) == len({m.bit_count() for m in masks})
+    assert CircuitFamily.from_masks(n, []).index_runs() == []
+
+
 @settings(max_examples=200)
 @given(
     st.integers(min_value=1, max_value=80),
