@@ -37,6 +37,7 @@ from .transversal import (
     IntervalPresentation,
     MatchingResult,
     classify_circuit,
+    classify_circuits,
     dual_transversal,
     interval_presentation,
     max_matching,

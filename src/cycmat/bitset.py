@@ -33,6 +33,9 @@ LATTICE_CAP_ENV = "CYCMAT_MAX_N"
 WORD_BITS = 62
 # `halves` walks blocks shorter than this transposed, in long strided runs
 SHORT_BLOCK = 16
+# rows per block of a (member x element) array: at n = 20 each int64
+# temporary of a block takes 4096 * 20 * 8 bytes = 640 KB
+MEMBER_BLOCK = 4096
 
 
 class CapExceeded(ValueError):
@@ -233,6 +236,13 @@ def _size_of_bytes(columns: np.ndarray, width: int) -> np.ndarray:
     for j in range(columns.shape[-1]):
         sizes += np.take(_BYTE_SIZES, columns[..., j])
     return sizes
+
+
+def blocks(values: np.ndarray, size: int = MEMBER_BLOCK) -> Iterator[np.ndarray]:
+    """Consecutive slices of `values`, `size` rows each and the last one
+    shorter: the unit in which a whole-array read over a family's members
+    builds its temporaries, so that none grows with the family."""
+    return (values[lo:lo + size] for lo in range(0, len(values), size))
 
 
 def dependence_table(n: int, generators: Sequence[int] | np.ndarray) -> bytearray:

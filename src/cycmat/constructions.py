@@ -8,7 +8,6 @@ their natural cyclic order is the structured one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,17 +216,16 @@ def truncation_circuits(oracle: MatroidOracle, i: int) -> CircuitFamily:
     """Expected circuits of the i-th truncation, from the parent matroid.
 
     Small circuits survive; every independent set of size r - i + 1 becomes a
-    circuit.  Used to cross-check the truncation oracle.
+    circuit.  Both are read off the parent's tables: its circuits of at most
+    r - i + 1 elements, and the masks of that size its independence table
+    marks, so above the `bitset.lattice_cap` it raises `CapExceeded`, as
+    `circuits` does.  Used to cross-check the truncation oracle.
     """
     r = oracle.rank()
     if not 1 <= i <= r:
         raise ValueError("cross-check applies to 1 <= i <= rank")
-    keep = [c for c in oracle.circuits() if c.bit_count() <= r - i + 1]
-    n = oracle.n
-    for combo in itertools.combinations(range(n), r - i + 1):
-        mask = 0
-        for b in combo:
-            mask |= 1 << b
-        if oracle.indep(mask):
-            keep.append(mask)
-    return CircuitFamily.from_masks(n, keep)
+    size = r - i + 1
+    sizes = bitset.set_sizes(oracle.n)
+    circuits = oracle.circuits().masks
+    grown = np.flatnonzero(oracle.independence_table() & (sizes == size))
+    return CircuitFamily.from_masks(oracle.n, np.concatenate([circuits[sizes[circuits] <= size], grown]))

@@ -424,11 +424,14 @@ def orthogonality_violation(
 
     A lattice pass, not a walk over pairs: U[X], the union of the cocircuits
     inside X, is `bitset.member_unions` over all 2^n masks.  A circuit C
-    meets some cocircuit in exactly e iff e is in C and in U[(E - C) | e], so one pass
-    per element marks every circuit with such a partner; the first marked
-    circuit is then tested against each cocircuit.  O(n 2^n + n |circuits| + |cocircuits|).  Above
-    the `bitset.lattice_cap` it raises `CapExceeded`, and masks outside the
-    n elements raise `ValueError`.
+    meets some cocircuit in exactly e iff e is in C and in U[(E - C) | e].
+    U[(E - C) | e] meets C at most in e, so one gather over the (circuit x
+    element) array of masks (E - C) | e, in `bitset.blocks` of circuits,
+    marks every circuit with such a partner; the first marked circuit is
+    then tested against each cocircuit.  O(n 2^n + n |circuits| +
+    |cocircuits|), with temporaries of at most `bitset.MEMBER_BLOCK` x n
+    entries.  Above the `bitset.lattice_cap` it raises `CapExceeded`, and
+    masks outside the n elements raise `ValueError`.
     """
     bitset.require_cap("the orthogonality check", n, bitset.lattice_cap())
     full = bitset.full_mask(n)
@@ -438,16 +441,15 @@ def orthogonality_violation(
             raise ValueError(f"masks must lie inside the {n} elements")
     cs, ds = cs.astype(np.int32), ds.astype(np.int32)
     union = bitset.member_unions(n, ds)
-    partnered = np.zeros(len(cs), dtype=bool)
-    for b in range(n):
-        holds = (cs >> b) & 1 == 1
-        partnered[holds] |= (union[(full ^ cs[holds]) | 1 << b] >> b) & 1 == 1
-    if not partnered.any():
-        return None
-    i = int(np.argmax(partnered))
-    meet = ds & cs[i]
-    j = int(np.argmax((meet != 0) & (meet & (meet - 1) == 0)))
-    return int(cs[i]), int(ds[j])
+    bits = np.int32(1) << np.arange(n, dtype=np.int32)
+    for block in bitset.blocks(cs[:, None]):
+        partnered = (union[(full ^ block) | bits] & block).any(axis=1)
+        if partnered.any():
+            c = int(block[np.argmax(partnered), 0])
+            meet = ds & c
+            j = int(np.argmax((meet != 0) & (meet & (meet - 1) == 0)))
+            return c, int(ds[j])
+    return None
 
 
 def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> VerificationReport:
@@ -505,15 +507,22 @@ def validate_circuit_axioms(family: CircuitFamily | Iterable[int], n: int) -> Ve
 def _is_matroid_family(family: CircuitFamily) -> bool:
     """Are the nonempty in-range members the circuits of a matroid, decided
     on the family's `dependence` table (False above the cap, where it has
-    none)?  Iff they are distinct, no C - e contains a member, and the sets
-    that contain none pass the exchange test."""
+    none)?  Iff they are distinct, no C - e contains a member (one gather
+    over the (member x element) array, in `bitset.blocks` of members), and
+    the sets that contain none pass the exchange test."""
     table, masks = family.dependence(), family.masks
     ordered = np.sort(masks)
     if table is None or (ordered[1:] == ordered[:-1]).any():  # sorted, a repeated member is adjacent
         return False
-    dependent = np.frombuffer(table, dtype=np.uint8)
-    for b in range(family.n):
-        if dependent[masks[(masks >> b) & 1 == 1] ^ (1 << b)].any():
+    # one gather of dependent[C ^ e] per block of members: for e in C that is
+    # C - e, and for e outside C it is C | e, always dependent, so the block
+    # passes iff the dependent count is its number of pairs with e outside C
+    dependent = np.frombuffer(table, dtype=np.uint8).view(bool)
+    bits = 1 << np.arange(family.n, dtype=masks.dtype)
+    sizes = bitset.set_sizes(family.n)
+    for block in bitset.blocks(masks):
+        outside = block.size * family.n - int(sizes[block].sum(dtype=np.int64))
+        if np.count_nonzero(dependent[block[:, None] ^ bits]) > outside:
             return False
     return family.exchange_failure() is None
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
+import numpy as np
+
 from . import bitset
 from .core import MatroidOracle, VerificationReport
 
@@ -421,9 +423,18 @@ def check_window_structure(
 
 def _window_ranks(oracle: MatroidOracle, ordering: CyclicOrdering, lengths: range) -> dict:
     """r(W(i, k)) of the k-window at every start i and each k in `lengths`,
-    one rank query per window, keyed (i, k) in start-then-length order."""
+    keyed (i, k) in start-then-length order.  Once the oracle keeps its
+    independence table, one `rank_table` gather per length, over the
+    windows of all n starts (the lookup `MatroidOracle.rank` makes then);
+    before, one rank query per window."""
     starts = range(1, ordering.n + 1)
-    return {(i, k): oracle.rank(ordering.window(i, k)) for i in starts for k in lengths}
+    keys = [(i, k) for i in starts for k in lengths]
+    if oracle.kept("independence-table") is None:
+        return {(i, k): oracle.rank(ordering.window(i, k)) for i, k in keys}
+    sums, n = np.array(ordering._sums), ordering.n  # the k-windows, k <= n, are sums[k:k + n] - sums[:n]
+    rank = oracle.rank_table()
+    ranks = [rank[sums[k:k + n] - sums[:n]] for k in lengths]
+    return dict(zip(keys, np.array(ranks).T.ravel().tolist()))
 
 
 def check_window_closure(

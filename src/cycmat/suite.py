@@ -56,7 +56,7 @@ from .cyclic import (
 from .transversal import (
     BipartitePresentation,
     brute_force_matching_size,
-    classify_circuit,
+    classify_circuits,
     dual_transversal,
     interval_presentation,
     max_matching,
@@ -335,8 +335,8 @@ def _family_difference(expected: set[int], actual: set[int]) -> tuple[bool, Any]
 
 
 def _classification_entry(pres, oracle: MatroidOracle) -> tuple[bool, Any]:
-    for circuit in oracle.circuits():
-        outcome = classify_circuit(oracle, pres, circuit)
+    circuits = oracle.circuits()
+    for circuit, outcome in zip(circuits, classify_circuits(oracle, pres, circuits.masks)):
         if not outcome.ok:
             return False, list(bitset.indices(circuit))
     return True, None

@@ -20,7 +20,7 @@ r*(X) = |X| - r(E) + r(E - X).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
@@ -403,28 +403,54 @@ class CircuitClassification:
 def classify_circuit(
     oracle: MatroidOracle, pres: IntervalPresentation, circuit: int
 ) -> CircuitClassification:
-    """Classify a circuit of `oracle`, psi(n, s) for `pres` =
-    `interval_presentation(n, s)`, or the same matroid as
-    `dual_transversal(pres.base)`.
+    """Classify one circuit of `oracle`: `classify_circuits` of it alone."""
+    return classify_circuits(oracle, pres, [circuit])[0]
+
+
+def classify_circuits(
+    oracle: MatroidOracle, pres: IntervalPresentation, circuits: Iterable[int] | np.ndarray
+) -> list[CircuitClassification]:
+    """Classify each of `circuits`, masks of circuits of `oracle`, in order;
+    `oracle` is psi(n, s) for `pres` = `interval_presentation(n, s)`, or
+    the same matroid as `dual_transversal(pres.base)`.
 
     A circuit of n - m + 1 elements is spanning.  Otherwise the runs
     [i, j] of `pres.interval_runs` are tried in (i, j) order, and the first
     whose interval U holds the circuit C, with |C| = |U| - (j - i + 1) + 1,
     C holding the elements only N(i) and only N(j) reach, and U in the
-    closure of C, classifies it; none leaves it unclassified.
+    closure of C, classifies it; none leaves it unclassified.  The shape
+    tests are one array expression over (circuit x run), in `bitset.blocks`
+    of circuits, and each run's rank is asked once, on the first block
+    where some circuit passes them.  A mask that is not a circuit of
+    `oracle` raises `ValueError`.
     """
     if oracle.n != pres.n:
         raise ValueError("the classified matroid must share the presentation's ground set")
-    if not oracle.is_circuit(circuit):
+    masks = bitset.mask_array(circuits, pres.n)
+    marks = oracle.kept("circuit-table")
+    if marks is None or (masks & ~oracle.ground.full).any():  # is_circuit raises on such a mask
+        all_circuits = all(map(oracle.is_circuit, masks.tolist()))
+    else:
+        all_circuits = marks[masks].all()
+    if not all_circuits:
         raise ValueError("classification requires a circuit of the dual matroid")
-    size = circuit.bit_count()
-    if size == pres.n - pres.m + 1:
-        return CircuitClassification("spanning")
-    for i, j, union, ends, length in pres.interval_runs:
-        if circuit & ~union or ends & ~circuit or size != union.bit_count() - length + 1:
-            continue
+    runs = pres.interval_runs
+    _, _, unions, ends, lengths = zip(*runs)
+    unions, ends = bitset.mask_array(unions, pres.n), bitset.mask_array(ends, pres.n)
+    room = bitset.bit_counts(unions) - np.array(lengths) + 1  # the size of a circuit pinned to each run
+    ranks = np.full(len(runs), -1)  # each run's rank, asked on first need
+    spanning, unclassified = len(runs), len(runs) + 1
+    codes: list[int] = []
+    for block in bitset.blocks(masks[:, None]):
+        sizes = bitset.bit_counts(block).astype(np.int64)
+        fits = ((block & ~unions) == 0) & ((ends & ~block) == 0) & (sizes == room)
+        ask = fits.any(axis=0) & (ranks < 0)
+        ranks[ask] = [oracle.rank(union) for union in unions[ask].tolist()]
         # C lies in the interval and r(C) = |C| - 1, so the interval
         # lies in cl(C) iff it has C's rank
-        if oracle.rank(union) == size - 1:
-            return CircuitClassification("interval", i, j)
-    return CircuitClassification("unclassified")
+        fits &= ranks == sizes - 1
+        code = np.where(fits.any(axis=1), np.argmax(fits, axis=1), unclassified)
+        codes += np.where(sizes[:, 0] == pres.n - pres.m + 1, spanning, code).tolist()
+    outcomes = [CircuitClassification("interval", i, j) for i, j, *_ in runs]
+    outcomes += [CircuitClassification("spanning"), CircuitClassification("unclassified")]
+    return [outcomes[code] for code in codes]

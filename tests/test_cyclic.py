@@ -29,6 +29,7 @@ from cycmat.cyclic import (
     upgrade_from_nearly,
     window_rank_prediction,
 )
+from cycmat import suite
 from cycmat.suite import run_suite
 
 ST33 = STParams(3, 3)
@@ -476,25 +477,25 @@ def test_window_reports_need_a_full_ordering():
 FLIP_WINDOW = bitset.mask_of([3, 4, 5, 6])
 
 
-def _flip_rank_of(monkeypatch, window):
-    rank = MatroidOracle.rank
+def _flipped_psi83() -> MatroidOracle:
+    """psi(8,3) keeping a copy of its rank table with r(e_3..e_6) raised by
+    one, and its independence table, so that the window checks gather their
+    ranks from the copy."""
+    table = psi(8, 3).rank_table().copy()
+    table[FLIP_WINDOW] += 1
+    M = psi(8, 3)
+    M.derived("rank-table", lambda: table)
+    M.independence_table()
+    return M
 
-    def flipped(self, mask=None):
-        answer = rank(self, mask)
-        return answer + 1 if (self.name, mask) == ("psi(8,3)", window) else answer
 
-    monkeypatch.setattr(MatroidOracle, "rank", flipped)
-
-
-def _flip_closure(monkeypatch):
+def _flip_closure():
     # r(e_3..e_6) reads 4, not 3, so e_7 leaves its closure and e_2 enters
     # it; e_3..e_6 is also the (k+1)-window behind e_4..e_6 at (i, k) = (4, 3)
-    _flip_rank_of(monkeypatch, FLIP_WINDOW)
     return (("closure-ahead", 3, 4), ("closure-behind", 3, 4), ("closure-behind", 4, 3))
 
 
-def _flip_rank(monkeypatch):
-    _flip_rank_of(monkeypatch, FLIP_WINDOW)
+def _flip_rank():
     # start 3 is on the circuit phase, so the predicted rank is floor((3+4-1)/2) = 3
     return (("window-rank", 3, 4, 3, 4),)
 
@@ -504,15 +505,16 @@ def _flip_rank(monkeypatch):
     (window_rank_prediction, "window-rank", _flip_rank),
 ])
 def test_window_report_names_a_flipped_answer(monkeypatch, check, name, flip):
-    # fresh oracles: a flipped rank could reach a shared oracle's dual memo
-    M = psi(8, 3)
+    # fresh oracles: the flipped table could reach a shared oracle's dual
     o = natural_ordering(8)
-    assert certify(M, o, ST33).full
-    witnesses = flip(monkeypatch)
+    assert certify(psi(8, 3), o, ST33).full
+    witnesses = flip()
+    M = _flipped_psi83()
     report = check(M, o, ST33)
     assert not report.ok
     assert report.witnesses == witnesses
     params = {"matroid": "psi(8,3)", "s": 3, "t": 3}
+    monkeypatch.setattr(suite, "psi", lambda n, s: _flipped_psi83() if (n, s) == (8, 3) else psi(n, s))
     entries = run_suite(8, families=("psi",))["entries"]
     [entry] = [e for e in entries if (e["check"], e["params"]) == (name, params)]
     assert (entry["ok"], entry["witness"]) == (False, [witnesses[0]])
@@ -524,6 +526,8 @@ def test_window_report_names_a_flipped_answer(monkeypatch, check, name, flip):
     (window_rank_prediction, 14 * 11),
 ])
 def test_window_reports_ask_each_window_rank_once(monkeypatch, check, windows):
+    # one rank query per window until the independence table is kept, and
+    # none after: then the ranks are gathered from the rank table
     M = psi(14, 4)
     o = natural_ordering(14)
     params = STParams(4, 4)
@@ -537,8 +541,12 @@ def test_window_reports_ask_each_window_rank_once(monkeypatch, check, windows):
 
     monkeypatch.setattr(MatroidOracle, "rank", counted)
     assert check(M, o, params).ok
-    assert len(asked) <= windows
+    assert len(asked) == windows
     assert len(set(asked)) == len(asked)
+    M.independence_table()
+    asked.clear()
+    assert check(M, o, params).ok
+    assert asked == []
 
 
 ST44 = STParams(4, 4)
