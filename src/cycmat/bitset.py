@@ -238,11 +238,11 @@ def _size_of_bytes(columns: np.ndarray, width: int) -> np.ndarray:
     return sizes
 
 
-def blocks(values: np.ndarray, size: int = MEMBER_BLOCK) -> Iterator[np.ndarray]:
-    """Consecutive slices of `values`, `size` rows each and the last one
-    shorter: the unit in which a whole-array read over a family's members
-    builds its temporaries, so that none grows with the family."""
-    return (values[lo:lo + size] for lo in range(0, len(values), size))
+def blocks(values: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive slices of `values`, `MEMBER_BLOCK` rows each and the last
+    one shorter: the unit in which a whole-array read over a family's
+    members builds its temporaries, so that none grows with the family."""
+    return (values[lo:lo + MEMBER_BLOCK] for lo in range(0, len(values), MEMBER_BLOCK))
 
 
 def dependence_table(n: int, generators: Sequence[int] | np.ndarray) -> bytearray:

@@ -269,6 +269,17 @@ class MatroidOracle:
                 current |= bit
         return current.bit_count()
 
+    def ranks(self, masks: np.ndarray) -> np.ndarray:
+        """`rank` of each of `masks`, an integer array, in its shape: once
+        the independence table is kept, one gather from the `rank_table`,
+        the lookup `rank` makes then; before, one `rank` query per mask."""
+        masks = np.asarray(masks)
+        if "independence-table" not in self._derived:
+            return np.array(list(map(self.rank, masks.ravel().tolist())), dtype=np.int64).reshape(masks.shape)
+        if (masks & ~self.ground.full).any():  # a negative index would wrap
+            raise ValueError("subset is not contained in the ground set")
+        return self.rank_table()[masks]
+
     def closure(self, mask: int) -> int:
         base = self.rank(mask)
         out = mask
@@ -293,6 +304,19 @@ class MatroidOracle:
         if mask & ~self.ground.full:  # a negative index would wrap
             raise ValueError("subset is not contained in the ground set")
         return bool(marks[mask])
+
+    def are_circuits(self, masks: np.ndarray) -> np.ndarray:
+        """`is_circuit` of each of `masks`, an integer array, in its shape:
+        once the `circuit_table` is kept, one gather from it; before, one
+        `is_circuit` query per mask.  A mask outside the ground set raises
+        `ValueError`, as `is_circuit` does."""
+        masks = np.asarray(masks)
+        marks = self.kept("circuit-table")
+        if marks is None:
+            return np.array(list(map(self.is_circuit, masks.ravel().tolist())), dtype=bool).reshape(masks.shape)
+        if (masks & ~self.ground.full).any():  # a negative index would wrap
+            raise ValueError("subset is not contained in the ground set")
+        return marks[masks]
 
     def is_coindependent(self, mask: int) -> bool:
         """The dual's predicate; ask `dual().indep`, whose memo caches it."""

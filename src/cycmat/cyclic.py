@@ -423,18 +423,13 @@ def check_window_structure(
 
 def _window_ranks(oracle: MatroidOracle, ordering: CyclicOrdering, lengths: range) -> dict:
     """r(W(i, k)) of the k-window at every start i and each k in `lengths`,
-    keyed (i, k) in start-then-length order.  Once the oracle keeps its
-    independence table, one `rank_table` gather per length, over the
-    windows of all n starts (the lookup `MatroidOracle.rank` makes then);
-    before, one rank query per window."""
-    starts = range(1, ordering.n + 1)
-    keys = [(i, k) for i in starts for k in lengths]
-    if oracle.kept("independence-table") is None:
-        return {(i, k): oracle.rank(ordering.window(i, k)) for i, k in keys}
-    sums, n = np.array(ordering._sums), ordering.n  # the k-windows, k <= n, are sums[k:k + n] - sums[:n]
-    rank = oracle.rank_table()
-    ranks = [rank[sums[k:k + n] - sums[:n]] for k in lengths]
-    return dict(zip(keys, np.array(ranks).T.ravel().tolist()))
+    keyed (i, k) in start-then-length order: one `MatroidOracle.ranks`
+    call on the (start x length) array of window masks."""
+    sums, n = np.array(ordering._sums), ordering.n
+    starts = np.arange(n)[:, None]  # W(i, k), k <= n, is sums[i - 1 + k] - sums[i - 1]
+    windows = sums[starts + np.array(lengths, dtype=np.int64)] - sums[starts]
+    keys = [(i, k) for i in range(1, n + 1) for k in lengths]
+    return dict(zip(keys, oracle.ranks(windows).ravel().tolist()))
 
 
 def check_window_closure(

@@ -427,12 +427,7 @@ def classify_circuits(
     if oracle.n != pres.n:
         raise ValueError("the classified matroid must share the presentation's ground set")
     masks = bitset.mask_array(circuits, pres.n)
-    marks = oracle.kept("circuit-table")
-    if marks is None or (masks & ~oracle.ground.full).any():  # is_circuit raises on such a mask
-        all_circuits = all(map(oracle.is_circuit, masks.tolist()))
-    else:
-        all_circuits = marks[masks].all()
-    if not all_circuits:
+    if not oracle.are_circuits(masks).all():
         raise ValueError("classification requires a circuit of the dual matroid")
     runs = pres.interval_runs
     _, _, unions, ends, lengths = zip(*runs)

@@ -307,3 +307,37 @@ def test_window_ranks_gathered_from_the_table_equal_one_query_per_window(build):
                 assert list(ranks.items()) == list(reference_window_ranks(asked, ordering, lengths).items())
         assert (oracle.kept("rank-table") is not None) == kept
     assert asked.kept("independence-table") is None
+
+
+# -- the oracle's array forms ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("kept", [False, True])
+def test_ranks_equal_one_rank_query_per_mask(kept):
+    oracle = psi(10, 3)
+    if kept:
+        oracle.independence_table()
+    masks = np.array(random.Random(10).sample(range(1 << 10), 60), dtype=np.int64).reshape(6, 10)
+    ranks = oracle.ranks(masks)
+    assert ranks.shape == masks.shape
+    assert ranks.tolist() == [[psi(10, 3).rank(m) for m in row] for row in masks.tolist()]
+    assert oracle.ranks(np.zeros((10, 0), dtype=np.int64)).shape == (10, 0)
+    assert (oracle.kept("rank-table") is not None) == kept
+    with pytest.raises(ValueError):
+        oracle.ranks(np.array([1 << 10]))
+
+
+@pytest.mark.parametrize("kept", [False, True])
+def test_are_circuits_equal_one_is_circuit_query_per_mask(kept):
+    oracle = psi(10, 3)
+    if kept:
+        oracle.circuit_table()
+    masks = np.array([*oracle.circuits().members[:20], *range(20)], dtype=np.int64).reshape(4, 10) if kept else (
+        np.array([bitset.mask_of([1, 2, 3]), *range(11)], dtype=np.int64).reshape(3, 4))
+    marks = oracle.are_circuits(masks)
+    assert marks.shape == masks.shape
+    assert marks.tolist() == [[psi(10, 3).is_circuit(m) for m in row] for row in masks.tolist()]
+    assert marks.any()
+    for bad in ([1 << 10], [-1]):
+        with pytest.raises(ValueError):
+            oracle.are_circuits(np.array(bad))
